@@ -50,6 +50,7 @@ from .game import (
     best_response,
     bootstrap,
     check_social_stability,
+    observed_mixture,
     refresh_state,
     solve_equilibrium,
     sweep,

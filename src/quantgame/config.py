@@ -16,7 +16,8 @@ import numpy as np
 import yaml
 
 from .densities import BetaDensity, KernelShape, NoiseKernel
-from .game import GameState, QuantizationGame, refresh_state
+from .game import GameState, QuantizationGame, observed_mixture
+from .game import refresh_state  # noqa: F401  (bound here for perfbench's tracer)
 from .networks import AgentSpec, CommMatrix
 from .quantizers import RegularQuantizer
 
@@ -167,18 +168,38 @@ def save_state(state: GameState, agent_ids: Sequence[int], path) -> None:
 
 
 def load_state(path, game: QuantizationGame) -> GameState:
-    doc = json.loads(Path(path).read_text())
-    quantizers = [
-        RegularQuantizer(np.asarray(q["boundaries"]), np.asarray(q["words"]))
-        for q in doc["quantizers"]
-    ]
-    usage = [np.asarray(u, dtype=float) for u in doc["usage"]]
-    state = refresh_state(game, quantizers,
-                          iteration=int(doc["iteration"]),
-                          last_max_move=float(doc["last_max_move"]))
-    # keep the persisted usage verbatim so round-trips are bit-exact
-    state.usage = usage
-    from .game import _observed
-    state.observed = [_observed(i, game, quantizers, usage)
-                      for i in range(game.n_agents)]
-    return state
+    """Read a state saved by `save_state` for the same game.
+
+    The persisted usage is kept verbatim, so round-trips are bit-exact.
+    Any unreadable or mismatched file raises ConfigError.
+    """
+    try:
+        doc = json.loads(Path(path).read_text())
+        ids = [int(i) for i in doc["agents"]]
+        quantizers = [
+            RegularQuantizer(np.asarray(q["boundaries"], dtype=float),
+                             np.asarray(q["words"], dtype=float))
+            for q in doc["quantizers"]
+        ]
+        usage = [np.asarray(u, dtype=float) for u in doc["usage"]]
+        iteration = int(doc["iteration"])
+        last_max_move = float(doc["last_max_move"])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"cannot read state file {path}: {exc!r}") from exc
+    expected = [a.id for a in game.agents]
+    if ids != expected:
+        raise ConfigError(f"state file {path} is for agents {ids}, "
+                          f"the config has {expected}")
+    if len(quantizers) != len(ids) or len(usage) != len(ids):
+        raise ConfigError(f"state file {path} does not hold one quantizer and "
+                          f"one usage vector per agent")
+    for q, u, agent in zip(quantizers, usage, game.agents):
+        if q.levels != agent.levels or u.shape != (agent.levels,):
+            raise ConfigError(f"state file {path}: agent {agent.id} needs "
+                              f"{agent.levels} words and usage entries")
+    try:
+        observed = [observed_mixture(i, game, quantizers, usage)
+                    for i in range(game.n_agents)]
+    except ValueError as exc:
+        raise ConfigError(f"state file {path}: {exc}") from exc
+    return GameState(quantizers, usage, observed, iteration, last_max_move)

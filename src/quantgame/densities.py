@@ -5,6 +5,13 @@ mixtures. All interval queries use the half-open convention (a, b],
 and partial moments are computed in closed form (regularized
 incomplete beta for the continuous parts, polynomial antiderivatives
 for the noise kernels), which keeps errors near machine precision.
+
+The moment kernel is array-valued: `partial_moments(a, b)` broadcasts
+over arrays of cell edges, so a caller gets (m0, m1, m2) for every cell
+of a quantizer from one call. Each beta part makes one `betainc` call
+per moment order over all edges, and each group of atoms sharing a
+noise kernel is evaluated as one atoms x cells array. Scalar edges
+return a tuple of floats.
 """
 
 from __future__ import annotations
@@ -24,12 +31,45 @@ _EDGE = 1e-12
 EMPTY_CELL_MASS = 1e-12
 
 
+# (m0, m1, m2): floats for scalar edges, arrays of the broadcast shape otherwise
+Moments = Tuple[Union[float, np.ndarray], Union[float, np.ndarray], Union[float, np.ndarray]]
+
+
+def _moments_out(m0, m1, m2) -> Moments:
+    if np.ndim(m0) == 0:
+        return float(m0), float(m1), float(m2)
+    return m0, m1, m2
+
+
+def _clipped_powers(a, b, lo, hi):
+    """(u^k - l^k) / k for k = 1..4 over (l, u] = (a, b] clipped to (lo, hi];
+    all four are 0 where the intervals do not overlap."""
+    l = np.maximum(a, lo)
+    u = np.maximum(np.minimum(b, hi), l)
+    l2, u2 = l * l, u * u
+    return u - l, (u2 - l2) / 2.0, (u2 * u - l2 * l) / 3.0, (u2 * u2 - l2 * l2) / 4.0
+
+
 class DomainError(ValueError):
     """Evaluation point outside the open unit interval."""
 
 
 class EmptyCellError(ValueError):
     """Conditional moment requested over a cell with (numerically) no mass."""
+
+
+def centroid_from_moments(a, b, m0, m1):
+    """Conditional means m1 / m0 of the cells (a, b], clipped into each cell.
+
+    Raises EmptyCellError if a cell carries less than EMPTY_CELL_MASS.
+    """
+    empty = np.asarray(m0) < EMPTY_CELL_MASS
+    if empty.any():
+        a, b, m0 = np.broadcast_arrays(a, b, m0)
+        k = np.unravel_index(np.argmax(empty), empty.shape)
+        raise EmptyCellError(f"cell ({a[k]}, {b[k]}] carries mass {m0[k]:.3g}")
+    c = np.minimum(np.maximum(m1 / m0, a), b)
+    return float(c) if np.ndim(c) == 0 else c
 
 
 @dataclass(frozen=True)
@@ -55,17 +95,26 @@ class BetaDensity:
     def cdf(self, x):
         return special.betainc(self.alpha, self.beta_param, np.clip(x, 0.0, 1.0))
 
-    def partial_moments(self, a: float, b: float) -> Tuple[float, float, float]:
-        """(m0, m1, m2): integrals of 1, x, x^2 against the pdf over (a, b]."""
+    def partial_moments(self, a, b) -> Moments:
+        """(m0, m1, m2): integrals of 1, x, x^2 against the pdf over (a, b].
+
+        `a` and `b` broadcast; one `betainc` call per moment order covers
+        both ends of every cell.
+        """
         al, be = self.alpha, self.beta_param
-        ia = special.betainc(al, be, a)
-        ib = special.betainc(al, be, b)
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        if a.shape != b.shape:
+            a, b = np.broadcast_arrays(a, b)
+        ends = np.array((a, b))
+        ia, ib = special.betainc(al, be, ends)
         m0 = ib - ia
         mu1 = al / (al + be)
-        m1 = mu1 * (special.betainc(al + 1, be, b) - special.betainc(al + 1, be, a))
+        ia, ib = special.betainc(al + 1, be, ends)
+        m1 = mu1 * (ib - ia)
         mu2 = mu1 * (al + 1) / (al + be + 1)
-        m2 = mu2 * (special.betainc(al + 2, be, b) - special.betainc(al + 2, be, a))
-        return float(m0), float(m1), float(m2)
+        ia, ib = special.betainc(al + 2, be, ends)
+        m2 = mu2 * (ib - ia)
+        return _moments_out(m0, m1, m2)
 
     @property
     def mean(self) -> float:
@@ -137,43 +186,33 @@ class NoiseKernel:
         t = np.abs(x - center)
         return np.where(t < h, (h - t) / (h * h), 0.0)
 
-    def partial_moments(self, a: float, b: float, center: float) -> Tuple[float, float, float]:
+    def partial_moments(self, a, b, center) -> Moments:
         """(m0, m1, m2) of the smeared density over (a, b].
 
-        Point kernels are Dirac masses: the atom is in (a, b] iff
-        a < center <= b.
+        `a`, `b` and `center` broadcast, e.g. atoms down a column against
+        cells along a row. Point kernels are Dirac masses: the atom is in
+        (a, b] iff a < center <= b, so an atom on an edge belongs to the
+        cell on its left.
         """
+        a, b, c = (np.asarray(v, dtype=float) for v in (a, b, center))
         h = self.halfwidth
         if self.shape is KernelShape.POINT:
-            if a < center <= b:
-                return 1.0, center, center * center
-            return 0.0, 0.0, 0.0
-        lo, hi = center - h, center + h
+            inside = (a < c) & (c <= b)
+            return _moments_out(inside.astype(float), inside * c, inside * (c * c))
         if self.shape is KernelShape.UNIFORM:
-            l, u = max(a, lo), min(b, hi)
-            if u <= l:
-                return 0.0, 0.0, 0.0
             inv = 1.0 / (2.0 * h)
-            m0 = (u - l) * inv
-            m1 = (u * u - l * l) / 2.0 * inv
-            m2 = (u ** 3 - l ** 3) / 3.0 * inv
-            return m0, m1, m2
+            d1, d2, d3, _ = _clipped_powers(a, b, c - h, c + h)
+            return _moments_out(d1 * inv, d2 * inv, d3 * inv)
         # triangular: density (h + s*(x - center)) / h^2 with s = +1 left, -1 right
-        out = [0.0, 0.0, 0.0]
-        for seg_lo, seg_hi, s in ((lo, center, 1.0), (center, hi, -1.0)):
-            l, u = max(a, seg_lo), min(b, seg_hi)
-            if u <= l:
-                continue
-            c0 = h - s * center
-            inv = 1.0 / (h * h)
-            d1 = u - l
-            d2 = (u * u - l * l) / 2.0
-            d3 = (u ** 3 - l ** 3) / 3.0
-            d4 = (u ** 4 - l ** 4) / 4.0
-            out[0] += (c0 * d1 + s * d2) * inv
-            out[1] += (c0 * d2 + s * d3) * inv
-            out[2] += (c0 * d3 + s * d4) * inv
-        return tuple(out)
+        inv = 1.0 / (h * h)
+        m0 = m1 = m2 = 0.0
+        for seg_lo, seg_hi, s in ((c - h, c, 1.0), (c, c + h, -1.0)):
+            c0 = h - s * c
+            d1, d2, d3, d4 = _clipped_powers(a, b, seg_lo, seg_hi)
+            m0 = m0 + (c0 * d1 + s * d2) * inv
+            m1 = m1 + (c0 * d2 + s * d3) * inv
+            m2 = m2 + (c0 * d3 + s * d4) * inv
+        return _moments_out(m0, m1, m2)
 
     def sample(self, rng: np.random.Generator, size=None):
         """Draw noise values (not shifted by any word)."""
@@ -195,6 +234,7 @@ class MixtureDensity:
 
     continuous_parts: Tuple[Tuple[float, BetaDensity], ...] = ()
     smeared_atoms: Tuple[Tuple[float, float, NoiseKernel], ...] = ()
+    _atom_groups: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cont = tuple((float(w), d) for w, d in self.continuous_parts)
@@ -218,6 +258,12 @@ class MixtureDensity:
             total += w
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"mixture weights sum to {total}, expected 1")
+        # atom weights and centers as columns, one group per noise kernel
+        groups = {}
+        for w, c, k in atoms:
+            groups.setdefault(k, []).append((w, c))
+        object.__setattr__(self, "_atom_groups", tuple(
+            (k, np.array(wc)[:, :1], np.array(wc)[:, 1:]) for k, wc in groups.items()))
 
     @classmethod
     def from_beta(cls, d: BetaDensity) -> "MixtureDensity":
@@ -237,43 +283,57 @@ class MixtureDensity:
             return float(out)
         return out
 
-    def partial_moments(self, a: float, b: float) -> Tuple[float, float, float]:
-        if not (0.0 <= a < b <= 1.0):
-            raise ValueError(f"need 0 <= a < b <= 1, got ({a}, {b})")
-        m0 = m1 = m2 = 0.0
-        for w, d in self.continuous_parts:
-            p0, p1, p2 = d.partial_moments(a, b)
-            m0 += w * p0
-            m1 += w * p1
-            m2 += w * p2
-        for w, c, k in self.smeared_atoms:
-            p0, p1, p2 = k.partial_moments(a, b, c)
-            m0 += w * p0
-            m1 += w * p1
-            m2 += w * p2
-        return m0, m1, m2
+    def partial_moments(self, a, b) -> Moments:
+        """(m0, m1, m2) of the mixture over the cells (a, b].
 
-    def mass_in(self, a: float, b: float) -> float:
+        `a` and `b` broadcast. The weighted terms are added in declaration
+        order (continuous parts, then atoms), the order a scalar loop over
+        the parts would use.
+        """
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        if a.shape != b.shape:
+            a, b = np.broadcast_arrays(a, b)
+        shape = a.shape
+        a, b = a.ravel(), b.ravel()
+        ok = (0.0 <= a) & (a < b) & (b <= 1.0)
+        if not ok.all():
+            k = np.argmin(ok)
+            raise ValueError(f"need 0 <= a < b <= 1, got ({a[k]}, {b[k]})")
+        # one row of weighted (m0, m1, m2) per part, summed down the rows
+        terms = np.empty((len(self.continuous_parts) + len(self.smeared_atoms), 3, a.size))
+        for r, (w, d) in enumerate(self.continuous_parts):
+            for j, m in enumerate(d.partial_moments(a, b)):
+                np.multiply(w, m, out=terms[r, j])
+        r = len(self.continuous_parts)
+        for kernel, w, c in self._atom_groups:
+            rows = terms[r:r + w.shape[0]]
+            for j, m in enumerate(kernel.partial_moments(a, b, c)):
+                np.multiply(w, m, out=rows[:, j])
+            r += w.shape[0]
+        m0, m1, m2 = terms.sum(axis=0).reshape((3,) + shape)
+        return _moments_out(m0, m1, m2)
+
+    def mass_in(self, a, b):
         return self.partial_moments(a, b)[0]
 
-    def cell_centroid(self, a: float, b: float) -> float:
+    def cell_centroid(self, a, b):
         m0, m1, _ = self.partial_moments(a, b)
-        if m0 < EMPTY_CELL_MASS:
-            raise EmptyCellError(f"cell ({a}, {b}] carries mass {m0:.3g}")
-        return min(max(m1 / m0, a), b)
+        return centroid_from_moments(a, b, m0, m1)
 
-    def quantile(self, p: float, tol: float = 1e-13) -> float:
-        """Smallest x with mass_in(0, x) >= p, by bisection."""
-        if not 0.0 <= p <= 1.0:
+    def quantile(self, p, tol: float = 1e-13):
+        """Smallest x with mass_in(0, x) >= p, by bisection. An array of
+        levels is bisected all at once."""
+        p = np.asarray(p, dtype=float)
+        if not np.all((0.0 <= p) & (p <= 1.0)):
             raise ValueError("quantile level must be in [0, 1]")
-        lo, hi = 0.0, 1.0
-        while hi - lo > tol:
+        lo, hi = np.zeros_like(p), np.ones_like(p)
+        while np.any(hi - lo > tol):
             mid = 0.5 * (lo + hi)
-            if self.mass_in(0.0, mid) >= p:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
+            up = self.mass_in(0.0, mid) >= p
+            hi = np.where(up, mid, hi)
+            lo = np.where(up, lo, mid)
+        x = 0.5 * (lo + hi)
+        return float(x) if x.ndim == 0 else x
 
     def is_purely_continuous(self) -> bool:
         return all(w <= _WEIGHT_TOL for w, _, _ in self.smeared_atoms)

@@ -89,7 +89,8 @@ class EquilibriumReport:
     true_residual_ses: Optional[np.ndarray] = None
 
 
-def _observed(i: int, game: QuantizationGame, quantizers, usage) -> MixtureDensity:
+def observed_mixture(i: int, game: QuantizationGame, quantizers, usage) -> MixtureDensity:
+    """Agent i's observed environment under the given strategies and usage."""
     return observed_environment(
         i, game.agents[i].physical, quantizers, usage, game.comm, game.noise
     )
@@ -112,14 +113,14 @@ def refresh_state(game: QuantizationGame, quantizers: Sequence[RegularQuantizer]
         new_usage = []
         delta = 0.0
         for i in range(n):
-            obs = _observed(i, game, quantizers, usage)
+            obs = observed_mixture(i, game, quantizers, usage)
             u = word_usage(obs, quantizers[i])
             delta = max(delta, float(np.max(np.abs(u - usage[i]))))
             new_usage.append(u)
         usage = new_usage
         if delta < 1e-14:
             break
-    observed = [_observed(i, game, quantizers, usage) for i in range(n)]
+    observed = [observed_mixture(i, game, quantizers, usage) for i in range(n)]
     return GameState(list(quantizers), usage, observed, iteration, last_max_move)
 
 
@@ -138,7 +139,7 @@ def bootstrap(game: QuantizationGame, n_starts: int = 8,
         word_usage(MixtureDensity(((1.0, game.agents[i].physical),)), quantizers[i])
         for i in range(n)
     ]
-    observed = [_observed(i, game, quantizers, usage) for i in range(n)]
+    observed = [observed_mixture(i, game, quantizers, usage) for i in range(n)]
     return GameState(quantizers, usage, observed, iteration=0)
 
 
@@ -146,7 +147,7 @@ def best_response(i: int, state: GameState, game: QuantizationGame,
                   n_starts: int = 8, tol: float = _LM_TOL) -> RegularQuantizer:
     """Loss-minimizing quantizer for agent i against the current observed
     environment, warm-started from the agent's present strategy."""
-    obs = _observed(i, game, state.quantizers, state.usage)
+    obs = observed_mixture(i, game, state.quantizers, state.usage)
     res = multi_start_lloyd_max(
         obs, game.agents[i].levels, n_starts=n_starts, seed=_SOLVER_SEED,
         warm_start=state.quantizers[i], tol=tol, max_iters=_LM_MAX_ITERS,
@@ -173,12 +174,12 @@ def sweep(state: GameState, game: QuantizationGame,
             float(np.max(np.abs(new.boundaries - old.boundaries))),
         )
         st.quantizers[i] = new
-        obs_i = _observed(i, game, st.quantizers, st.usage)
+        obs_i = observed_mixture(i, game, st.quantizers, st.usage)
         st.usage[i] = word_usage(obs_i, new)
         st.observed[i] = obs_i
     # refresh all observed caches against the post-sweep profile
     for i in range(game.n_agents):
-        st.observed[i] = _observed(i, game, st.quantizers, st.usage)
+        st.observed[i] = observed_mixture(i, game, st.quantizers, st.usage)
     st.iteration += 1
     st.last_max_move = move
     return st, move
@@ -227,7 +228,7 @@ def _quick_report(state: GameState, game: QuantizationGame, converged: bool,
     obs_res = np.empty(n)
     br_dist = np.empty(n)
     for i in range(n):
-        obs = _observed(i, game, state.quantizers, state.usage)
+        obs = observed_mixture(i, game, state.quantizers, state.usage)
         obs_res[i] = centroid_residual(state.quantizers[i], obs)
         br = best_response(i, state, game, n_starts=n_starts)
         br_dist[i] = float(np.max(np.abs(br.words - state.quantizers[i].words)))

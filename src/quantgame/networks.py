@@ -86,6 +86,28 @@ def detect_acyclic(P: CommMatrix) -> Tuple[bool, Optional[List[int]]]:
     return True, order
 
 
+# above this condition number of I - P_off the solved weights lose most
+# of their digits; a closed cycle with no physical observation is singular
+_MAX_CONDITION = 1e12
+
+
+def true_environment_weights(P: CommMatrix) -> np.ndarray:
+    """The mixing weight matrix W = (I - P_off)^{-1} diag(P).
+
+    Well-posedness is judged by the condition number of I - P_off, which,
+    unlike its determinant, does not shrink with the number of
+    independent blocks in the network.
+    """
+    p = P.entries
+    own = np.diag(np.diag(p))
+    lhs = np.eye(P.n_agents) - (p - own)
+    if not np.linalg.cond(lhs) < _MAX_CONDITION:
+        raise IllPosedEnvironmentError(
+            "closed communication cycle with no physical observation"
+        )
+    return np.linalg.solve(lhs, own)
+
+
 def true_environment(P: CommMatrix, physicals: Sequence[BetaDensity]) -> List[MixtureDensity]:
     """Each agent's true environment as a beta mixture.
 
@@ -95,14 +117,7 @@ def true_environment(P: CommMatrix, physicals: Sequence[BetaDensity]) -> List[Mi
     n = P.n_agents
     if len(physicals) != n:
         raise ValueError("need one physical density per agent")
-    p = P.entries
-    off = p - np.diag(np.diag(p))
-    lhs = np.eye(n) - off
-    if abs(np.linalg.det(lhs)) < 1e-12:
-        raise IllPosedEnvironmentError(
-            "closed communication cycle with no physical observation"
-        )
-    w = np.linalg.solve(lhs, np.diag(np.diag(p)))
+    w = true_environment_weights(P)
     if np.any(w < -1e-10):
         raise IllPosedEnvironmentError("negative environment weights")
     w = np.clip(w, 0.0, None)
@@ -112,13 +127,6 @@ def true_environment(P: CommMatrix, physicals: Sequence[BetaDensity]) -> List[Mi
         out.append(MixtureDensity(
             continuous_parts=tuple((row[j], physicals[j]) for j in range(n))))
     return out
-
-
-def true_environment_weights(P: CommMatrix) -> np.ndarray:
-    """The mixing weight matrix W = (I - P_off)^{-1} diag(P)."""
-    p = P.entries
-    off = p - np.diag(np.diag(p))
-    return np.linalg.solve(np.eye(P.n_agents) - off, np.diag(np.diag(p)))
 
 
 def observed_environment(
@@ -155,5 +163,5 @@ def observed_environment(
 def word_usage(observed: MixtureDensity, quantizer) -> np.ndarray:
     """p_k = mass of the observed mixture in cell k of the quantizer."""
     b = quantizer.boundaries
-    u = np.array([observed.mass_in(b[k], b[k + 1]) for k in range(quantizer.levels)])
+    u = observed.mass_in(b[:-1], b[1:])
     return u / u.sum()

@@ -17,9 +17,10 @@ from .densities import (
     EMPTY_CELL_MASS,
     Density,
     DomainError,
-    EmptyCellError,
     MixtureDensity,
+    Moments,
     as_mixture,
+    centroid_from_moments,
 )
 
 # minimal gap used to keep words strictly interior / strictly increasing
@@ -68,6 +69,10 @@ class RegularQuantizer:
         return self.quantize(x)[1]
 
 
+def _midpoints(words: np.ndarray) -> np.ndarray:
+    return np.concatenate(([0.0], (words[:-1] + words[1:]) / 2.0, [1.0]))
+
+
 def nearest_neighbor_boundaries(words: Sequence[float]) -> np.ndarray:
     """Midpoint boundaries for strictly increasing words in (0, 1)."""
     w = np.asarray(words, dtype=float)
@@ -77,34 +82,35 @@ def nearest_neighbor_boundaries(words: Sequence[float]) -> np.ndarray:
         raise ValueError("words must lie strictly inside (0, 1)")
     if np.any(np.diff(w) <= 0):
         raise ValueError("words must be strictly increasing")
-    return np.concatenate(([0.0], (w[:-1] + w[1:]) / 2.0, [1.0]))
+    return _midpoints(w)
 
 
 def quantizer_from_words(words: Sequence[float]) -> RegularQuantizer:
     return RegularQuantizer(nearest_neighbor_boundaries(words), np.asarray(words, float))
 
 
+def _cell_moments(mix: MixtureDensity, boundaries: np.ndarray) -> Moments:
+    return mix.partial_moments(boundaries[:-1], boundaries[1:])
+
+
+def _loss(words: np.ndarray, moments: Moments) -> float:
+    """sum_k (m2 - 2 y m1 + y^2 m0), added left to right: multi-start
+    selection compares losses of starts that reach the same optimum, and
+    those tie to rounding, so the order of the sum is kept fixed."""
+    m0, m1, m2 = moments
+    return float(np.cumsum(m2 - 2.0 * words * m1 + words * words * m0)[-1])
+
+
 def quantization_loss(q: RegularQuantizer, d: Density) -> float:
     """Expected squared error sum_k int_(cell k) (x - y_k)^2 dP."""
-    mix = as_mixture(d)
-    total = 0.0
-    b, w = q.boundaries, q.words
-    for k in range(q.levels):
-        m0, m1, m2 = mix.partial_moments(b[k], b[k + 1])
-        y = w[k]
-        total += m2 - 2.0 * y * m1 + y * y * m0
-    return total
+    return _loss(q.words, _cell_moments(as_mixture(d), q.boundaries))
 
 
 def centroid_residual(q: RegularQuantizer, d: Density) -> float:
     """Max over cells of |centroid - word|; zero iff the centroid condition holds."""
-    mix = as_mixture(d)
-    b, w = q.boundaries, q.words
-    worst = 0.0
-    for k in range(q.levels):
-        c = mix.cell_centroid(b[k], b[k + 1])
-        worst = max(worst, abs(c - w[k]))
-    return worst
+    b = q.boundaries
+    centroids = as_mixture(d).cell_centroid(b[:-1], b[1:])
+    return float(np.max(np.abs(centroids - q.words)))
 
 
 @dataclass
@@ -121,29 +127,35 @@ class LloydMaxResult:
         return self.loss_history[-1]
 
 
-def _resolve_empty_cells(words: np.ndarray, mix: MixtureDensity) -> Tuple[np.ndarray, int]:
+def _resolve_empty_cells(
+    words: np.ndarray, moments: Moments, mix: MixtureDensity,
+) -> Tuple[np.ndarray, np.ndarray, Moments, int]:
     """Move words of starved cells into the fattest cell, then re-sort.
 
-    Returns (possibly new) words and the number of relocation events.
+    `moments` are the cell moments of `words`. Returns the (possibly
+    new) words, their boundaries and cell moments, and the number of
+    relocation events.
     """
     events = 0
+    b = _midpoints(words)
     for _ in range(words.size):
-        b = nearest_neighbor_boundaries(words)
-        masses = np.array([mix.mass_in(b[k], b[k + 1]) for k in range(words.size)])
+        masses = moments[0]
         starved = np.nonzero(masses < EMPTY_CELL_MASS)[0]
         if starved.size == 0:
-            return words, events
+            break
         k = int(starved[0])
         fat = int(np.argmax(masses))
         # split the fattest cell: park the starved word between the fat
         # cell's word and its nearer boundary
         lo, hi = b[fat], b[fat + 1]
-        mid = mix.cell_centroid(lo, hi)
+        mid = centroid_from_moments(lo, hi, masses[fat], moments[1][fat])
         new = 0.5 * (mid + (lo if abs(mid - lo) > abs(hi - mid) else hi))
         words = np.sort(np.concatenate((np.delete(words, k), [new])))
         words = _separate(words)
         events += 1
-    return words, events
+        b = _midpoints(words)
+        moments = _cell_moments(mix, b)
+    return words, b, moments, events
 
 
 def _separate(words: np.ndarray) -> np.ndarray:
@@ -167,12 +179,19 @@ def lloyd_max(
     `init` defaults to the source quantiles at levels (2k-1)/(2M). The
     iteration never raises on starved cells; their words are relocated
     and the event counted.
+
+    Each iteration makes one moment-kernel call at the current words; the
+    same moments give the empty-cell check, the centroids, and the loss of
+    the previous iterate, so `loss_history[n - 1]` is the loss after
+    iteration n and only the last entry costs an extra call.
     """
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     mix = as_mixture(d)
     if init is None:
         if levels is None:
             raise ValueError("need levels or an explicit init")
-        init = [mix.quantile((2 * k + 1) / (2.0 * levels)) for k in range(levels)]
+        init = _quantile_init(mix, levels)
     words = _separate(np.asarray(init, dtype=float))
     if levels is not None and words.size != levels:
         raise ValueError(f"init has {words.size} words, expected {levels}")
@@ -185,23 +204,26 @@ def lloyd_max(
     converged = False
     it = 0
     for it in range(1, max_iters + 1):
-        words, events = _resolve_empty_cells(words, mix)
+        moments = _cell_moments(mix, _midpoints(words))
+        if it > 1:
+            loss_history.append(_loss(words, moments))
+        words, b, moments, events = _resolve_empty_cells(words, moments, mix)
         events_total += events
-        b = nearest_neighbor_boundaries(words)
-        new_words = np.empty_like(words)
-        for k in range(words.size):
-            new_words[k] = mix.cell_centroid(b[k], b[k + 1])
-        new_words = _separate(new_words)
+        new_words = _separate(centroid_from_moments(b[:-1], b[1:], moments[0], moments[1]))
         move = float(np.max(np.abs(new_words - words)))
         words = new_words
-        loss_history.append(quantization_loss(
-            RegularQuantizer(nearest_neighbor_boundaries(words), words), mix))
         if move < tol:
             converged = True
             break
 
-    q = RegularQuantizer(nearest_neighbor_boundaries(words), words)
+    q = quantizer_from_words(words)
+    loss_history.append(quantization_loss(q, mix))
     return LloydMaxResult(q, converged, it, move, loss_history, events_total)
+
+
+def _quantile_init(mix: MixtureDensity, levels: int) -> np.ndarray:
+    """Source quantiles at the levels (2k+1)/(2M), k = 0..M-1."""
+    return mix.quantile((2 * np.arange(levels) + 1) / (2.0 * levels))
 
 
 def multi_start_lloyd_max(
@@ -218,7 +240,7 @@ def multi_start_lloyd_max(
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
     mix = as_mixture(d)
-    quant = np.array([mix.quantile((2 * k + 1) / (2.0 * levels)) for k in range(levels)])
+    quant = _quantile_init(mix, levels)
     inits = []
     if warm_start is not None:
         if warm_start.levels != levels:

@@ -99,3 +99,41 @@ def dp_optimal_quantizer(pdf, levels, n_grid=2000):
         for k in range(levels)
     ])
     return boundaries, words, float(cost[levels, n_grid])
+
+
+def scalar_loop_moments(mix, a, b):
+    """(m0, m1, m2) of a MixtureDensity over one cell (a, b] by a scalar loop
+    over its parts: the per-cell kernel that the array kernel replaced, kept
+    as its reference. Terms are added in declaration order, as the array
+    kernel adds them, so on point-atom mixtures the two agree bit for bit."""
+    m = [0.0, 0.0, 0.0]
+    for w, d in mix.continuous_parts:
+        al, be = d.alpha, d.beta_param
+        mu1 = al / (al + be)
+        scale = (1.0, mu1, mu1 * (al + 1) / (al + be + 1))
+        for j in range(3):
+            inc = special.betainc(al + j, be, b) - special.betainc(al + j, be, a)
+            m[j] += w * float(scale[j] * inc)
+    for w, c, k in mix.smeared_atoms:
+        h = k.halfwidth
+        p = [0.0, 0.0, 0.0]
+        if k.shape.value == "point":
+            if a < c <= b:
+                p = [1.0, c, c * c]
+        else:
+            # (lo, hi, density at x) pieces of the kernel around c
+            if k.shape.value == "uniform":
+                pieces = ((c - h, c + h, lambda x: 1.0 / (2.0 * h)),)
+            else:
+                pieces = ((c - h, c, lambda x: (h - (c - x)) / (h * h)),
+                          (c, c + h, lambda x: (h - (x - c)) / (h * h)))
+            for lo, hi, dens in pieces:
+                l, u = max(a, lo), min(b, hi)
+                if u > l:
+                    # the density is linear on the piece: Simpson's rule is exact
+                    for j in range(3):
+                        f = [x ** j * dens(x) for x in (l, 0.5 * (l + u), u)]
+                        p[j] += (u - l) * (f[0] + 4.0 * f[1] + f[2]) / 6.0
+        for j in range(3):
+            m[j] += w * p[j]
+    return tuple(m)

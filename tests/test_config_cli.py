@@ -171,6 +171,27 @@ class TestCliSimulate:
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == EXIT_MISSING_STATE
 
+    def test_state_from_another_config(self, cli_ws, tmp_path, capsys):
+        # the two-agent state does not fit the five-agent reference game
+        _cfg, out = cli_ws
+        code = main(["simulate", "--config", str(REFERENCE_CONFIG), "--out", str(tmp_path),
+                     "--state", str(out / "state.json"), "--samples", "1000"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "agents [1, 2]" in err
+
+    def test_truncated_state_file(self, cli_ws, tmp_path, capsys):
+        cfg, out = cli_ws
+        text = (out / "state.json").read_text()
+        broken = tmp_path / "state.json"
+        broken.write_text(text[: len(text) // 2])
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path),
+                     "--state", str(broken), "--samples", "1000"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
     def test_bad_sample_count(self, cli_ws):
         cfg, out = cli_ws
         code = main(["simulate", "--config", str(cfg), "--out", str(out),

@@ -1,9 +1,12 @@
 """Density layer: beta pdfs/moments against Riemann-sum oracles, atom and
-noise-kernel interval conventions, log-concavity detection, and the
-beta-pair dissimilarity formula against a quadrature oracle."""
+noise-kernel interval conventions, log-concavity detection, the
+beta-pair dissimilarity formula against a quadrature oracle, and
+properties of the array moment kernel on random mixtures."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quantgame import (
     BetaDensity,
@@ -20,7 +23,13 @@ from quantgame import (
     mass_in,
 )
 
-from oracles import beta_pdf, bhattacharyya_overlap, riemann_moments
+from oracles import (
+    beta_pdf,
+    bhattacharyya_overlap,
+    riemann_moments,
+    scalar_loop_moments,
+)
+from strategies import PROPERTY_SETTINGS, mixtures, mixtures_with_edges
 
 # frozen oracle values (midpoint Riemann, 10^7 points)
 MASS_BETA25_0_02 = 0.34464000000000006
@@ -228,3 +237,77 @@ class TestHellinger:
         want = 1.0 - bhattacharyya_overlap(
             lambda x: beta_pdf(x, 3.0, 1.2), lambda x: beta_pdf(x, 1.4, 4.8))
         assert hellinger_beta(p, q) == pytest.approx(want, abs=1e-8)
+
+
+class TestArrayKernel:
+    """One array call of the moment kernel against per-cell scalar calls."""
+
+    @PROPERTY_SETTINGS
+    @given(mixtures_with_edges())
+    def test_array_call_matches_scalar_calls(self, case):
+        mix, edges = case
+        got = np.array(mix.partial_moments(edges[:-1], edges[1:]))
+        want = np.array([mix.partial_moments(a, b) for a, b in zip(edges[:-1], edges[1:])]).T
+        assert np.all(np.abs(got - want) <= 1e-15)
+        assert all(type(v) is float for v in mix.partial_moments(edges[0], edges[1]))
+
+    @PROPERTY_SETTINGS
+    @given(mixtures_with_edges())
+    def test_matches_scalar_loop_reference(self, case):
+        # bit for bit on point atoms; smeared atoms differ in rounding only,
+        # amplified by the 1/h^2 of the narrowest kernel (h >= 0.005)
+        mix, edges = case
+        got = np.array(mix.partial_moments(edges[:-1], edges[1:]))
+        want = np.array([scalar_loop_moments(mix, a, b)
+                         for a, b in zip(edges[:-1], edges[1:])]).T
+        smeared = any(k.shape is not KernelShape.POINT for _w, _c, k in mix.smeared_atoms)
+        assert np.max(np.abs(got - want)) <= (1e-11 if smeared else 0.0)
+
+    @PROPERTY_SETTINGS
+    @given(mixtures_with_edges())
+    def test_cell_masses_sum_to_total_weight(self, case):
+        mix, edges = case
+        total = (sum(w for w, _d in mix.continuous_parts)
+                 + sum(w for w, _c, _k in mix.smeared_atoms))
+        m0 = mix.mass_in(edges[:-1], edges[1:])
+        assert np.all(m0 >= 0.0)
+        assert m0.sum() == pytest.approx(total, abs=1e-12)
+
+    @PROPERTY_SETTINGS
+    @given(mixtures_with_edges())
+    def test_edge_atom_falls_in_left_cell(self, case):
+        mix, edges = case
+        m0 = mix.mass_in(edges[:-1], edges[1:])
+        for w, c, k in mix.smeared_atoms:
+            if k is not POINT_KERNEL or c not in edges:
+                continue
+            left = int(np.searchsorted(edges, c)) - 1
+            assert edges[left + 1] == c
+            inside = POINT_KERNEL.partial_moments(edges[:-1], edges[1:], c)[0]
+            assert inside.tolist() == [1.0 if j == left else 0.0 for j in range(m0.size)]
+            assert m0[left] >= w
+
+    @PROPERTY_SETTINGS
+    @given(mixtures(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+    def test_quantile_array_matches_elementwise(self, mix, levels):
+        got = mix.quantile(np.array(levels))
+        assert got.tolist() == [mix.quantile(p) for p in levels]
+
+    def test_scalar_inputs_return_floats(self):
+        d = BetaDensity(2, 5)
+        k = NoiseKernel("triangular", 0.05)
+        for moments in (d.partial_moments(0.1, 0.4), k.partial_moments(0.4, 0.52, 0.5),
+                        POINT_KERNEL.partial_moments(0.4, 0.5, 0.5)):
+            assert all(type(v) is float for v in moments)
+        mix = MixtureDensity(((0.5, d),), ((0.5, 0.5, k),))
+        assert type(mix.quantile(0.5)) is float
+        assert type(mix.cell_centroid(0.2, 0.6)) is float
+
+    def test_invalid_cells_rejected(self):
+        d = MixtureDensity.from_beta(BetaDensity(2, 2))
+        with pytest.raises(ValueError, match="0.5, 0.5"):
+            d.partial_moments(np.array([0.0, 0.5]), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError):
+            d.quantile(np.array([0.2, 1.5]))
+        with pytest.raises(EmptyCellError):
+            d.cell_centroid(np.array([0.0, 1.0 - 1e-15]), np.array([1.0 - 1e-15, 1.0]))

@@ -18,7 +18,7 @@ from quantgame import (
     sweep,
     verify_nash,
 )
-from quantgame.game import _observed
+from quantgame.game import observed_mixture
 from quantgame.networks import AgentSpec
 
 
@@ -69,7 +69,7 @@ class TestBestResponseAndSweep:
         game = _coupled_game()
         state = bootstrap(game)
         br = best_response(0, state, game)
-        obs = _observed(0, game, state.quantizers, state.usage)
+        obs = observed_mixture(0, game, state.quantizers, state.usage)
         assert centroid_residual(br, obs) < 1e-9
 
     def test_isolated_agents_do_not_move(self):

@@ -90,6 +90,19 @@ class TestTrueEnvironment:
         with pytest.raises(IllPosedEnvironmentError):
             true_environment(P, [BetaDensity(2, 2), BetaDensity(2, 2)])
 
+    def test_many_weak_blocks_accepted(self):
+        # six disjoint pairs that mostly hear each other: det(I - P_off) is
+        # 1.999e-3 ** 6 ~ 6.4e-17, yet the system is well conditioned (~2e3)
+        block = np.array([[0.001, 0.999], [0.999, 0.001]])
+        P = CommMatrix(np.kron(np.eye(6), block))
+        assert abs(np.linalg.det(np.eye(12) - (P.entries - np.diag(np.diag(P.entries))))) < 1e-16
+        envs = true_environment(P, [BetaDensity(2, 2 + k) for k in range(12)])
+        W = true_environment_weights(P)
+        want = np.array([[1.0, 0.999], [0.999, 1.0]]) * 0.001 / (1.0 - 0.999 ** 2)
+        assert W == pytest.approx(np.kron(np.eye(6), want), abs=1e-12)
+        for env in envs:
+            assert sum(w for w, _d in env.continuous_parts) == pytest.approx(1.0, abs=1e-12)
+
 
 class TestObservedEnvironment:
     def _setup(self):

@@ -1,11 +1,15 @@
 """Quantizer layer: regularity validation, half-open cell lookup, design
-loops against analytic optima, a golden-section boundary oracle, and an
-exact dynamic-programming oracle on a discretized source."""
+loops against analytic optima, a golden-section boundary oracle, an
+exact dynamic-programming oracle on a discretized source, and the
+loss-history contract on random mixtures."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quantgame import (
+    POINT_KERNEL,
     BetaDensity,
     DomainError,
     MixtureDensity,
@@ -20,6 +24,7 @@ from quantgame import (
 
 from conftest import AGENT5_TARGET_WORDS
 from oracles import beta_pdf, dp_optimal_quantizer, riemann_quantizer_loss
+from strategies import PROPERTY_SETTINGS, mixtures
 
 # frozen golden-section oracle for the symmetric two-level design:
 # boundary 1/2, words 5/16 and 11/16, loss 19/1280
@@ -192,3 +197,42 @@ class TestMultiStart:
             multi_start_lloyd_max(d, levels=4, warm_start=warm)
         with pytest.raises(ValueError):
             multi_start_lloyd_max(d, levels=3, n_starts=0)
+
+
+class TestLossHistory:
+    """Each Lloyd-Max iteration's kernel call also prices the previous
+    iterate, so the history stays complete without extra kernel calls."""
+
+    @PROPERTY_SETTINGS
+    @given(mixtures(max_atoms=8), st.integers(1, 6))
+    def test_history_complete_and_non_increasing(self, mix, levels):
+        res = lloyd_max(mix, levels=levels, tol=1e-10, max_iters=3000)
+        hist = np.asarray(res.loss_history)
+        assert len(hist) == res.iterations
+        assert hist[-1] == quantization_loss(res.quantizer, mix)
+        assert res.loss == hist[-1]
+        assert np.all(np.diff(hist) <= 1e-14)
+
+    def test_history_prices_each_iterate_across_relocations(self):
+        # entry n is the loss of the n-th iterate, i.e. of the result of a
+        # run stopped after n iterations. On these atoms the second
+        # iteration starves the middle cell and relocates its word, so the
+        # first entry must come from the moments before that relocation.
+        atoms = ((0.015, 0.175), (0.086, 0.378), (0.218, 0.423),
+                 (0.385, 0.747), (0.226, 0.808), (0.07, 0.964))
+        mix = MixtureDensity((), tuple((w, c, POINT_KERNEL) for w, c in atoms))
+        init = [0.035, 0.722, 0.875]
+        res = lloyd_max(mix, levels=3, init=init, tol=1e-11)
+        assert res.converged and len(res.loss_history) == res.iterations
+        events = []
+        for n in range(1, res.iterations + 1):
+            part = lloyd_max(mix, levels=3, init=init, tol=1e-11, max_iters=n)
+            assert res.loss_history[n - 1] == quantization_loss(part.quantizer, mix)
+            events.append(part.empty_cell_events)
+        assert events[:2] == [0, 1]
+
+    def test_max_iters_validation(self):
+        with pytest.raises(ValueError):
+            lloyd_max(BetaDensity(2, 2), levels=3, max_iters=0)
+        res = lloyd_max(BetaDensity(2, 2), levels=3, max_iters=1)
+        assert res.iterations == 1 and len(res.loss_history) == 1
