@@ -15,11 +15,8 @@ from .densities import (
     MixtureDensity,
     NoiseKernel,
     POINT_KERNEL,
-    cell_centroid,
     check_semi_elasticity,
-    eval_pdf,
     hellinger_beta,
-    mass_in,
 )
 from .quantizers import (
     LloydMaxResult,
@@ -61,12 +58,10 @@ from .montecarlo import (
     LossReport,
     NoChainError,
     ProbeReport,
-    SignalSample,
     chain_translate,
     enumerate_chains,
     estimate_losses,
     path_dependence_probe,
-    sample_signal,
     shared_vocabulary,
     true_env_residuals,
 )

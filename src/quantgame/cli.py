@@ -3,8 +3,9 @@
 Subcommands: solve, simulate, chains, analyze, verify. All read a YAML
 experiment config; everything downstream of solve additionally needs the
 state file it wrote. Outputs are CSV (header row, fixed column order) and
-JSON. Exit codes: 0 success, 2 validation error, 3 non-convergence,
-4 missing prerequisite state.
+JSON. Exit codes: 0 success, 2 validation error (including a quantizer
+cell that no source reaches), 3 non-convergence, 4 missing prerequisite
+state.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ import numpy as np
 
 from . import montecarlo
 from .config import ConfigError, ExperimentConfig, load_config, load_state, save_state
-from .densities import hellinger_beta
-from .game import bootstrap, check_social_stability, sweep, verify_nash
-from .networks import detect_acyclic
+from .densities import EmptyCellError, hellinger_beta
+from .game import bootstrap, check_social_stability, solve_equilibrium, verify_nash
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -86,33 +86,16 @@ def cmd_solve(args) -> int:
     game = cfg.game()
     tol = args.tol if args.tol is not None else cfg.solver.tol
     max_sweeps = args.max_sweeps if args.max_sweeps is not None else cfg.solver.max_sweeps
-
-    schedule = list(range(game.n_agents))
-    if cfg.solver.schedule_policy == "topological_if_acyclic":
-        is_forest, order = detect_acyclic(game.comm)
-        if is_forest:
-            schedule = order
-
-    state = bootstrap(game, n_starts=cfg.solver.n_starts)
-    rows = _snapshot_rows(0, cfg, state)
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
-        starts = cfg.solver.n_starts if sweeps == 1 else 1
-        state, move = sweep(state, game, schedule, n_starts=starts)
-        rows.extend(_snapshot_rows(sweeps, cfg, state))
-        if move < tol:
-            converged = True
-            break
+    state, report = solve_equilibrium(game, cfg.solver.schedule_policy, tol,
+                                      max_sweeps, cfg.solver.n_starts)
 
     save_state(state, cfg.agent_ids, out / "state.json")
+    rows = [row for n, st in enumerate(report.history)
+            for row in _snapshot_rows(n, cfg, st)]
     _write_csv(out / "sweeps.csv", ["sweep", "agent", "kind", "index", "value"], rows)
-
-    from .game import _quick_report
-    report = _quick_report(state, game, converged, sweeps, cfg.solver.n_starts)
     payload = {
-        "converged": converged,
-        "sweeps": sweeps,
+        "converged": report.converged,
+        "sweeps": report.sweeps,
         "last_max_move": state.last_max_move,
         "observed_residuals": report.observed_residuals,
         "br_distances": report.br_distances,
@@ -128,11 +111,11 @@ def cmd_solve(args) -> int:
             for i in range(game.n_agents)
         ],
     )
-    if not converged:
+    if not report.converged:
         print(f"did not converge within {max_sweeps} sweeps "
               f"(last move {state.last_max_move:.3g})", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    print(f"converged in {sweeps} sweeps; state written to {out / 'state.json'}")
+    print(f"converged in {report.sweeps} sweeps; state written to {out / 'state.json'}")
     return EXIT_OK
 
 
@@ -167,6 +150,21 @@ def cmd_simulate(args) -> int:
 
 def cmd_chains(args) -> int:
     cfg = _load(args)
+    if args.inputs < 1:
+        print("input count must be positive", file=sys.stderr)
+        return EXIT_CONFIG
+    chain = None
+    if args.chain:
+        idx = {aid: i for i, aid in enumerate(cfg.agent_ids)}
+        try:
+            chain = [idx[int(t)] for t in args.chain.split(",")]
+        except (KeyError, ValueError):
+            print(f"--chain must list agent ids from {cfg.agent_ids}, "
+                  f"got {args.chain!r}", file=sys.stderr)
+            return EXIT_CONFIG
+        if len(chain) < 2:
+            print("--chain needs at least two agents", file=sys.stderr)
+            return EXIT_CONFIG
     out = _outdir(args, cfg)
     game = cfg.game()
     state = _state_or_exit(args, cfg)
@@ -198,9 +196,7 @@ def cmd_chains(args) -> int:
             for p in probes
         ],
     }
-    if args.chain:
-        idx = {aid: i for i, aid in enumerate(cfg.agent_ids)}
-        chain = [idx[int(t)] for t in args.chain.split(",")]
+    if chain:
         grid = np.linspace(0.0, 1.0, args.inputs + 2)[1:-1]
         rng = np.random.default_rng(args.seed or 0)
         chain_rows = []
@@ -258,6 +254,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _load(args)
+    if args.samples is not None and args.samples < 1:
+        print("sample count must be positive", file=sys.stderr)
+        return EXIT_CONFIG
     out = _outdir(args, cfg)
     game = cfg.game()
     state = _state_or_exit(args, cfg)
@@ -347,6 +346,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except EmptyCellError as exc:
+        print(f"starved quantizer cell: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SystemExit as exc:
         return int(exc.code or 0)

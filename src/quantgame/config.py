@@ -8,9 +8,9 @@ round-trips bit-exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 import yaml
@@ -32,7 +32,6 @@ class SolverSettings:
     max_sweeps: int = 200
     schedule_policy: str = "cyclic"
     n_starts: int = 8
-    seed: int = 0
 
 
 @dataclass
@@ -44,7 +43,6 @@ class MonteCarloSettings:
 @dataclass
 class OutputSettings:
     directory: str = "out"
-    formats: Tuple[str, ...] = ("csv", "json")
 
 
 @dataclass
@@ -132,7 +130,6 @@ def load_config(path) -> ExperimentConfig:
         max_sweeps=int(solver_doc.get("max_sweeps", 200)),
         schedule_policy=str(solver_doc.get("schedule_policy", "cyclic")),
         n_starts=int(solver_doc.get("n_starts", 8)),
-        seed=int(solver_doc.get("seed", 0)),
     )
     if solver.schedule_policy not in ("cyclic", "topological_if_acyclic"):
         raise ConfigError(f"solver.schedule_policy {solver.schedule_policy!r} unknown")
@@ -146,10 +143,7 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("montecarlo.n_samples must be positive")
 
     out_doc = doc.get("outputs", {}) or {}
-    outputs = OutputSettings(
-        directory=str(out_doc.get("directory", "out")),
-        formats=tuple(out_doc.get("formats", ["csv", "json"])),
-    )
+    outputs = OutputSettings(directory=str(out_doc.get("directory", "out")))
     return ExperimentConfig(agents, comm, noise, solver, mc, outputs)
 
 
@@ -198,8 +192,10 @@ def load_state(path, game: QuantizationGame) -> GameState:
             raise ConfigError(f"state file {path}: agent {agent.id} needs "
                               f"{agent.levels} words and usage entries")
     try:
-        observed = [observed_mixture(i, game, quantizers, usage)
-                    for i in range(game.n_agents)]
+        # building each observed mixture checks that usage vectors are
+        # probability vectors and that every word fits the noise kernel
+        for i in range(game.n_agents):
+            observed_mixture(i, game, quantizers, usage)
     except ValueError as exc:
         raise ConfigError(f"state file {path}: {exc}") from exc
-    return GameState(quantizers, usage, observed, iteration, last_max_move)
+    return GameState(quantizers, usage, iteration, last_max_move)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 from scipy import special
@@ -335,9 +335,6 @@ class MixtureDensity:
         x = 0.5 * (lo + hi)
         return float(x) if x.ndim == 0 else x
 
-    def is_purely_continuous(self) -> bool:
-        return all(w <= _WEIGHT_TOL for w, _, _ in self.smeared_atoms)
-
 
 Density = Union[BetaDensity, MixtureDensity]
 
@@ -348,21 +345,6 @@ def as_mixture(d: Density) -> MixtureDensity:
     if isinstance(d, BetaDensity):
         return MixtureDensity.from_beta(d)
     raise TypeError(f"not a density: {d!r}")
-
-
-def eval_pdf(d: Density, x) -> float:
-    """Continuous density value at x (atoms excluded; query them via mass_in)."""
-    return as_mixture(d).pdf(x)
-
-
-def mass_in(d: Density, a: float, b: float) -> float:
-    """Probability mass of the half-open interval (a, b]."""
-    return as_mixture(d).mass_in(a, b)
-
-
-def cell_centroid(d: Density, a: float, b: float) -> float:
-    """Conditional mean E[X | X in (a, b]]."""
-    return as_mixture(d).cell_centroid(a, b)
 
 
 def check_semi_elasticity(d: Density, grid_size: int = 2001):

@@ -4,7 +4,6 @@ margin check."""
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -21,7 +20,6 @@ from .networks import (
 from .quantizers import (
     RegularQuantizer,
     multi_start_lloyd_max,
-    quantization_loss,
     centroid_residual,
 )
 
@@ -61,11 +59,10 @@ class QuantizationGame:
 
 @dataclass
 class GameState:
-    """Snapshot of all agents' strategies and derived quantities."""
+    """Snapshot of all agents' strategies and their word usage."""
 
     quantizers: List[RegularQuantizer]
     usage: List[np.ndarray]
-    observed: List[MixtureDensity]
     iteration: int = 0
     last_max_move: float = float("inf")
 
@@ -73,7 +70,6 @@ class GameState:
         return GameState(
             list(self.quantizers),
             [u.copy() for u in self.usage],
-            list(self.observed),
             self.iteration,
             self.last_max_move,
         )
@@ -87,6 +83,8 @@ class EquilibriumReport:
     sweeps: int
     true_residuals: Optional[np.ndarray] = None
     true_residual_ses: Optional[np.ndarray] = None
+    # solve_equilibrium only: the state after each sweep, entry 0 the bootstrap
+    history: List[GameState] = field(default_factory=list)
 
 
 def observed_mixture(i: int, game: QuantizationGame, quantizers, usage) -> MixtureDensity:
@@ -98,17 +96,13 @@ def observed_mixture(i: int, game: QuantizationGame, quantizers, usage) -> Mixtu
 
 def refresh_state(game: QuantizationGame, quantizers: Sequence[RegularQuantizer],
                   iteration: int = 0, last_max_move: float = float("inf")) -> GameState:
-    """Build a consistent GameState (usage and observed caches) from quantizers.
+    """Build a consistent GameState (usage vectors) from quantizers.
 
     Usage vectors are iterated to their mutual fixed point: each agent's
     usage depends on peers' usage through the observed mixture.
     """
     n = game.n_agents
-    # seed usage from the physical sources alone
-    usage = [
-        word_usage(MixtureDensity(((1.0, game.agents[i].physical),)), quantizers[i])
-        for i in range(n)
-    ]
+    usage = _physical_usage(game, quantizers)
     for _ in range(200):
         new_usage = []
         delta = 0.0
@@ -120,27 +114,32 @@ def refresh_state(game: QuantizationGame, quantizers: Sequence[RegularQuantizer]
         usage = new_usage
         if delta < 1e-14:
             break
-    observed = [observed_mixture(i, game, quantizers, usage) for i in range(n)]
-    return GameState(list(quantizers), usage, observed, iteration, last_max_move)
+    return GameState(list(quantizers), usage, iteration, last_max_move)
+
+
+def _physical_optima(game: QuantizationGame, n_starts: int,
+                     tol: float = _LM_TOL) -> List[RegularQuantizer]:
+    """Each agent's Lloyd-Max optimum on its physical source alone."""
+    return [
+        multi_start_lloyd_max(a.physical, a.levels, n_starts=n_starts,
+                              seed=_SOLVER_SEED, tol=tol,
+                              max_iters=_LM_MAX_ITERS).quantizer
+        for a in game.agents
+    ]
+
+
+def _physical_usage(game: QuantizationGame, quantizers) -> List[np.ndarray]:
+    """Each agent's word usage under its physical source alone."""
+    return [word_usage(MixtureDensity.from_beta(a.physical), q)
+            for a, q in zip(game.agents, quantizers)]
 
 
 def bootstrap(game: QuantizationGame, n_starts: int = 8,
               tol: float = _LM_TOL) -> GameState:
     """Initial state: per-agent Lloyd-Max optimum on the physical source
     alone, with usage derived from the physical densities."""
-    quantizers = [
-        multi_start_lloyd_max(a.physical, a.levels, n_starts=n_starts,
-                              seed=_SOLVER_SEED, tol=tol,
-                              max_iters=_LM_MAX_ITERS).quantizer
-        for a in game.agents
-    ]
-    n = game.n_agents
-    usage = [
-        word_usage(MixtureDensity(((1.0, game.agents[i].physical),)), quantizers[i])
-        for i in range(n)
-    ]
-    observed = [observed_mixture(i, game, quantizers, usage) for i in range(n)]
-    return GameState(quantizers, usage, observed, iteration=0)
+    quantizers = _physical_optima(game, n_starts, tol)
+    return GameState(quantizers, _physical_usage(game, quantizers))
 
 
 def best_response(i: int, state: GameState, game: QuantizationGame,
@@ -158,9 +157,9 @@ def best_response(i: int, state: GameState, game: QuantizationGame,
 def sweep(state: GameState, game: QuantizationGame,
           schedule: Sequence[int], n_starts: int = 8,
           tol: float = _LM_TOL) -> Tuple[GameState, float]:
-    """One pass of best responses in schedule order. Observed mixtures and
-    usage are refreshed after every agent. Returns the new state and the
-    max word/boundary displacement over the pass."""
+    """One pass of best responses in schedule order. The responding agent's
+    usage is refreshed after its move. Returns the new state and the max
+    word/boundary displacement over the pass."""
     if sorted(schedule) != list(range(game.n_agents)):
         raise ValueError("schedule must be a permutation of all agents")
     st = state.copy()
@@ -174,12 +173,7 @@ def sweep(state: GameState, game: QuantizationGame,
             float(np.max(np.abs(new.boundaries - old.boundaries))),
         )
         st.quantizers[i] = new
-        obs_i = observed_mixture(i, game, st.quantizers, st.usage)
-        st.usage[i] = word_usage(obs_i, new)
-        st.observed[i] = obs_i
-    # refresh all observed caches against the post-sweep profile
-    for i in range(game.n_agents):
-        st.observed[i] = observed_mixture(i, game, st.quantizers, st.usage)
+        st.usage[i] = word_usage(observed_mixture(i, game, st.quantizers, st.usage), new)
     st.iteration += 1
     st.last_max_move = move
     return st, move
@@ -196,7 +190,8 @@ def solve_equilibrium(
 
     schedule_policy: "cyclic" (agent-id order) or "topological_if_acyclic"
     (forest networks get a transmitters-first order, which converges in a
-    single pass).
+    single pass). The report's `history` holds the bootstrap state and the
+    state after each sweep.
     """
     if schedule_policy not in ("cyclic", "topological_if_acyclic"):
         raise ValueError(f"unknown schedule policy {schedule_policy!r}")
@@ -207,6 +202,7 @@ def solve_equilibrium(
             schedule = order
 
     state = bootstrap(game, n_starts=n_starts)
+    history = [state]
     converged = False
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
@@ -215,10 +211,12 @@ def solve_equilibrium(
         # final report re-checks best responses with the full multi-start.
         starts = n_starts if sweeps == 1 else 1
         state, move = sweep(state, game, schedule, n_starts=starts)
+        history.append(state)
         if move < tol:
             converged = True
             break
     report = _quick_report(state, game, converged, sweeps, n_starts)
+    report.history = history
     return state, report
 
 
@@ -248,6 +246,8 @@ def verify_nash(
     errors) of the true-environment word-conditional centroid residuals."""
     from . import montecarlo  # local import; montecarlo depends on this module
 
+    if n_samples < 1:
+        raise ValueError("sample count must be positive")
     report = _quick_report(state, game, converged=True,
                            sweeps=state.iteration, n_starts=n_starts)
     n = game.n_agents
@@ -271,7 +271,6 @@ class StabilityReport:
     """Largest separation margin epsilon per the social-stability conditions."""
 
     epsilon: float
-    word_boundary_margin: float
     response_drift: float
     noise_halfwidth: float
     satisfied: bool
@@ -287,12 +286,7 @@ def check_social_stability(state: GameState, game: QuantizationGame,
     socially stable when both the drift from the physical optima and the
     noise halfwidth stay below epsilon/2.
     """
-    baseline = [
-        multi_start_lloyd_max(a.physical, a.levels, n_starts=n_starts,
-                              seed=_SOLVER_SEED, tol=_LM_TOL,
-                              max_iters=_LM_MAX_ITERS).quantizer
-        for a in game.agents
-    ]
+    baseline = _physical_optima(game, n_starts)
     n = game.n_agents
     margin = float("inf")
     for i in range(n):
@@ -308,4 +302,4 @@ def check_social_stability(state: GameState, game: QuantizationGame,
     )
     hw = game.noise.halfwidth
     satisfied = margin > 2.0 * drift and margin > 2.0 * hw and margin > 0.0
-    return StabilityReport(margin, margin, drift, hw, satisfied)
+    return StabilityReport(margin, drift, hw, satisfied)

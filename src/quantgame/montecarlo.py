@@ -4,14 +4,13 @@ decomposition, and translation-chain / shared-vocabulary analysis.
 Signals originate at some agent's physical source and hop through the
 network, being re-quantized (and noised) at every transmission. Sampling
 is vectorized by grouping in-flight samples per agent, so million-sample
-estimates stay cheap; a scalar `sample_signal` is kept for tracing single
-draws.
+estimates stay cheap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -27,53 +26,6 @@ _CLAMP = 1e-12
 
 class NoChainError(LookupError):
     """No communication chain exists between the requested agents."""
-
-
-@dataclass
-class SignalSample:
-    origin_agent: int
-    true_value: float
-    observed_value: float
-    path: List[int]  # origin first, receiver last
-    cycle_count: int
-    truncated: bool = False
-
-
-def sample_signal(i: int, state: GameState, game: QuantizationGame,
-                  rng: np.random.Generator, depth_cap: int = DEPTH_CAP) -> SignalSample:
-    """Draw one signal as observed by agent i, recording its path."""
-    P = game.comm.entries
-    route = [i]  # receiver-first; reversed into the path at the end
-    truncated = False
-    while True:
-        cur = route[-1]
-        j = int(np.searchsorted(np.cumsum(P[cur]), rng.random(), side="right"))
-        j = min(j, game.n_agents - 1)
-        if j == cur:
-            break
-        route.append(j)
-        if len(route) > depth_cap:
-            truncated = True
-            break
-    origin = route[-1]
-    a = game.agents[origin].physical
-    x = float(rng.beta(a.alpha, a.beta_param))
-    value = x
-    for hop in range(len(route) - 1, 0, -1):
-        transmitter = route[hop]
-        value = state.quantizers[transmitter](value)
-        if game.noise.shape is not KernelShape.POINT:
-            value = float(np.clip(value + game.noise.sample(rng),
-                                  _CLAMP, 1.0 - _CLAMP))
-    path = list(reversed(route))
-    return SignalSample(
-        origin_agent=origin,
-        true_value=x,
-        observed_value=value,
-        path=path,
-        cycle_count=path.count(i) - 1,
-        truncated=truncated,
-    )
 
 
 def sample_paths(i: int, state: GameState, game: QuantizationGame, n: int,
@@ -362,11 +314,3 @@ def path_dependence_probe(quantizers: Sequence[RegularQuantizer], P,
         worst_input=float(grid[worst]),
     )
 
-
-def path_length_fraction(i: int, state: GameState, game: QuantizationGame,
-                         n: int, seed: int = 0, length: int = 1) -> float:
-    """Empirical fraction of signals at agent i whose path has the given
-    length (length 1 = direct physical observation)."""
-    rng = np.random.default_rng(seed)
-    _x, _v, lengths, _t, _c = sample_paths(i, state, game, n, rng)
-    return float(np.mean(lengths == length))

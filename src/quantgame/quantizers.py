@@ -176,9 +176,11 @@ def lloyd_max(
 ) -> LloydMaxResult:
     """Alternate midpoint boundaries and centroid words until words settle.
 
-    `init` defaults to the source quantiles at levels (2k-1)/(2M). The
-    iteration never raises on starved cells; their words are relocated
-    and the event counted.
+    `init` defaults to the source quantiles at levels (2k-1)/(2M). Words
+    of starved cells are relocated into the fattest cell and the event
+    counted; a cell still starved after `levels` relocations (e.g. fewer
+    atoms than levels and no continuous part to feed it) makes the
+    centroid step raise EmptyCellError.
 
     Each iteration makes one moment-kernel call at the current words; the
     same moments give the empty-cell check, the centroids, and the loss of

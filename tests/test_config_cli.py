@@ -131,6 +131,17 @@ class TestCliSolve:
         sweeps = sorted({int(r[0]) for r in rows})
         assert sweeps[0] == 0  # bootstrap snapshot comes first
 
+    def test_sweep_log_ends_at_saved_state(self, cli_ws):
+        _cfg, out = cli_ws
+        _header, rows = _read_csv(out / "sweeps.csv")
+        n = json.loads((out / "report.json").read_text())["sweeps"]
+        assert sorted({int(r[0]) for r in rows}) == list(range(n + 1))
+        saved = json.loads((out / "state.json").read_text())
+        for agent, rec in zip((1, 2), saved["quantizers"]):
+            logged = [float(r[4]) for r in rows
+                      if int(r[0]) == n and int(r[1]) == agent and r[2] == "word"]
+            assert logged == rec["words"]
+
     def test_report_contents(self, cli_ws):
         _cfg, out = cli_ws
         doc = json.loads((out / "report.json").read_text())
@@ -151,6 +162,15 @@ class TestCliSolve:
         code = main(["solve", "--config", str(tmp_path / "absent.cfg"),
                      "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
+
+    def test_starved_cell_exit_code(self, tmp_path, capsys):
+        # agent 1 hears only its peer, whose four words leave a cell empty
+        p = tmp_path / "starved.cfg"
+        p.write_text(SMALL_CONFIG.replace("[0.85, 0.15]", "[0.0, 1.0]", 1))
+        code = main(["solve", "--config", str(p), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "carries mass" in err and err.count("\n") == 1
 
 
 class TestCliSimulate:
@@ -215,6 +235,19 @@ class TestCliChains:
                           "cell", "bound"]
         assert len(rows) == 101
 
+    @pytest.mark.parametrize("args", [
+        ["--chain", "1,9"],  # unknown agent id
+        ["--chain", "1,x"],  # not an integer
+        ["--chain", "1"],  # a chain needs two agents
+        ["--inputs", "0"],  # empty input grid
+    ], ids=["unknown-id", "not-an-id", "one-agent", "no-inputs"])
+    def test_bad_arguments_exit_code(self, cli_ws, tmp_path, capsys, args):
+        cfg, out = cli_ws
+        code = main(["chains", "--config", str(cfg), "--out", str(tmp_path),
+                     "--state", str(out / "state.json")] + args)
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.count("\n") == 1
+
 
 class TestCliAnalyze:
     def test_pairs_table(self, cli_ws):
@@ -243,3 +276,10 @@ class TestCliVerify:
         assert "stability" in doc
         for r, se in zip(doc["true_residuals"], doc["true_residual_ses"]):
             assert r < 4.0 * se + 1e-3
+
+    def test_bad_sample_count(self, cli_ws, tmp_path):
+        cfg, out = cli_ws
+        code = main(["verify", "--config", str(cfg), "--out", str(tmp_path),
+                     "--state", str(out / "state.json"), "--samples", "0"])
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "verify.json").exists()

@@ -16,11 +16,8 @@ from quantgame import (
     MixtureDensity,
     NoiseKernel,
     POINT_KERNEL,
-    cell_centroid,
     check_semi_elasticity,
-    eval_pdf,
     hellinger_beta,
-    mass_in,
 )
 
 from oracles import (
@@ -41,8 +38,8 @@ DISSIM_25_52 = 0.5398057636397473
 
 class TestBetaDensity:
     def test_pdf_values(self):
-        assert eval_pdf(BetaDensity(2, 2), 0.5) == pytest.approx(1.5, abs=1e-12)
-        assert eval_pdf(BetaDensity(1, 1), 0.123) == pytest.approx(1.0, abs=1e-12)
+        assert BetaDensity(2, 2).pdf(0.5) == pytest.approx(1.5, abs=1e-12)
+        assert BetaDensity(1, 1).pdf(0.123) == pytest.approx(1.0, abs=1e-12)
 
     def test_pdf_rejects_exterior_points(self):
         d = MixtureDensity.from_beta(BetaDensity(2, 2))
@@ -57,11 +54,13 @@ class TestBetaDensity:
             BetaDensity(2.0, -1.0)
 
     def test_mass_against_frozen_oracle(self):
-        assert mass_in(BetaDensity(2, 5), 0.0, 0.2) == pytest.approx(
+        d = MixtureDensity.from_beta(BetaDensity(2, 5))
+        assert d.mass_in(0.0, 0.2) == pytest.approx(
             MASS_BETA25_0_02, abs=1e-10)
 
     def test_centroid_against_frozen_oracle(self):
-        assert cell_centroid(BetaDensity(2, 2), 0.25, 0.75) == pytest.approx(
+        d = MixtureDensity.from_beta(BetaDensity(2, 2))
+        assert d.cell_centroid(0.25, 0.75) == pytest.approx(
             CENTROID_BETA22_025_075, abs=1e-10)
 
     @pytest.mark.parametrize("alpha,beta_param,a,b", [

@@ -121,6 +121,15 @@ class TestSolveEquilibrium:
             assert np.array_equal(q1.words, q2.words)
             assert np.array_equal(q1.boundaries, q2.boundaries)
 
+    def test_history_holds_bootstrap_and_every_sweep(self):
+        game = _coupled_game()
+        state, report = solve_equilibrium(game, tol=1e-10, max_sweeps=100)
+        assert len(report.history) == report.sweeps + 1
+        assert [s.iteration for s in report.history] == list(range(report.sweeps + 1))
+        assert report.history[-1] is state
+        for q, b in zip(report.history[0].quantizers, bootstrap(game).quantizers):
+            assert np.array_equal(q.words, b.words)
+
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             solve_equilibrium(_coupled_game(), schedule_policy="random")
@@ -154,6 +163,11 @@ class TestVerifyNash:
         assert report.converged
         for r, se in zip(report.true_residuals, report.true_residual_ses):
             assert r < 3.0 * se + 1e-4
+
+    def test_sample_count_validation(self, stable_pair):
+        game, state, _ = stable_pair
+        with pytest.raises(ValueError, match="sample count"):
+            verify_nash(state, game, n_samples=0)
 
 
 class TestSocialStability:

@@ -14,14 +14,12 @@ from quantgame import (
     enumerate_chains,
     estimate_losses,
     quantization_loss,
-    sample_signal,
     shared_vocabulary,
     solve_equilibrium,
     true_env_residuals,
 )
 from quantgame.montecarlo import (
     path_dependence_probe,
-    path_length_fraction,
     sample_paths,
 )
 from quantgame.networks import AgentSpec
@@ -51,37 +49,34 @@ class TestSampling:
         assert n_trunc == 0 and n_clamp == 0
         assert np.array_equal(x, xhat)  # direct observation, no hops
 
-    def test_scalar_sampler_path_structure(self):
+    def test_sampler_path_structure(self):
         game = _pair_game()
         state = bootstrap(game)
         rng = np.random.default_rng(1)
-        lengths = []
-        for _ in range(300):
-            s = sample_signal(0, state, game, rng)
-            assert s.path[-1] == 0
-            assert s.path[0] == s.origin_agent
-            assert 0.0 < s.true_value < 1.0
-            assert s.cycle_count == s.path.count(0) - 1
-            if len(s.path) == 1:
-                assert s.observed_value == s.true_value
-            lengths.append(len(s.path))
-        assert min(lengths) == 1 and max(lengths) >= 2
+        x, xhat, lengths, n_trunc, _ = sample_paths(0, state, game, 300, rng)
+        assert n_trunc == 0
+        assert np.all((0.0 < x) & (x < 1.0))
+        direct = lengths == 1
+        assert np.array_equal(xhat[direct], x[direct])
+        assert lengths.min() == 1 and lengths.max() >= 2
 
     def test_direct_fraction_matches_matrix(self):
         game = _pair_game(p_listen=0.3)
         state = bootstrap(game)
-        frac = path_length_fraction(0, state, game, 200_000, seed=2, length=1)
-        assert frac == pytest.approx(0.7, abs=0.01)
+        rng = np.random.default_rng(2)
+        _x, _xhat, lengths, _t, _c = sample_paths(0, state, game, 200_000, rng)
+        assert np.mean(lengths == 1) == pytest.approx(0.7, abs=0.01)
 
     def test_hop_words_come_from_transmitter(self):
         game = _pair_game()
         state = bootstrap(game)
         rng = np.random.default_rng(3)
-        for _ in range(200):
-            s = sample_signal(0, state, game, rng)
-            if len(s.path) == 2:
-                # one hop: the observed value is a word of the transmitter
-                assert s.observed_value in state.quantizers[s.path[0]].words
+        _x, xhat, lengths, _t, _c = sample_paths(0, state, game, 200, rng)
+        # every hop into agent 0 comes from agent 1, so the observed value
+        # is one of agent 1's words
+        hopped = lengths >= 2
+        assert hopped.any()
+        assert np.all(np.isin(xhat[hopped], state.quantizers[1].words))
 
 
 class TestLossDecomposition:
