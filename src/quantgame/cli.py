@@ -14,13 +14,13 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import montecarlo
-from .config import ConfigError, ExperimentConfig, load_config, load_state, save_state
+from .config import ConfigError, load_config, load_state, save_state
 from .densities import EmptyCellError, hellinger_beta
 from .game import bootstrap, check_social_stability, solve_equilibrium, verify_nash
 
@@ -28,6 +28,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_MISSING_STATE = 4
+
+# smallest accepted value of each numeric option, checked before dispatch
+_MINIMUM = {"samples": 1, "inputs": 1, "max_len": 2, "seed": 0}
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -49,16 +52,15 @@ def _jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _load(args) -> ExperimentConfig:
-    return load_config(args.config)
-
-
-def _state_or_exit(args, cfg):
-    path = Path(args.state) if args.state else _outdir(args, cfg) / "state.json"
+def _solved(args, cfg):
+    """The output directory, the game, and the state 'solve' saved for it."""
+    out = _outdir(args, cfg)
+    path = Path(args.state) if args.state else out / "state.json"
     if not path.exists():
         print(f"state file {path} not found; run 'solve' first", file=sys.stderr)
         raise SystemExit(EXIT_MISSING_STATE)
-    return load_state(path, cfg.game())
+    game = cfg.game()
+    return out, game, load_state(path, game)
 
 
 def _outdir(args, cfg) -> Path:
@@ -69,19 +71,16 @@ def _outdir(args, cfg) -> Path:
 
 def _snapshot_rows(sweep_no, cfg, state):
     rows = []
-    for i, agent in enumerate(cfg.agents):
-        q = state.quantizers[i]
-        for k, v in enumerate(q.words):
-            rows.append([sweep_no, agent.id, "word", k + 1, repr(float(v))])
-        for k, v in enumerate(q.boundaries):
-            rows.append([sweep_no, agent.id, "boundary", k, repr(float(v))])
-        for k, v in enumerate(state.usage[i]):
-            rows.append([sweep_no, agent.id, "usage", k + 1, repr(float(v))])
+    for aid, q, usage in zip(cfg.agent_ids, state.quantizers, state.usage):
+        # words and usage entries count from 1, boundaries from 0
+        for kind, values, first in (("word", q.words, 1), ("boundary", q.boundaries, 0),
+                                    ("usage", usage, 1)):
+            rows += [[sweep_no, aid, kind, k, v] for k, v in enumerate(values, first)]
     return rows
 
 
 def cmd_solve(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     out = _outdir(args, cfg)
     game = cfg.game()
     tol = args.tol if args.tol is not None else cfg.solver.tol
@@ -102,15 +101,8 @@ def cmd_solve(args) -> int:
         "agents": cfg.agent_ids,
     }
     _write_json(out / "report.json", payload)
-    _write_csv(
-        out / "report.csv",
-        ["agent", "observed_residual", "br_distance"],
-        [
-            [cfg.agent_ids[i], repr(float(report.observed_residuals[i])),
-             repr(float(report.br_distances[i]))]
-            for i in range(game.n_agents)
-        ],
-    )
+    _write_csv(out / "report.csv", ["agent", "observed_residual", "br_distance"],
+               zip(cfg.agent_ids, report.observed_residuals, report.br_distances))
     if not report.converged:
         print(f"did not converge within {max_sweeps} sweeps "
               f"(last move {state.last_max_move:.3g})", file=sys.stderr)
@@ -120,39 +112,25 @@ def cmd_solve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load(args)
-    if args.samples is not None and args.samples < 1:
-        print("sample count must be positive", file=sys.stderr)
-        return EXIT_CONFIG
-    out = _outdir(args, cfg)
-    game = cfg.game()
-    state = _state_or_exit(args, cfg)
+    cfg = load_config(args.config)
+    out, game, state = _solved(args, cfg)
     n = args.samples if args.samples is not None else cfg.montecarlo.n_samples
     seed = args.seed if args.seed is not None else cfg.montecarlo.seed
     reports = [
         montecarlo.estimate_losses(i, state, game, n, seed=seed + i)
         for i in range(game.n_agents)
     ]
-    header = ["agent", "total", "quantization", "communication", "cross",
-              "total_se", "quantization_se", "communication_se", "cross_se",
-              "n_samples", "n_truncated", "n_clamped"]
-    rows = [
-        [cfg.agent_ids[i]] + [repr(getattr(r, f)) if isinstance(getattr(r, f), float)
-                              else getattr(r, f) for f in header[1:]]
-        for i, r in enumerate(reports)
-    ]
-    _write_csv(out / "losses.csv", header, rows)
-    _write_json(out / "losses.json",
-                {"agents": cfg.agent_ids, "reports": [asdict(r) for r in reports]})
+    records = [asdict(r) for r in reports]
+    header = ["agent"] + [f.name for f in fields(montecarlo.LossReport)]
+    _write_csv(out / "losses.csv", header,
+               ([aid, *rec.values()] for aid, rec in zip(cfg.agent_ids, records)))
+    _write_json(out / "losses.json", {"agents": cfg.agent_ids, "reports": records})
     print(f"loss reports for {game.n_agents} agents written to {out}")
     return EXIT_OK
 
 
 def cmd_chains(args) -> int:
-    cfg = _load(args)
-    if args.inputs < 1:
-        print("input count must be positive", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = load_config(args.config)
     chain = None
     if args.chain:
         idx = {aid: i for i, aid in enumerate(cfg.agent_ids)}
@@ -165,12 +143,10 @@ def cmd_chains(args) -> int:
         if len(chain) < 2:
             print("--chain needs at least two agents", file=sys.stderr)
             return EXIT_CONFIG
-    out = _outdir(args, cfg)
-    game = cfg.game()
-    state = _state_or_exit(args, cfg)
+    out, game, state = _solved(args, cfg)
     shared, witnesses = montecarlo.shared_vocabulary(state.quantizers)
+    header = ["source", "target", "n_chains", "spread", "worst_input"]
     rows = []
-    probes = []
     for i in range(game.n_agents):
         for j in range(game.n_agents):
             if i == j:
@@ -181,20 +157,13 @@ def cmd_chains(args) -> int:
                     max_len=args.max_len, n_inputs=args.inputs)
             except montecarlo.NoChainError:
                 continue
-            probes.append(rep)
             rows.append([cfg.agent_ids[i], cfg.agent_ids[j], rep.n_chains,
-                         repr(rep.spread), repr(rep.worst_input)])
-    _write_csv(out / "probes.csv",
-               ["source", "target", "n_chains", "spread", "worst_input"], rows)
+                         rep.spread, rep.worst_input])
+    _write_csv(out / "probes.csv", header, rows)
     payload = {
         "shared_vocabulary": shared,
         "witness_intervals": witnesses,
-        "probes": [
-            {"source": cfg.agent_ids[p.source], "target": cfg.agent_ids[p.target],
-             "n_chains": p.n_chains, "spread": p.spread,
-             "worst_input": p.worst_input}
-            for p in probes
-        ],
+        "probes": [dict(zip(header, row)) for row in rows],
     }
     if chain:
         grid = np.linspace(0.0, 1.0, args.inputs + 2)[1:-1]
@@ -203,24 +172,21 @@ def cmd_chains(args) -> int:
         for x in grid:
             rep = montecarlo.chain_translate(state.quantizers, chain, float(x),
                                              noise=game.noise, rng=rng)
-            chain_rows.append([repr(rep.x), repr(rep.final_word),
-                               repr(rep.translation_loss), repr(rep.word_drift),
-                               rep.cell_index + 1,
-                               "" if rep.bound is None else repr(rep.bound)])
+            # csv writes a bound of None as an empty field
+            chain_rows.append([rep.x, rep.final_word, rep.translation_loss,
+                               rep.word_drift, rep.cell_index + 1, rep.bound])
         _write_csv(out / "chain.csv",
                    ["x", "final_word", "translation_loss", "word_drift",
                     "cell", "bound"], chain_rows)
     _write_json(out / "chains.json", payload)
-    print(f"{len(probes)} pair probes written to {out}; "
+    print(f"{len(rows)} pair probes written to {out}; "
           f"shared vocabulary: {shared}")
     return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
-    cfg = _load(args)
-    out = _outdir(args, cfg)
-    game = cfg.game()
-    state = _state_or_exit(args, cfg)
+    cfg = load_config(args.config)
+    out, game, state = _solved(args, cfg)
     base = bootstrap(game, n_starts=cfg.solver.n_starts)
     rows = []
     skipped = []
@@ -234,50 +200,30 @@ def cmd_analyze(args) -> int:
                 (base.quantizers[i].words - base.quantizers[j].words) ** 2))
             msd_eq = float(np.mean(
                 (state.quantizers[i].words - state.quantizers[j].words) ** 2))
-            rows.append([cfg.agent_ids[i], cfg.agent_ids[j],
-                         repr(h), repr(msd_phys), repr(msd_eq)])
+            rows.append([cfg.agent_ids[i], cfg.agent_ids[j], h, msd_phys, msd_eq])
     for pair in skipped:
         print(f"skipping pair {pair}: unequal word counts", file=sys.stderr)
-    _write_csv(out / "pairs.csv",
-               ["agent_i", "agent_j", "hellinger", "msd_physical",
-                "msd_equilibrium"], rows)
-    _write_json(out / "pairs.json", {
-        "pairs": [
-            {"agent_i": r[0], "agent_j": r[1], "hellinger": float(r[2]),
-             "msd_physical": float(r[3]), "msd_equilibrium": float(r[4])}
-            for r in rows
-        ]
-    })
+    header = ["agent_i", "agent_j", "hellinger", "msd_physical", "msd_equilibrium"]
+    _write_csv(out / "pairs.csv", header, rows)
+    _write_json(out / "pairs.json", {"pairs": [dict(zip(header, row)) for row in rows]})
     print(f"{len(rows)} agent pairs written to {out / 'pairs.csv'}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    cfg = _load(args)
-    if args.samples is not None and args.samples < 1:
-        print("sample count must be positive", file=sys.stderr)
-        return EXIT_CONFIG
-    out = _outdir(args, cfg)
-    game = cfg.game()
-    state = _state_or_exit(args, cfg)
+    cfg = load_config(args.config)
+    out, game, state = _solved(args, cfg)
     n = args.samples if args.samples is not None else cfg.montecarlo.n_samples
     seed = args.seed if args.seed is not None else cfg.montecarlo.seed
     tol = args.tol if args.tol is not None else cfg.solver.tol
     report = verify_nash(state, game, tol=tol, n_samples=n, seed=seed,
                          n_starts=cfg.solver.n_starts)
     stability = check_social_stability(state, game, n_starts=cfg.solver.n_starts)
-    _write_csv(
-        out / "verify.csv",
-        ["agent", "observed_residual", "br_distance",
-         "true_residual", "true_residual_se"],
-        [
-            [cfg.agent_ids[i], repr(float(report.observed_residuals[i])),
-             repr(float(report.br_distances[i])),
-             repr(float(report.true_residuals[i])),
-             repr(float(report.true_residual_ses[i]))]
-            for i in range(game.n_agents)
-        ],
-    )
+    _write_csv(out / "verify.csv",
+               ["agent", "observed_residual", "br_distance",
+                "true_residual", "true_residual_se"],
+               zip(cfg.agent_ids, report.observed_residuals, report.br_distances,
+                   report.true_residuals, report.true_residual_ses))
     _write_json(out / "verify.json", {
         "agents": cfg.agent_ids,
         "observed_residuals": report.observed_residuals,
@@ -340,8 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    for name, least in _MINIMUM.items():
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            print(f"--{name.replace('_', '-')} must be at least {least}, got {value}",
+                  file=sys.stderr)
+            return EXIT_CONFIG
     try:
         return args.func(args)
     except ConfigError as exc:

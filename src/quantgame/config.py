@@ -8,7 +8,8 @@ round-trips bit-exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 from typing import List, Sequence
 
@@ -68,6 +69,67 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
+def _section(where, value, build, kind=dict):
+    """build(value) for the config section `where`.
+
+    A value that is not a `kind`, a missing field, or a ValueError or
+    TypeError from the library's own checks raises ConfigError naming
+    the section; a ConfigError raised by `build` passes through.
+    """
+    if not isinstance(value, kind):
+        raise ConfigError(f"{where} must be a {'list' if kind is list else 'mapping'}, "
+                          f"got {type(value).__name__}")
+    try:
+        return build(value)
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"missing field {exc} in {where}") from exc
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _agent(n: int, entry) -> AgentSpec:
+    return AgentSpec(id=int(entry.get("id", n)),
+                     physical=BetaDensity(float(entry["alpha"]), float(entry["beta"])),
+                     levels=int(entry["levels"]))
+
+
+def _stochastic_row(n: int, row) -> np.ndarray:
+    """One comm_matrix row; a sum off 1 by at most 1e-6 is renormalized."""
+    if len(row) != n:
+        raise ValueError(f"has {len(row)} entries, expected {n}")
+    vals = np.asarray([float(v) for v in row])
+    s = float(vals.sum())
+    if not abs(s - 1.0) <= 1e-6:
+        raise ValueError(f"sums to {s!r}, expected 1")
+    return vals if s == 1.0 else vals / s
+
+
+def _comm_matrix(n: int, rows) -> CommMatrix:
+    if len(rows) != n:
+        raise ValueError(f"has {len(rows)} rows for {n} agents")
+    return CommMatrix(np.array(
+        [_section(f"comm_matrix row {r}", row, partial(_stochastic_row, n), list)
+         for r, row in enumerate(rows)]).reshape(n, n))
+
+
+def _noise(doc) -> NoiseKernel:
+    shape = str(doc.get("shape", "point"))
+    try:
+        shape = KernelShape(shape)
+    except ValueError:
+        raise ConfigError(f"noise.shape must be one of "
+                          f"{[s.value for s in KernelShape]}, got {shape!r}")
+    return NoiseKernel(shape, float(doc.get("halfwidth", 0.0)))
+
+
+def _settings(cls, doc):
+    """`cls` from its config section: each given field is cast to the type
+    of its default, absent fields keep the default, other keys are ignored."""
+    return cls(**{f.name: type(f.default)(doc[f.name]) for f in fields(cls) if f.name in doc})
+
+
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
@@ -79,71 +141,28 @@ def load_config(path) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError(f"config root must be a mapping, got {type(doc).__name__}")
 
-    agents = []
-    for n, entry in enumerate(_require(doc, "agents", "config")):
-        where = f"agents[{n}]"
-        alpha = float(_require(entry, "alpha", where))
-        beta = float(_require(entry, "beta", where))
-        levels = int(_require(entry, "levels", where))
-        if alpha <= 0 or beta <= 0:
-            raise ConfigError(f"{where}: beta parameters must be positive, "
-                              f"got ({alpha}, {beta})")
-        if levels < 1:
-            raise ConfigError(f"{where}: levels must be at least 1")
-        agents.append(AgentSpec(id=int(entry.get("id", n)),
-                                physical=BetaDensity(alpha, beta),
-                                levels=levels))
+    entries = _section("agents", _require(doc, "agents", "config"), list, list)
+    agents = [_section(f"agents[{n}]", entry, partial(_agent, n))
+              for n, entry in enumerate(entries)]
     if len({a.id for a in agents}) != len(agents):
         raise ConfigError("agent ids must be unique")
 
-    rows = _require(doc, "comm_matrix", "config")
-    n = len(agents)
-    if len(rows) != n:
-        raise ConfigError(f"comm_matrix has {len(rows)} rows for {n} agents")
-    mat = np.zeros((n, n))
-    for r, row in enumerate(rows):
-        if len(row) != n:
-            raise ConfigError(f"comm_matrix row {r} has {len(row)} entries, expected {n}")
-        vals = np.asarray([float(v) for v in row])
-        if np.any(vals < 0) or np.any(vals > 1):
-            raise ConfigError(f"comm_matrix row {r} has entries outside [0, 1]")
-        s = vals.sum()
-        if abs(s - 1.0) > 1e-6:
-            raise ConfigError(f"comm_matrix row {r} sums to {s!r}, expected 1")
-        if s != 1.0:
-            vals = vals / s
-        mat[r] = vals
-    comm = CommMatrix(mat)
+    comm = _section("comm_matrix", _require(doc, "comm_matrix", "config"),
+                    partial(_comm_matrix, len(agents)), list)
 
-    noise_doc = doc.get("noise", {}) or {}
-    shape = str(noise_doc.get("shape", "point"))
-    try:
-        shape = KernelShape(shape)
-    except ValueError:
-        raise ConfigError(f"noise.shape must be one of "
-                          f"{[s.value for s in KernelShape]}, got {shape!r}")
-    noise = NoiseKernel(shape, float(noise_doc.get("halfwidth", 0.0)))
-
-    solver_doc = doc.get("solver", {}) or {}
-    solver = SolverSettings(
-        tol=float(solver_doc.get("tol", 1e-9)),
-        max_sweeps=int(solver_doc.get("max_sweeps", 200)),
-        schedule_policy=str(solver_doc.get("schedule_policy", "cyclic")),
-        n_starts=int(solver_doc.get("n_starts", 8)),
-    )
+    noise = _section("noise", doc.get("noise") or {}, _noise)
+    solver = _section("solver", doc.get("solver") or {}, partial(_settings, SolverSettings))
     if solver.schedule_policy not in ("cyclic", "topological_if_acyclic"):
         raise ConfigError(f"solver.schedule_policy {solver.schedule_policy!r} unknown")
-
-    mc_doc = doc.get("montecarlo", {}) or {}
-    mc = MonteCarloSettings(
-        n_samples=int(mc_doc.get("n_samples", 100_000)),
-        seed=int(mc_doc.get("seed", 0)),
-    )
+    if solver.n_starts < 1:
+        raise ConfigError("solver.n_starts must be at least 1")
+    mc = _section("montecarlo", doc.get("montecarlo") or {},
+                  partial(_settings, MonteCarloSettings))
     if mc.n_samples < 1:
         raise ConfigError("montecarlo.n_samples must be positive")
-
-    out_doc = doc.get("outputs", {}) or {}
-    outputs = OutputSettings(directory=str(out_doc.get("directory", "out")))
+    if mc.seed < 0:
+        raise ConfigError("montecarlo.seed must be non-negative")
+    outputs = _section("outputs", doc.get("outputs") or {}, partial(_settings, OutputSettings))
     return ExperimentConfig(agents, comm, noise, solver, mc, outputs)
 
 

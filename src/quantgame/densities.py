@@ -92,9 +92,6 @@ class BetaDensity:
         logp = (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - special.betaln(a, b)
         return np.exp(logp)
 
-    def cdf(self, x):
-        return special.betainc(self.alpha, self.beta_param, np.clip(x, 0.0, 1.0))
-
     def partial_moments(self, a, b) -> Moments:
         """(m0, m1, m2): integrals of 1, x, x^2 against the pdf over (a, b].
 
@@ -119,9 +116,6 @@ class BetaDensity:
     @property
     def mean(self) -> float:
         return self.alpha / (self.alpha + self.beta_param)
-
-    def is_log_concave(self) -> bool:
-        return self.alpha >= 1.0 and self.beta_param >= 1.0
 
 
 class KernelShape(str, Enum):
@@ -320,14 +314,14 @@ class MixtureDensity:
         m0, m1, _ = self.partial_moments(a, b)
         return centroid_from_moments(a, b, m0, m1)
 
-    def quantile(self, p, tol: float = 1e-13):
-        """Smallest x with mass_in(0, x) >= p, by bisection. An array of
-        levels is bisected all at once."""
+    def quantile(self, p):
+        """Smallest x with mass_in(0, x) >= p, by bisection to a bracket of
+        1e-13. An array of levels is bisected all at once."""
         p = np.asarray(p, dtype=float)
         if not np.all((0.0 <= p) & (p <= 1.0)):
             raise ValueError("quantile level must be in [0, 1]")
         lo, hi = np.zeros_like(p), np.ones_like(p)
-        while np.any(hi - lo > tol):
+        while np.any(hi - lo > 1e-13):
             mid = 0.5 * (lo + hi)
             up = self.mass_in(0.0, mid) >= p
             hi = np.where(up, mid, hi)

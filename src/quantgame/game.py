@@ -53,9 +53,6 @@ class QuantizationGame:
     def n_agents(self) -> int:
         return len(self.agents)
 
-    def physicals(self):
-        return [a.physical for a in self.agents]
-
 
 @dataclass
 class GameState:
@@ -117,12 +114,11 @@ def refresh_state(game: QuantizationGame, quantizers: Sequence[RegularQuantizer]
     return GameState(list(quantizers), usage, iteration, last_max_move)
 
 
-def _physical_optima(game: QuantizationGame, n_starts: int,
-                     tol: float = _LM_TOL) -> List[RegularQuantizer]:
+def _physical_optima(game: QuantizationGame, n_starts: int) -> List[RegularQuantizer]:
     """Each agent's Lloyd-Max optimum on its physical source alone."""
     return [
         multi_start_lloyd_max(a.physical, a.levels, n_starts=n_starts,
-                              seed=_SOLVER_SEED, tol=tol,
+                              seed=_SOLVER_SEED, tol=_LM_TOL,
                               max_iters=_LM_MAX_ITERS).quantizer
         for a in game.agents
     ]
@@ -134,29 +130,27 @@ def _physical_usage(game: QuantizationGame, quantizers) -> List[np.ndarray]:
             for a, q in zip(game.agents, quantizers)]
 
 
-def bootstrap(game: QuantizationGame, n_starts: int = 8,
-              tol: float = _LM_TOL) -> GameState:
+def bootstrap(game: QuantizationGame, n_starts: int = 8) -> GameState:
     """Initial state: per-agent Lloyd-Max optimum on the physical source
     alone, with usage derived from the physical densities."""
-    quantizers = _physical_optima(game, n_starts, tol)
+    quantizers = _physical_optima(game, n_starts)
     return GameState(quantizers, _physical_usage(game, quantizers))
 
 
 def best_response(i: int, state: GameState, game: QuantizationGame,
-                  n_starts: int = 8, tol: float = _LM_TOL) -> RegularQuantizer:
+                  n_starts: int = 8) -> RegularQuantizer:
     """Loss-minimizing quantizer for agent i against the current observed
     environment, warm-started from the agent's present strategy."""
     obs = observed_mixture(i, game, state.quantizers, state.usage)
     res = multi_start_lloyd_max(
         obs, game.agents[i].levels, n_starts=n_starts, seed=_SOLVER_SEED,
-        warm_start=state.quantizers[i], tol=tol, max_iters=_LM_MAX_ITERS,
+        warm_start=state.quantizers[i], tol=_LM_TOL, max_iters=_LM_MAX_ITERS,
     )
     return res.quantizer
 
 
 def sweep(state: GameState, game: QuantizationGame,
-          schedule: Sequence[int], n_starts: int = 8,
-          tol: float = _LM_TOL) -> Tuple[GameState, float]:
+          schedule: Sequence[int], n_starts: int = 8) -> Tuple[GameState, float]:
     """One pass of best responses in schedule order. The responding agent's
     usage is refreshed after its move. Returns the new state and the max
     word/boundary displacement over the pass."""
@@ -166,7 +160,7 @@ def sweep(state: GameState, game: QuantizationGame,
     move = 0.0
     for i in schedule:
         old = st.quantizers[i]
-        new = best_response(i, st, game, n_starts=n_starts, tol=tol)
+        new = best_response(i, st, game, n_starts=n_starts)
         move = max(
             move,
             float(np.max(np.abs(new.words - old.words))),

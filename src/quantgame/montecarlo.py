@@ -29,7 +29,7 @@ class NoChainError(LookupError):
 
 
 def sample_paths(i: int, state: GameState, game: QuantizationGame, n: int,
-                 rng: np.random.Generator, depth_cap: int = DEPTH_CAP):
+                 rng: np.random.Generator):
     """Vectorized batch of n signals observed at agent i.
 
     Returns (x_true, x_obs, path_lengths, n_truncated, n_clamped).
@@ -42,7 +42,7 @@ def sample_paths(i: int, state: GameState, game: QuantizationGame, n: int,
     cur = np.full(n, i, dtype=np.int64)
     active = np.ones(n, dtype=bool)
     routes = [cur.copy()]
-    for _ in range(depth_cap):
+    for _ in range(DEPTH_CAP):
         if not active.any():
             break
         u = rng.random(n)

@@ -34,8 +34,9 @@ class CommMatrix:
         object.__setattr__(self, "entries", p)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError("communication matrix must be square")
-        if np.any(p < 0.0) or np.any(p > 1.0):
-            raise ValueError("entries must lie in [0, 1]")
+        bad = np.nonzero(np.any((p < 0.0) | (p > 1.0), axis=1))[0]
+        if bad.size:
+            raise ValueError(f"row {bad[0]} has entries outside [0, 1]")
         rows = p.sum(axis=1)
         bad = np.nonzero(np.abs(rows - 1.0) > _ROW_TOL)[0]
         if bad.size:

@@ -163,6 +163,39 @@ class TestCliSolve:
                      "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("old, new", [
+        ("alpha: 8.0", "alpha: abc"),
+        ("levels: 4", "levels: x"),
+        ("tol: 1.0e-9", "tol: abc"),
+        ("n_starts: 4", "n_starts: 0"),
+        ("[0.85, 0.15]", "[0.85, abc]"),
+        ("[0.85, 0.15]", "[.nan, 0.15]"),
+        ("shape: point, halfwidth: 0.0", "shape: uniform, halfwidth: 0"),
+        ("shape: point, halfwidth: 0.0", "shape: uniform, halfwidth: -0.1"),
+        ("halfwidth: 0.0", "halfwidth: 0.1"),
+        ("{id: 1, alpha: 8.0, beta: 2.0, levels: 4}", "5"),
+        ("solver: {tol: 1.0e-9, max_sweeps: 60, schedule_policy: cyclic, "
+         "n_starts: 4, seed: 0}", "solver: 5"),
+        ("noise: {shape: point, halfwidth: 0.0}", "noise: 5"),
+        ("montecarlo: {n_samples: 20000, seed: 5}", "montecarlo: [1]"),
+        ("montecarlo: {n_samples: 20000, seed: 5}", "montecarlo: {seed: -1}"),
+        ("outputs: {directory: out, formats: [csv, json]}", "outputs: x"),
+        ("  - {id: 1, alpha: 8.0, beta: 2.0, levels: 4}\n"
+         "  - {id: 2, alpha: 2.0, beta: 8.0, levels: 4}\n", " 5\n"),
+        ("  - [0.85, 0.15]\n  - [0.15, 0.85]\n", " 5\n"),
+    ], ids=["alpha-text", "levels-text", "tol-text", "no-starts", "entry-text", "entry-nan",
+            "uniform-zero-width", "negative-width", "point-with-width",
+            "agent-not-mapping", "solver-scalar", "noise-scalar", "montecarlo-list",
+            "negative-seed", "outputs-text", "agents-scalar", "matrix-scalar"])
+    def test_malformed_config_exit_code(self, tmp_path, capsys, old, new):
+        assert old in SMALL_CONFIG
+        p = tmp_path / "bad.cfg"
+        p.write_text(SMALL_CONFIG.replace(old, new, 1))
+        code = main(["solve", "--config", str(p), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
     def test_starved_cell_exit_code(self, tmp_path, capsys):
         # agent 1 hears only its peer, whose four words leave a cell empty
         p = tmp_path / "starved.cfg"
@@ -218,6 +251,14 @@ class TestCliSimulate:
                      "--samples", "0"])
         assert code == EXIT_CONFIG
 
+    def test_negative_seed(self, cli_ws, tmp_path, capsys):
+        cfg, out = cli_ws
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path),
+                     "--state", str(out / "state.json"), "--seed", "-3"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "losses.json").exists()
+
 
 class TestCliChains:
     def test_probes_and_chain_trace(self, cli_ws):
@@ -240,7 +281,10 @@ class TestCliChains:
         ["--chain", "1,x"],  # not an integer
         ["--chain", "1"],  # a chain needs two agents
         ["--inputs", "0"],  # empty input grid
-    ], ids=["unknown-id", "not-an-id", "one-agent", "no-inputs"])
+        ["--max-len", "1"],  # no chain is that short
+        ["--chain", "1,2", "--seed", "-3"],  # the generator needs a seed >= 0
+    ], ids=["unknown-id", "not-an-id", "one-agent", "no-inputs", "max-len-1",
+            "negative-seed"])
     def test_bad_arguments_exit_code(self, cli_ws, tmp_path, capsys, args):
         cfg, out = cli_ws
         code = main(["chains", "--config", str(cfg), "--out", str(tmp_path),
@@ -283,3 +327,45 @@ class TestCliVerify:
                      "--state", str(out / "state.json"), "--samples", "0"])
         assert code == EXIT_CONFIG
         assert not (tmp_path / "verify.json").exists()
+
+    def test_negative_seed(self, cli_ws, tmp_path, capsys):
+        cfg, out = cli_ws
+        code = main(["verify", "--config", str(cfg), "--out", str(tmp_path),
+                     "--state", str(out / "state.json"), "--seed", "-3"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "verify.json").exists()
+
+
+def test_csv_tables_match_json_exactly(cli_ws, tmp_path):
+    """Every CSV cell equals, as a float, the value its JSON twin holds."""
+    cfg, out = cli_ws
+    state = ["--config", str(cfg), "--out", str(tmp_path),
+             "--state", str(out / "state.json")]
+    for cmd in (["simulate", "--samples", "5000"], ["chains", "--inputs", "11"],
+                ["analyze"], ["verify", "--samples", "5000"]):
+        assert main(cmd[:1] + state + cmd[1:]) == EXIT_OK
+
+    def columns(doc):  # report.json and verify.json hold one list per column
+        return [{"agent": a, **{k[:-1]: v[n] for k, v in doc.items()
+                                if isinstance(v, list) and k != "agents"}}
+                for n, a in enumerate(doc["agents"])]
+
+    def load(path):
+        return json.loads(path.read_text())
+
+    losses = load(tmp_path / "losses.json")
+    twins = {
+        out / "report.csv": columns(load(out / "report.json")),
+        tmp_path / "verify.csv": columns(load(tmp_path / "verify.json")),
+        tmp_path / "losses.csv": [{"agent": a, **r} for a, r in
+                                  zip(losses["agents"], losses["reports"])],
+        tmp_path / "pairs.csv": load(tmp_path / "pairs.json")["pairs"],
+        tmp_path / "probes.csv": load(tmp_path / "chains.json")["probes"],
+    }
+    for path, records in twins.items():
+        header, rows = _read_csv(path)
+        assert len(rows) == len(records) > 0, path.name
+        for row, rec in zip(rows, records):
+            for key, cell in zip(header, row):
+                assert float(cell) == rec[key], (path.name, key)

@@ -77,8 +77,6 @@ class TestBetaDensity:
 
     def test_mean_and_log_concavity(self):
         assert BetaDensity(2, 3).mean == pytest.approx(0.4)
-        assert BetaDensity(1, 1).is_log_concave()
-        assert not BetaDensity(0.5, 2.0).is_log_concave()
 
 
 class TestNoiseKernel:
