@@ -15,7 +15,6 @@ from .densities import (
     MixtureDensity,
     NoiseKernel,
     POINT_KERNEL,
-    check_semi_elasticity,
     hellinger_beta,
 )
 from .quantizers import (

@@ -4,8 +4,8 @@ Subcommands: solve, simulate, chains, analyze, verify. All read a YAML
 experiment config; everything downstream of solve additionally needs the
 state file it wrote. Outputs are CSV (header row, fixed column order) and
 JSON. Exit codes: 0 success, 2 validation error (including a quantizer
-cell that no source reaches), 3 non-convergence, 4 missing prerequisite
-state.
+cell that no source reaches and channel noise too wide for the words),
+3 non-convergence, 4 missing prerequisite state.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import montecarlo
 from .config import ConfigError, load_config, load_state, save_state
-from .densities import EmptyCellError, hellinger_beta
+from .densities import DomainError, EmptyCellError, hellinger_beta
 from .game import bootstrap, check_social_stability, solve_equilibrium, verify_nash
 
 EXIT_OK = 0
@@ -300,6 +300,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except EmptyCellError as exc:
         print(f"starved quantizer cell: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except DomainError as exc:
+        print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -142,6 +142,8 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"config root must be a mapping, got {type(doc).__name__}")
 
     entries = _section("agents", _require(doc, "agents", "config"), list, list)
+    if not entries:
+        raise ConfigError("agents must list at least one agent")
     agents = [_section(f"agents[{n}]", entry, partial(_agent, n))
               for n, entry in enumerate(entries)]
     if len({a.id for a in agents}) != len(agents):

@@ -9,15 +9,15 @@ for the noise kernels), which keeps errors near machine precision.
 The moment kernel is array-valued: `partial_moments(a, b)` broadcasts
 over arrays of cell edges, so a caller gets (m0, m1, m2) for every cell
 of a quantizer from one call. Each beta part makes one `betainc` call
-per moment order over all edges, and each group of atoms sharing a
-noise kernel is evaluated as one atoms x cells array. Scalar edges
+per moment order over all edges, and all word atoms, which share one
+noise kernel, are evaluated as one atoms x cells array. Scalar edges
 return a tuple of floats.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Tuple, Union
 
@@ -80,9 +80,9 @@ class BetaDensity:
     beta_param: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta_param > 0):
+        if not (0 < self.alpha < math.inf and 0 < self.beta_param < math.inf):
             raise ValueError(
-                "beta shape parameters must be positive, got "
+                "beta shape parameters must be positive and finite, got "
                 f"({self.alpha}, {self.beta_param})"
             )
 
@@ -138,8 +138,9 @@ class NoiseKernel:
     def __post_init__(self):
         shape = KernelShape(self.shape)
         object.__setattr__(self, "shape", shape)
-        if self.halfwidth < 0:
-            raise ValueError("kernel halfwidth must be nonnegative")
+        if not 0 <= self.halfwidth < math.inf:
+            raise ValueError(f"kernel halfwidth must be finite and nonnegative, "
+                             f"got {self.halfwidth}")
         if shape is KernelShape.POINT and self.halfwidth != 0.0:
             raise ValueError("point kernel must have halfwidth 0")
         if shape is not KernelShape.POINT and self.halfwidth == 0.0:
@@ -153,31 +154,23 @@ class NoiseKernel:
             return self.halfwidth / math.sqrt(3.0)
         return self.halfwidth / math.sqrt(6.0)
 
-    def check_word(self, y: float) -> None:
-        """Feasibility of centering this kernel at word y inside (0, 1)."""
-        if not 0.0 < y < 1.0:
-            raise DomainError(f"word {y} not strictly inside (0, 1)")
-        if self.std >= min(y, 1.0 - y):
-            raise ValueError(
-                f"kernel std {self.std:.3g} too wide for word {y:.6g}"
-            )
-        if self.shape is not KernelShape.POINT and (
-            y - self.halfwidth <= 0.0 or y + self.halfwidth >= 1.0
-        ):
-            raise ValueError(
-                f"kernel support around word {y:.6g} leaves the unit interval"
-            )
+    def check_words(self, words: np.ndarray) -> None:
+        """Raise DomainError unless the kernel centered at each word keeps
+        its support (for point kernels, the word) strictly inside (0, 1)."""
+        fits = (words - self.halfwidth > 0.0) & (words + self.halfwidth < 1.0)
+        if not fits.all():
+            raise DomainError(f"noise of halfwidth {self.halfwidth:g} around word "
+                              f"{words[np.argmin(fits)]:.6g} leaves the unit interval")
 
-    def pdf(self, x, center: float):
-        """Density at x of center + noise. Zero for point kernels."""
-        x = np.asarray(x, dtype=float)
+    def pdf(self, x, center):
+        """Density at x of center + noise; `x` and `center` broadcast.
+        Zero for point kernels."""
+        t = np.abs(np.asarray(x, dtype=float) - center)
         h = self.halfwidth
         if self.shape is KernelShape.POINT:
-            return np.zeros_like(x)
+            return np.zeros_like(t)
         if self.shape is KernelShape.UNIFORM:
-            inside = np.abs(x - center) < h
-            return np.where(inside, 1.0 / (2.0 * h), 0.0)
-        t = np.abs(x - center)
+            return np.where(t < h, 1.0 / (2.0 * h), 0.0)
         return np.where(t < h, (h - t) / (h * h), 0.0)
 
     def partial_moments(self, a, b, center) -> Moments:
@@ -222,42 +215,37 @@ POINT_KERNEL = NoiseKernel(KernelShape.POINT, 0.0)
 _WEIGHT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # a field-wise == would compare arrays
 class MixtureDensity:
-    """Weighted beta components plus (possibly noise-smeared) word atoms."""
+    """Weighted beta components plus word atoms, every atom smeared by the
+    same noise kernel. Atom k has weight `atom_weights[k]` and sits at
+    `atom_centers[k]`; both are stored as read-only 1-D float arrays."""
 
     continuous_parts: Tuple[Tuple[float, BetaDensity], ...] = ()
-    smeared_atoms: Tuple[Tuple[float, float, NoiseKernel], ...] = ()
-    _atom_groups: tuple = field(init=False, repr=False, compare=False)
+    atom_weights: np.ndarray = ()
+    atom_centers: np.ndarray = ()
+    noise: NoiseKernel = POINT_KERNEL
 
     def __post_init__(self):
         cont = tuple((float(w), d) for w, d in self.continuous_parts)
-        atoms = tuple((float(w), float(c), k) for w, c, k in self.smeared_atoms)
+        weights = np.array(self.atom_weights, dtype=float)
+        centers = np.array(self.atom_centers, dtype=float)
+        weights.flags.writeable = centers.flags.writeable = False
         object.__setattr__(self, "continuous_parts", cont)
-        object.__setattr__(self, "smeared_atoms", atoms)
-        total = 0.0
-        for w, d in cont:
-            if w < 0:
-                raise ValueError("negative mixture weight")
-            if not isinstance(d, BetaDensity):
-                raise TypeError("continuous parts must be BetaDensity")
-            total += w
-        for w, c, k in atoms:
-            if w < 0:
-                raise ValueError("negative atom weight")
-            if not 0.0 < c < 1.0:
-                raise ValueError(f"atom center {c} not strictly inside (0, 1)")
-            if w > _WEIGHT_TOL:
-                k.check_word(c)
-            total += w
-        if abs(total - 1.0) > 1e-9:
+        object.__setattr__(self, "atom_weights", weights)
+        object.__setattr__(self, "atom_centers", centers)
+        if weights.ndim != 1 or weights.shape != centers.shape:
+            raise ValueError("atom weights and centers must be 1-D and of equal length")
+        if not all(isinstance(d, BetaDensity) for _w, d in cont):
+            raise TypeError("continuous parts must be BetaDensity")
+        if any(w < 0 for w, _d in cont) or np.any(weights < 0):
+            raise ValueError("negative mixture weight")
+        if not np.all((0.0 < centers) & (centers < 1.0)):
+            raise ValueError("atom centers must be strictly inside (0, 1)")
+        self.noise.check_words(centers[weights > _WEIGHT_TOL])
+        total = sum(w for w, _d in cont) + weights.sum()
+        if not abs(total - 1.0) <= 1e-9:  # also rejects a nan weight
             raise ValueError(f"mixture weights sum to {total}, expected 1")
-        # atom weights and centers as columns, one group per noise kernel
-        groups = {}
-        for w, c, k in atoms:
-            groups.setdefault(k, []).append((w, c))
-        object.__setattr__(self, "_atom_groups", tuple(
-            (k, np.array(wc)[:, :1], np.array(wc)[:, 1:]) for k, wc in groups.items()))
 
     @classmethod
     def from_beta(cls, d: BetaDensity) -> "MixtureDensity":
@@ -271,8 +259,8 @@ class MixtureDensity:
         out = np.zeros_like(xa)
         for w, d in self.continuous_parts:
             out = out + w * d.pdf(xa)
-        for w, c, k in self.smeared_atoms:
-            out = out + w * k.pdf(xa, c)
+        c = self.atom_centers.reshape((-1,) + (1,) * xa.ndim)
+        out = out + np.tensordot(self.atom_weights, self.noise.pdf(xa, c), axes=1)
         if np.isscalar(x) or np.ndim(x) == 0:
             return float(out)
         return out
@@ -294,16 +282,16 @@ class MixtureDensity:
             k = np.argmin(ok)
             raise ValueError(f"need 0 <= a < b <= 1, got ({a[k]}, {b[k]})")
         # one row of weighted (m0, m1, m2) per part, summed down the rows
-        terms = np.empty((len(self.continuous_parts) + len(self.smeared_atoms), 3, a.size))
+        n = len(self.continuous_parts)
+        terms = np.empty((n + self.atom_weights.size, 3, a.size))
         for r, (w, d) in enumerate(self.continuous_parts):
             for j, m in enumerate(d.partial_moments(a, b)):
                 np.multiply(w, m, out=terms[r, j])
-        r = len(self.continuous_parts)
-        for kernel, w, c in self._atom_groups:
-            rows = terms[r:r + w.shape[0]]
-            for j, m in enumerate(kernel.partial_moments(a, b, c)):
-                np.multiply(w, m, out=rows[:, j])
-            r += w.shape[0]
+        if self.atom_weights.size:
+            # all atoms down a column against the cells along a row
+            w, c = self.atom_weights[:, None], self.atom_centers[:, None]
+            for j, m in enumerate(self.noise.partial_moments(a, b, c)):
+                np.multiply(w, m, out=terms[n:, j])
         m0, m1, m2 = terms.sum(axis=0).reshape((3,) + shape)
         return _moments_out(m0, m1, m2)
 
@@ -339,27 +327,6 @@ def as_mixture(d: Density) -> MixtureDensity:
     if isinstance(d, BetaDensity):
         return MixtureDensity.from_beta(d)
     raise TypeError(f"not a density: {d!r}")
-
-
-def check_semi_elasticity(d: Density, grid_size: int = 2001):
-    """Whether d/dx log pdf is non-increasing on a uniform interior grid.
-
-    Returns (ok, first_violation_x). The slope comparison allows a tiny
-    amount of finite-difference noise.
-    """
-    if grid_size < 3:
-        raise ValueError("grid_size must be at least 3")
-    mix = as_mixture(d)
-    x = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
-    p = np.asarray(mix.pdf(x))
-    if np.any(p <= 0.0):
-        bad = float(x[np.argmax(p <= 0.0)])
-        raise DomainError(f"pdf vanishes at x={bad:.6g}; semi-elasticity undefined")
-    slope = np.diff(np.log(p)) / np.diff(x)
-    rises = np.nonzero(np.diff(slope) > 1e-9)[0]
-    if rises.size == 0:
-        return True, None
-    return False, float(x[rises[0] + 1])
 
 
 def hellinger_beta(p: BetaDensity, q: BetaDensity) -> float:

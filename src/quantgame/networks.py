@@ -141,23 +141,26 @@ def observed_environment(
     """Mixture actually seen by agent i: own physical source with weight
     P[i, i], plus one (possibly smeared) atom per peer word, weighted by
     the peer's communication frequency times its word-usage probability."""
-    atoms = []
+    # peers' atoms in peer order; the empty arrays stand for an agent with no peers
+    weights, centers = [np.empty(0)], [np.empty(0)]
     for j in P.peers_of(i):
         u = np.asarray(usage[j], dtype=float)
-        if abs(u.sum() - 1.0) > 1e-9 or np.any(u < 0.0):
+        if not abs(u.sum() - 1.0) <= 1e-9 or np.any(u < 0.0):
             raise StateConsistencyError(
-                f"usage vector of agent {j} sums to {u.sum()!r}, expected 1"
+                f"usage vector of agent {j} sums to {float(u.sum())!r}, expected 1"
             )
         words = quantizers[j].words
         if u.size != words.size:
             raise StateConsistencyError(
                 f"usage vector of agent {j} has {u.size} entries for {words.size} words"
             )
-        for k in range(words.size):
-            atoms.append((P[i, j] * u[k], float(words[k]), noise))
+        weights.append(P[i, j] * u)
+        centers.append(words)
     return MixtureDensity(
         continuous_parts=((float(P[i, i]), physical),),
-        smeared_atoms=tuple(atoms),
+        atom_weights=np.concatenate(weights),
+        atom_centers=np.concatenate(centers),
+        noise=noise,
     )
 
 

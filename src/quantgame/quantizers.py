@@ -130,7 +130,8 @@ class LloydMaxResult:
 def _resolve_empty_cells(
     words: np.ndarray, moments: Moments, mix: MixtureDensity,
 ) -> Tuple[np.ndarray, np.ndarray, Moments, int]:
-    """Move words of starved cells into the fattest cell, then re-sort.
+    """Move words of starved cells into the cell with the largest squared
+    error about its centroid, then re-sort.
 
     `moments` are the cell moments of `words`. Returns the (possibly
     new) words, their boundaries and cell moments, and the number of
@@ -139,16 +140,18 @@ def _resolve_empty_cells(
     events = 0
     b = _midpoints(words)
     for _ in range(words.size):
-        masses = moments[0]
-        starved = np.nonzero(masses < EMPTY_CELL_MASS)[0]
+        m0, m1, m2 = moments
+        starved = np.nonzero(m0 < EMPTY_CELL_MASS)[0]
         if starved.size == 0:
             break
         k = int(starved[0])
-        fat = int(np.argmax(masses))
-        # split the fattest cell: park the starved word between the fat
-        # cell's word and its nearer boundary
+        # split the cell with the largest error, not the heaviest one: a
+        # cell holding a single atom is heavy but has nothing to split
+        fat = int(np.argmax(m2 - m1 * m1 / np.maximum(m0, EMPTY_CELL_MASS)))
+        # park the starved word in the wider half of that cell, between
+        # its centroid and its farther boundary
         lo, hi = b[fat], b[fat + 1]
-        mid = centroid_from_moments(lo, hi, masses[fat], moments[1][fat])
+        mid = centroid_from_moments(lo, hi, m0[fat], m1[fat])
         new = 0.5 * (mid + (lo if abs(mid - lo) > abs(hi - mid) else hi))
         words = np.sort(np.concatenate((np.delete(words, k), [new])))
         words = _separate(words)
@@ -177,10 +180,10 @@ def lloyd_max(
     """Alternate midpoint boundaries and centroid words until words settle.
 
     `init` defaults to the source quantiles at levels (2k-1)/(2M). Words
-    of starved cells are relocated into the fattest cell and the event
-    counted; a cell still starved after `levels` relocations (e.g. fewer
-    atoms than levels and no continuous part to feed it) makes the
-    centroid step raise EmptyCellError.
+    of starved cells are relocated into the cell with the largest error
+    and the event counted; a cell still starved after `levels`
+    relocations (e.g. fewer atoms than levels and no continuous part to
+    feed it) makes the centroid step raise EmptyCellError.
 
     Each iteration makes one moment-kernel call at the current words; the
     same moments give the empty-cell check, the centroids, and the loss of

@@ -114,8 +114,9 @@ def scalar_loop_moments(mix, a, b):
         for j in range(3):
             inc = special.betainc(al + j, be, b) - special.betainc(al + j, be, a)
             m[j] += w * float(scale[j] * inc)
-    for w, c, k in mix.smeared_atoms:
-        h = k.halfwidth
+    k = mix.noise
+    h = k.halfwidth
+    for w, c in zip(mix.atom_weights.tolist(), mix.atom_centers.tolist()):
         p = [0.0, 0.0, 0.0]
         if k.shape.value == "point":
             if a < c <= b:

@@ -1,6 +1,6 @@
 """Hypothesis strategies for the property tests: random beta mixtures with
-point, uniform and triangular word atoms, and cell edges that include 0, 1
-and atoms placed exactly on an edge."""
+word atoms under one point, uniform or triangular kernel, and cell edges
+that include 0, 1 and atoms placed exactly on an edge."""
 
 import numpy as np
 from hypothesis import HealthCheck, settings
@@ -28,16 +28,15 @@ def kernels(draw):
 
 @st.composite
 def mixtures(draw, max_atoms=12):
-    """A normalized mixture of 1-2 beta parts and up to `max_atoms` atoms.
-    The atoms may mix kernel shapes."""
+    """A normalized mixture of 1-2 beta parts and up to `max_atoms` atoms,
+    all smeared by one kernel."""
     betas = draw(st.lists(st.tuples(_shape, _shape), min_size=1, max_size=2))
-    atoms = draw(st.lists(st.tuples(_weight, st.floats(0.1, 0.9), kernels()),
-                          max_size=max_atoms))
-    weights = np.array([draw(_weight) for _ in betas] + [w for w, _c, _k in atoms])
+    atoms = draw(st.lists(st.tuples(_weight, st.floats(0.1, 0.9)), max_size=max_atoms))
+    weights = np.array([draw(_weight) for _ in betas] + [w for w, _c in atoms])
     weights = weights / weights.sum()
     return MixtureDensity(
         tuple((w, BetaDensity(a, b)) for w, (a, b) in zip(weights, betas)),
-        tuple((w, c, k) for w, (_w, c, k) in zip(weights[len(betas):], atoms)),
+        weights[len(betas):], [c for _w, c in atoms], draw(kernels()),
     )
 
 
@@ -47,7 +46,7 @@ def mixtures_with_edges(draw):
     some atom centers exactly on an edge."""
     mix = draw(mixtures())
     interior = draw(st.lists(st.floats(0.01, 0.99), max_size=8))
-    centers = [c for _w, c, _k in mix.smeared_atoms]
+    centers = mix.atom_centers.tolist()
     if centers:
         interior += draw(st.lists(st.sampled_from(centers), max_size=3))
     edges = np.unique(np.concatenate(([0.0, 1.0], interior)))

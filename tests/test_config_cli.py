@@ -183,10 +183,17 @@ class TestCliSolve:
         ("  - {id: 1, alpha: 8.0, beta: 2.0, levels: 4}\n"
          "  - {id: 2, alpha: 2.0, beta: 8.0, levels: 4}\n", " 5\n"),
         ("  - [0.85, 0.15]\n  - [0.15, 0.85]\n", " 5\n"),
+        ("alpha: 8.0", "alpha: .inf"),
+        ("shape: point, halfwidth: 0.0", "shape: uniform, halfwidth: .nan"),
+        ("  - {id: 1, alpha: 8.0, beta: 2.0, levels: 4}\n"
+         "  - {id: 2, alpha: 2.0, beta: 8.0, levels: 4}\n"
+         "comm_matrix:\n  - [0.85, 0.15]\n  - [0.15, 0.85]\n",
+         " []\ncomm_matrix: []\n"),
     ], ids=["alpha-text", "levels-text", "tol-text", "no-starts", "entry-text", "entry-nan",
             "uniform-zero-width", "negative-width", "point-with-width",
             "agent-not-mapping", "solver-scalar", "noise-scalar", "montecarlo-list",
-            "negative-seed", "outputs-text", "agents-scalar", "matrix-scalar"])
+            "negative-seed", "outputs-text", "agents-scalar", "matrix-scalar",
+            "alpha-inf", "width-nan", "no-agents"])
     def test_malformed_config_exit_code(self, tmp_path, capsys, old, new):
         assert old in SMALL_CONFIG
         p = tmp_path / "bad.cfg"
@@ -204,6 +211,17 @@ class TestCliSolve:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "carries mass" in err and err.count("\n") == 1
+
+    def test_noise_too_wide_exit_code(self, tmp_path, capsys):
+        # a valid uniform kernel whose support around the outer words
+        # leaves (0, 1): found when the first sweep builds an observed mixture
+        p = tmp_path / "wide.cfg"
+        p.write_text(SMALL_CONFIG.replace("shape: point, halfwidth: 0.0",
+                                          "shape: uniform, halfwidth: 0.3", 1))
+        code = main(["solve", "--config", str(p), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "leaves the unit interval" in err and err.count("\n") == 1
 
 
 class TestCliSimulate:

@@ -1,7 +1,8 @@
 """Density layer: beta pdfs/moments against Riemann-sum oracles, atom and
-noise-kernel interval conventions, log-concavity detection, the
-beta-pair dissimilarity formula against a quadrature oracle, and
-properties of the array moment kernel on random mixtures."""
+noise-kernel interval conventions, rejection of non-finite parameters and
+of words the noise pushes out of (0, 1), the beta-pair dissimilarity
+formula against a quadrature oracle, and properties of the array moment
+kernel on random mixtures."""
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from quantgame import (
     MixtureDensity,
     NoiseKernel,
     POINT_KERNEL,
-    check_semi_elasticity,
     hellinger_beta,
 )
 
@@ -52,6 +52,11 @@ class TestBetaDensity:
             BetaDensity(0.0, 1.0)
         with pytest.raises(ValueError):
             BetaDensity(2.0, -1.0)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError):
+                BetaDensity(bad, 2.0)
+            with pytest.raises(ValueError):
+                BetaDensity(2.0, bad)
 
     def test_mass_against_frozen_oracle(self):
         d = MixtureDensity.from_beta(BetaDensity(2, 5))
@@ -92,14 +97,20 @@ class TestNoiseKernel:
             NoiseKernel(KernelShape.UNIFORM, 0.0)
         with pytest.raises(ValueError):
             NoiseKernel(KernelShape.UNIFORM, -0.1)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError):
+                NoiseKernel(KernelShape.UNIFORM, bad)
 
     def test_check_word(self):
         k = NoiseKernel("uniform", 0.05)
-        k.check_word(0.5)
+        k.check_words(np.array([0.06, 0.5, 0.94]))
+        k.check_words(np.empty(0))
+        for word in (0.0, 0.01, 0.95, np.nan):  # support would leave (0, 1)
+            with pytest.raises(DomainError, match="leaves the unit interval"):
+                k.check_words(np.array([0.5, word]))
+        POINT_KERNEL.check_words(np.array([1e-9, 1.0 - 1e-9]))
         with pytest.raises(DomainError):
-            k.check_word(0.0)
-        with pytest.raises(ValueError):
-            k.check_word(0.01)  # support would leave the unit interval
+            POINT_KERNEL.check_words(np.array([1.0]))
 
     def test_point_atom_interval_convention(self):
         # an atom exactly on a query boundary belongs to the left cell
@@ -145,13 +156,19 @@ class TestMixtureDensity:
         with pytest.raises(ValueError):
             MixtureDensity(((-0.2, d), (1.2, d)))
         with pytest.raises(ValueError):
-            MixtureDensity(((0.5, d),), ((0.5, 0.0, POINT_KERNEL),))
+            MixtureDensity(((0.5, d),), [0.5], [0.0])
+        with pytest.raises(ValueError):
+            MixtureDensity(((0.5, d),), [0.25, 0.25], [0.5])
+        with pytest.raises(ValueError):
+            MixtureDensity(((0.5, d),), [np.nan], [0.5])
+        # a weighted atom whose noise leaves (0, 1) is rejected; a weightless one is not
+        k = NoiseKernel("uniform", 0.05)
+        with pytest.raises(DomainError):
+            MixtureDensity(((0.5, d),), [0.5], [0.02], k)
+        MixtureDensity(((0.5, d),), [0.5, 0.0], [0.5, 0.02], k)
 
     def test_atom_mass_and_centroid(self):
-        d = MixtureDensity(
-            ((0.5, BetaDensity(1, 1)),),
-            ((0.3, 0.25, POINT_KERNEL), (0.2, 0.75, POINT_KERNEL)),
-        )
+        d = MixtureDensity(((0.5, BetaDensity(1, 1)),), [0.3, 0.2], [0.25, 0.75])
         assert d.mass_in(0.0, 0.5) == pytest.approx(0.55, abs=1e-12)
         # centroid mixes the uniform part and the atom at 0.25
         want = (0.5 * 0.125 + 0.3 * 0.25) / 0.55
@@ -174,39 +191,12 @@ class TestMixtureDensity:
 
     def test_smeared_atom_total_mass(self):
         k = NoiseKernel("triangular", 0.05)
-        d = MixtureDensity(((0.6, BetaDensity(2, 2)),), ((0.4, 0.5, k),))
+        d = MixtureDensity(((0.6, BetaDensity(2, 2)),), [0.4], [0.5], k)
         assert d.mass_in(0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
         # pdf integrates the smeared atom too
         want = riemann_moments(lambda x: 0.6 * beta_pdf(x, 2, 2) + 0.4 * k.pdf(x, 0.5),
                                0.3, 0.7, n=400_000)
         assert d.partial_moments(0.3, 0.7) == pytest.approx(want, abs=1e-8)
-
-
-class TestSemiElasticity:
-    def test_log_concave_sources(self):
-        ok, where = check_semi_elasticity(BetaDensity(2, 3))
-        assert ok and where is None
-        ok, _ = check_semi_elasticity(BetaDensity(1, 1))
-        assert ok
-
-    def test_convex_log_density_detected(self):
-        ok, where = check_semi_elasticity(BetaDensity(0.5, 0.5))
-        assert not ok and 0.0 < where < 1.0
-
-    def test_bimodal_mixture_detected(self):
-        mix = MixtureDensity(((0.5, BetaDensity(2, 8)), (0.5, BetaDensity(8, 2))))
-        ok, _ = check_semi_elasticity(mix)
-        assert not ok
-
-    def test_vanishing_pdf_rejected(self):
-        k = NoiseKernel("uniform", 0.05)
-        atoms_only = MixtureDensity((), ((1.0, 0.5, k),))
-        with pytest.raises(DomainError):
-            check_semi_elasticity(atoms_only)
-
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            check_semi_elasticity(BetaDensity(2, 2), grid_size=2)
 
 
 class TestHellinger:
@@ -257,15 +247,14 @@ class TestArrayKernel:
         got = np.array(mix.partial_moments(edges[:-1], edges[1:]))
         want = np.array([scalar_loop_moments(mix, a, b)
                          for a, b in zip(edges[:-1], edges[1:])]).T
-        smeared = any(k.shape is not KernelShape.POINT for _w, _c, k in mix.smeared_atoms)
+        smeared = mix.noise.shape is not KernelShape.POINT and mix.atom_weights.size > 0
         assert np.max(np.abs(got - want)) <= (1e-11 if smeared else 0.0)
 
     @PROPERTY_SETTINGS
     @given(mixtures_with_edges())
     def test_cell_masses_sum_to_total_weight(self, case):
         mix, edges = case
-        total = (sum(w for w, _d in mix.continuous_parts)
-                 + sum(w for w, _c, _k in mix.smeared_atoms))
+        total = sum(w for w, _d in mix.continuous_parts) + mix.atom_weights.sum()
         m0 = mix.mass_in(edges[:-1], edges[1:])
         assert np.all(m0 >= 0.0)
         assert m0.sum() == pytest.approx(total, abs=1e-12)
@@ -275,8 +264,10 @@ class TestArrayKernel:
     def test_edge_atom_falls_in_left_cell(self, case):
         mix, edges = case
         m0 = mix.mass_in(edges[:-1], edges[1:])
-        for w, c, k in mix.smeared_atoms:
-            if k is not POINT_KERNEL or c not in edges:
+        if mix.noise is not POINT_KERNEL:
+            return
+        for w, c in zip(mix.atom_weights, mix.atom_centers):
+            if c not in edges:
                 continue
             left = int(np.searchsorted(edges, c)) - 1
             assert edges[left + 1] == c
@@ -296,7 +287,7 @@ class TestArrayKernel:
         for moments in (d.partial_moments(0.1, 0.4), k.partial_moments(0.4, 0.52, 0.5),
                         POINT_KERNEL.partial_moments(0.4, 0.5, 0.5)):
             assert all(type(v) is float for v in moments)
-        mix = MixtureDensity(((0.5, d),), ((0.5, 0.5, k),))
+        mix = MixtureDensity(((0.5, d),), [0.5], [0.5], k)
         assert type(mix.quantile(0.5)) is float
         assert type(mix.cell_centroid(0.2, 0.6)) is float
 

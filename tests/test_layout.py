@@ -1,9 +1,15 @@
-"""Layering rule: no module of the package uses a private (leading
-underscore) name of another of its modules, whether imported by name
-(`from .game import _helper`) or reached through an imported module
-(`from . import game; game._helper`)."""
+"""Layering rules.
+
+- No module of the package uses a private (leading underscore) name of
+  another of its modules, whether imported by name
+  (`from .game import _helper`) or reached through an imported module
+  (`from . import game; game._helper`).
+- Every name the benchmark's tracer (`perfbench/tracing.py`) wraps is
+  still bound where the tracer looks it up.
+"""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -56,3 +62,15 @@ def test_no_module_uses_another_modules_private_names():
     assert len(modules) >= 8
     offenders = {p.name: private_uses(p.read_text()) for p in modules}
     assert {name: uses for name, uses in offenders.items() if uses} == {}
+
+
+def test_benchmark_binding_sites_exist():
+    # the tracer is loaded from its file, unchanged: perfbench is no package
+    path = PACKAGE.parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing._SITES
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, *_ in tracing._SITES
+               if not hasattr(owner, attr)]
+    assert missing == []

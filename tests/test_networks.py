@@ -116,8 +116,9 @@ class TestObservedEnvironment:
         P, quantizers, usage = self._setup()
         obs = observed_environment(0, BetaDensity(2, 2), quantizers, usage, P)
         assert obs.continuous_parts[0][0] == pytest.approx(0.7)
-        atoms = {c: w for w, c, _k in obs.smeared_atoms}
-        assert atoms == pytest.approx({0.25: 0.3 * 0.4, 0.75: 0.3 * 0.6})
+        assert obs.atom_centers.tolist() == [0.25, 0.75]
+        assert obs.atom_weights.tolist() == [0.3 * 0.4, 0.3 * 0.6]
+        assert obs.noise is POINT_KERNEL
         assert obs.mass_in(0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_usage_validation(self):
@@ -128,6 +129,9 @@ class TestObservedEnvironment:
         with pytest.raises(StateConsistencyError):
             observed_environment(0, BetaDensity(2, 2), quantizers,
                                  [usage[0], np.array([0.2, 0.3, 0.5])], P)
+        with pytest.raises(StateConsistencyError, match="nan"):
+            observed_environment(0, BetaDensity(2, 2), quantizers,
+                                 [usage[0], np.array([np.nan, 0.6])], P)
 
     def test_word_usage_uniform(self):
         q = quantizer_from_words([(2 * k + 1) / 12.0 for k in range(6)])
@@ -136,9 +140,6 @@ class TestObservedEnvironment:
 
     def test_word_usage_counts_atoms(self):
         q = quantizer_from_words([0.3, 0.7])
-        obs = MixtureDensity(
-            ((0.5, BetaDensity(1, 1)),),
-            ((0.5, 0.8, POINT_KERNEL),),
-        )
+        obs = MixtureDensity(((0.5, BetaDensity(1, 1)),), [0.5], [0.8])
         # atom at 0.8 lands in the upper cell (boundary at 0.5)
         assert word_usage(obs, q) == pytest.approx([0.25, 0.75], abs=1e-12)

@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quantgame import (
-    POINT_KERNEL,
     BetaDensity,
     DomainError,
     MixtureDensity,
@@ -161,6 +160,15 @@ class TestLloydMax:
         ref = lloyd_max(BetaDensity(2, 9), levels=4, tol=1e-11)
         assert res.quantizer.words == pytest.approx(ref.quantizer.words, abs=1e-6)
 
+    def test_starved_words_leave_a_heavy_atom(self):
+        # the quantile start puts four of five words on the atom at 0.1,
+        # whose cell is the heaviest but holds a single point: relocated
+        # words must go where the uniform part can feed them
+        mix = MixtureDensity(((1 / 3, BetaDensity(1, 1)),), [2 / 3], [0.1])
+        res = lloyd_max(mix, levels=5, tol=1e-11)
+        assert res.converged and res.empty_cell_events > 0
+        assert centroid_residual(res.quantizer, mix) <= 1e-10
+
     def test_log_concave_init_independence(self):
         # unique local optimum: random inits all land on the same design
         rng = np.random.default_rng(7)
@@ -220,7 +228,7 @@ class TestLossHistory:
         # first entry must come from the moments before that relocation.
         atoms = ((0.015, 0.175), (0.086, 0.378), (0.218, 0.423),
                  (0.385, 0.747), (0.226, 0.808), (0.07, 0.964))
-        mix = MixtureDensity((), tuple((w, c, POINT_KERNEL) for w, c in atoms))
+        mix = MixtureDensity((), [w for w, _c in atoms], [c for _w, c in atoms])
         init = [0.035, 0.722, 0.875]
         res = lloyd_max(mix, levels=3, init=init, tol=1e-11)
         assert res.converged and len(res.loss_history) == res.iterations
