@@ -146,14 +146,6 @@ class NoiseKernel:
         if shape is not KernelShape.POINT and self.halfwidth == 0.0:
             raise ValueError(f"{shape.value} kernel needs a positive halfwidth")
 
-    @property
-    def std(self) -> float:
-        if self.shape is KernelShape.POINT:
-            return 0.0
-        if self.shape is KernelShape.UNIFORM:
-            return self.halfwidth / math.sqrt(3.0)
-        return self.halfwidth / math.sqrt(6.0)
-
     def check_words(self, words: np.ndarray) -> None:
         """Raise DomainError unless the kernel centered at each word keeps
         its support (for point kernels, the word) strictly inside (0, 1)."""

@@ -3,8 +3,9 @@ decomposition, and translation-chain / shared-vocabulary analysis.
 
 Signals originate at some agent's physical source and hop through the
 network, being re-quantized (and noised) at every transmission. Sampling
-is vectorized by grouping in-flight samples per agent, so million-sample
-estimates stay cheap.
+follows per-hop index arrays of the samples still in flight, grouped per
+agent, and reads the generator in a fixed order, so million-sample
+estimates stay cheap and a seed fixes every sample.
 """
 
 from __future__ import annotations
@@ -32,68 +33,75 @@ def sample_paths(i: int, state: GameState, game: QuantizationGame, n: int,
                  rng: np.random.Generator):
     """Vectorized batch of n signals observed at agent i.
 
+    The forward walk follows only the samples in flight, by ascending
+    index, and keeps per hop the (indices, agents) of those that moved;
+    back-propagation replays these hops in reverse. The generator is read
+    in a fixed order: n uniforms per hop while any sample is in flight,
+    beta draws per terminal agent in agent order, then noise per hop from
+    the last, each over samples in index order. Hops never follow a
+    zero-weight edge, even where a row sums to slightly less than 1.
+
     Returns (x_true, x_obs, path_lengths, n_truncated, n_clamped).
     Truncated samples carry NaN values and must be masked by callers.
     """
     P = game.comm.entries
     cum = np.cumsum(P, axis=1)
     n_agents = game.n_agents
+    last_edge = n_agents - 1 - np.argmax(P[:, ::-1] > 0.0, axis=1)
 
-    cur = np.full(n, i, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
-    routes = [cur.copy()]
+    idx = np.arange(n)  # samples in flight, ascending
+    cur = np.full(n, i, dtype=np.int64)  # their current agents
+    terminal_agent = cur.copy()  # latest agent of every sample
+    lengths = np.ones(n, dtype=np.int64)
+    hops = []  # per hop: (indices, new agents) of the samples that moved
     for _ in range(DEPTH_CAP):
-        if not active.any():
+        if idx.size == 0:
             break
-        u = rng.random(n)
-        nxt = cur.copy()
-        for a in np.unique(cur[active]):
-            m = active & (cur == a)
+        u = rng.random(n)[idx]
+        nxt = np.empty_like(cur)
+        for a in np.flatnonzero(np.bincount(cur, minlength=n_agents)):
+            m = cur == a
             nxt[m] = np.minimum(
-                np.searchsorted(cum[a], u[m], side="right"), n_agents - 1
+                np.searchsorted(cum[a], u[m], side="right"), last_edge[a]
             )
-        terminal = active & (nxt == cur)
-        active = active & ~terminal
-        step = np.where(active, nxt, -1)
-        cur = np.where(active, nxt, cur)
-        if active.any():
-            routes.append(step)
-
-    truncated = active
-    route = np.stack(routes, axis=1)  # (n, depth); -1 past the terminal hop
-    lengths = (route >= 0).sum(axis=1)
+        moved = np.flatnonzero(nxt != cur)
+        idx, cur = idx[moved], nxt[moved]
+        terminal_agent[idx] = cur
+        lengths[idx] += 1
+        hops.append((idx, cur))
+    n_truncated = idx.size
+    terminal_agent[idx] = -1  # still in flight after DEPTH_CAP hops
 
     # physical draw at each sample's terminal agent
     x = np.full(n, np.nan)
-    terminal_agent = route[np.arange(n), lengths - 1]
     for a in range(n_agents):
-        m = (~truncated) & (terminal_agent == a)
+        m = terminal_agent == a
         if m.any():
             d = game.agents[a].physical
             x[m] = rng.beta(d.alpha, d.beta_param, int(m.sum()))
 
-    # propagate back towards the receiver: quantize at each transmitter,
-    # then add channel noise
+    # back to the receiver: quantize at each transmitter, then add noise
     value = x.copy()
     n_clamped = 0
-    max_len = int(lengths.max(initial=1))
-    for pos in range(max_len - 2, -1, -1):
-        m = (~truncated) & (lengths > pos + 1)
-        if not m.any():
+    for moved, transmitter in reversed(hops):
+        if n_truncated:
+            keep = terminal_agent[moved] >= 0
+            moved, transmitter = moved[keep], transmitter[keep]
+        if moved.size == 0:
             continue
-        transmitter = route[:, pos + 1]
-        for a in np.unique(transmitter[m]):
-            ma = m & (transmitter == a)
+        v = value[moved]
+        for a in np.flatnonzero(np.bincount(transmitter, minlength=n_agents)):
+            ma = transmitter == a
             q = state.quantizers[a]
-            idx = np.searchsorted(q.boundaries, value[ma], side="left") - 1
-            value[ma] = q.words[np.clip(idx, 0, q.levels - 1)]
+            k = np.searchsorted(q.boundaries, v[ma], side="left") - 1
+            v[ma] = q.words[np.clip(k, 0, q.levels - 1)]
         if game.noise.shape is not KernelShape.POINT:
-            noised = value[m] + game.noise.sample(rng, int(m.sum()))
-            clipped = np.clip(noised, _CLAMP, 1.0 - _CLAMP)
-            n_clamped += int(np.sum(noised != clipped))
-            value[m] = clipped
+            noised = v + game.noise.sample(rng, moved.size)
+            v = np.clip(noised, _CLAMP, 1.0 - _CLAMP)
+            n_clamped += int(np.sum(noised != v))
+        value[moved] = v
 
-    return x, value, lengths, int(truncated.sum()), n_clamped
+    return x, value, lengths, n_truncated, n_clamped
 
 
 @dataclass
@@ -167,11 +175,11 @@ def true_env_residuals(i: int, state: GameState, game: QuantizationGame,
     se = np.full(q.levels, np.nan)
     counts = np.zeros(q.levels, dtype=int)
     for k in range(q.levels):
-        m = idx == k
-        counts[k] = int(m.sum())
+        xk = x[idx == k]
+        counts[k] = xk.size
         if counts[k] > 1:
-            resid[k] = float(x[m].mean() - q.words[k])
-            se[k] = float(np.std(x[m], ddof=1) / np.sqrt(counts[k]))
+            resid[k] = float(xk.mean() - q.words[k])
+            se[k] = float(np.std(xk, ddof=1) / np.sqrt(counts[k]))
     return resid, se, counts
 
 

@@ -11,6 +11,9 @@ import math
 import numpy as np
 from scipy import integrate, special
 
+from quantgame.densities import KernelShape
+from quantgame.montecarlo import _CLAMP, DEPTH_CAP
+
 
 def beta_pdf(x, alpha, beta_param):
     x = np.asarray(x, dtype=float)
@@ -138,3 +141,67 @@ def scalar_loop_moments(mix, a, b):
         for j in range(3):
             m[j] += w * p[j]
     return tuple(m)
+
+
+def masked_sample_paths(i, state, game, n, rng):
+    """The path sampler that the in-flight index walk replaced, kept as its
+    reference: every hop runs full-width masks over all n samples and the
+    routes are stacked into an (n, depth) matrix. It consumes the generator
+    in the same order as `montecarlo.sample_paths`, so on rows whose
+    cumulative sums end at 1 the two agree bit for bit."""
+    P = game.comm.entries
+    cum = np.cumsum(P, axis=1)
+    n_agents = game.n_agents
+
+    cur = np.full(n, i, dtype=np.int64)
+    active = np.ones(n, dtype=bool)
+    routes = [cur.copy()]
+    for _ in range(DEPTH_CAP):
+        if not active.any():
+            break
+        u = rng.random(n)
+        nxt = cur.copy()
+        for a in np.unique(cur[active]):
+            m = active & (cur == a)
+            nxt[m] = np.minimum(
+                np.searchsorted(cum[a], u[m], side="right"), n_agents - 1
+            )
+        terminal = active & (nxt == cur)
+        active = active & ~terminal
+        step = np.where(active, nxt, -1)
+        cur = np.where(active, nxt, cur)
+        if active.any():
+            routes.append(step)
+
+    truncated = active
+    route = np.stack(routes, axis=1)  # (n, depth); -1 past the terminal hop
+    lengths = (route >= 0).sum(axis=1)
+
+    x = np.full(n, np.nan)
+    terminal_agent = route[np.arange(n), lengths - 1]
+    for a in range(n_agents):
+        m = (~truncated) & (terminal_agent == a)
+        if m.any():
+            d = game.agents[a].physical
+            x[m] = rng.beta(d.alpha, d.beta_param, int(m.sum()))
+
+    value = x.copy()
+    n_clamped = 0
+    max_len = int(lengths.max(initial=1))
+    for pos in range(max_len - 2, -1, -1):
+        m = (~truncated) & (lengths > pos + 1)
+        if not m.any():
+            continue
+        transmitter = route[:, pos + 1]
+        for a in np.unique(transmitter[m]):
+            ma = m & (transmitter == a)
+            q = state.quantizers[a]
+            idx = np.searchsorted(q.boundaries, value[ma], side="left") - 1
+            value[ma] = q.words[np.clip(idx, 0, q.levels - 1)]
+        if game.noise.shape is not KernelShape.POINT:
+            noised = value[m] + game.noise.sample(rng, int(m.sum()))
+            clipped = np.clip(noised, _CLAMP, 1.0 - _CLAMP)
+            n_clamped += int(np.sum(noised != clipped))
+            value[m] = clipped
+
+    return x, value, lengths, int(truncated.sum()), n_clamped

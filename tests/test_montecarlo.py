@@ -8,21 +8,26 @@ from quantgame import (
     BetaDensity,
     CommMatrix,
     NoChainError,
+    NoiseKernel,
+    POINT_KERNEL,
     QuantizationGame,
     bootstrap,
     chain_translate,
     enumerate_chains,
     estimate_losses,
     quantization_loss,
+    quantizer_from_words,
     shared_vocabulary,
     solve_equilibrium,
     true_env_residuals,
 )
 from quantgame.montecarlo import (
+    DEPTH_CAP,
     path_dependence_probe,
     sample_paths,
 )
 from quantgame.networks import AgentSpec
+from oracles import masked_sample_paths
 
 
 def _identity_game():
@@ -37,6 +42,43 @@ def _pair_game(p_listen=0.3):
     P = CommMatrix(np.array([[1.0 - p_listen, p_listen],
                              [p_listen, 1.0 - p_listen]]))
     return QuantizationGame(agents, P)
+
+
+LOOP_NOISES = [POINT_KERNEL, NoiseKernel("uniform", 0.05),
+               NoiseKernel("triangular", 0.08)]
+LOOP_IDS = ["point", "uniform", "triangular"]
+
+
+def _loop_game(noise):
+    """Three agents that almost never listen to themselves (diagonals 0.01),
+    so about half of all paths outlast DEPTH_CAP hops. Agent 1 has a word at
+    0.02, so smeared noise pushes some hops out of (0, 1) and gets clamped."""
+    agents = tuple(AgentSpec(k, BetaDensity(2.0 + k, 3.0), 4) for k in range(3))
+    P = CommMatrix(np.array([[0.01, 0.50, 0.49],
+                             [0.495, 0.01, 0.495],
+                             [0.60, 0.39, 0.01]]))
+    game = QuantizationGame(agents, P, noise)
+    state = bootstrap(game)
+    state.quantizers[1] = quantizer_from_words([0.02, 0.3, 0.6, 0.9])
+    return game, state
+
+
+def _assert_matches_oracle(i, state, game, n, seed):
+    got = sample_paths(i, state, game, n, np.random.default_rng(seed))
+    want = masked_sample_paths(i, state, game, n, np.random.default_rng(seed))
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w, equal_nan=True)
+    return got
+
+
+class _StubRng:
+    """Uniforms just below 1 and every physical draw at 0.5."""
+
+    def random(self, size):
+        return np.full(size, 1.0 - 1e-13)
+
+    def beta(self, a, b, size):
+        return np.full(size, 0.5)
 
 
 class TestSampling:
@@ -77,6 +119,58 @@ class TestSampling:
         hopped = lengths >= 2
         assert hopped.any()
         assert np.all(np.isin(xhat[hopped], state.quantizers[1].words))
+
+    def test_reference_matches_masked_oracle(self, ref_game, ref_solved):
+        state, _ = ref_solved
+        for i in range(ref_game.n_agents):
+            _assert_matches_oracle(i, state, ref_game, 100_000, seed=30 + i)
+
+    @pytest.mark.parametrize("noise", LOOP_NOISES, ids=LOOP_IDS)
+    def test_truncating_loop_matches_masked_oracle(self, noise):
+        game, state = _loop_game(noise)
+        for i in range(3):
+            _x, _xhat, _lengths, n_trunc, n_clamp = _assert_matches_oracle(
+                i, state, game, 20_000, seed=40 + i)
+            assert n_trunc > 0
+            assert (n_clamp > 0) == (noise is not POINT_KERNEL)
+
+    def test_no_hop_along_zero_weight_edge(self):
+        # row 0 sums to 1 - 5e-13, so a uniform above its last cumsum must
+        # land on agent 1, the last agent it listens to, not on agent 2
+        agents = tuple(AgentSpec(k, BetaDensity(2, 2), 2) for k in range(3))
+        P = CommMatrix(np.array([[0.7, 0.3 - 5e-13, 0.0],
+                                 [0.0, 1.0, 0.0],
+                                 [0.0, 0.0, 1.0]]))
+        game = QuantizationGame(agents, P)
+        state = bootstrap(game)
+        state.quantizers[1] = quantizer_from_words([0.2, 0.6])
+        state.quantizers[2] = quantizer_from_words([0.4, 0.8])
+        x, xhat, lengths, n_trunc, _ = sample_paths(0, state, game, 4, _StubRng())
+        assert n_trunc == 0
+        assert np.all(lengths == 2)
+        assert np.all(x == 0.5)
+        assert np.all(xhat == 0.6)  # agent 1's word for 0.5; agent 2 says 0.4
+
+
+class TestTruncation:
+    def test_truncated_samples_are_nan_at_full_depth(self):
+        game, state = _loop_game(NoiseKernel("uniform", 0.05))
+        x, xhat, lengths, n_trunc, _ = sample_paths(
+            0, state, game, 20_000, np.random.default_rng(50))
+        truncated = np.isnan(x)
+        assert n_trunc > 0 and truncated.sum() == n_trunc
+        assert np.array_equal(np.isnan(xhat), truncated)
+        assert np.all(lengths[truncated] == DEPTH_CAP + 1)
+        assert np.all(lengths[~truncated] <= DEPTH_CAP)
+
+    @pytest.mark.parametrize("noise", LOOP_NOISES, ids=LOOP_IDS)
+    def test_decomposition_over_accepted_samples(self, noise):
+        game, state = _loop_game(noise)
+        rep = estimate_losses(2, state, game, 20_000, seed=51)
+        assert rep.n_truncated > 0
+        assert rep.n_samples + rep.n_truncated == 20_000
+        assert rep.total == pytest.approx(
+            rep.quantization + rep.communication + rep.cross, abs=1e-12)
 
 
 class TestLossDecomposition:
