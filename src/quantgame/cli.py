@@ -4,8 +4,9 @@ Subcommands: solve, simulate, chains, analyze, verify. All read a YAML
 experiment config; everything downstream of solve additionally needs the
 state file it wrote. Outputs are CSV (header row, fixed column order) and
 JSON. Exit codes: 0 success, 2 validation error (including a quantizer
-cell that no source reaches and channel noise too wide for the words),
-3 non-convergence, 4 missing prerequisite state.
+cell that no source reaches, channel noise too wide for the words, and
+too few verify samples for a true residual), 3 non-convergence, 4
+missing prerequisite state.
 """
 
 from __future__ import annotations
@@ -218,18 +219,25 @@ def cmd_verify(args) -> int:
     tol = args.tol if args.tol is not None else cfg.solver.tol
     report = verify_nash(state, game, tol=tol, n_samples=n, seed=seed,
                          n_starts=cfg.solver.n_starts)
+    for aid, resid in zip(cfg.agent_ids, report.true_residuals):
+        if np.isnan(resid):
+            print(f"agent {aid}: no word got 2 accepted samples for a true "
+                  f"residual; raise --samples (now {n})", file=sys.stderr)
+            return EXIT_CONFIG
     stability = check_social_stability(state, game, n_starts=cfg.solver.n_starts)
     _write_csv(out / "verify.csv",
                ["agent", "observed_residual", "br_distance",
-                "true_residual", "true_residual_se"],
+                "true_residual", "true_residual_se", "true_residual_truncated"],
                zip(cfg.agent_ids, report.observed_residuals, report.br_distances,
-                   report.true_residuals, report.true_residual_ses))
+                   report.true_residuals, report.true_residual_ses,
+                   report.true_residual_truncated))
     _write_json(out / "verify.json", {
         "agents": cfg.agent_ids,
         "observed_residuals": report.observed_residuals,
         "br_distances": report.br_distances,
         "true_residuals": report.true_residuals,
         "true_residual_ses": report.true_residual_ses,
+        "true_residual_truncated": report.true_residual_truncated,
         "converged": report.converged,
         "sweeps": report.sweeps,
         "stability": asdict(stability),

@@ -80,6 +80,9 @@ class EquilibriumReport:
     sweeps: int
     true_residuals: Optional[np.ndarray] = None
     true_residual_ses: Optional[np.ndarray] = None
+    # per agent, the true-environment samples that outlast DEPTH_CAP and so
+    # are left out of the true residual
+    true_residual_truncated: Optional[np.ndarray] = None
     # solve_equilibrium only: the state after each sweep, entry 0 the bootstrap
     history: List[GameState] = field(default_factory=list)
 
@@ -237,7 +240,12 @@ def verify_nash(
 ) -> EquilibriumReport:
     """Full equilibrium certificate: observed-environment centroid residuals,
     best-response distances, and Monte-Carlo estimates (with standard
-    errors) of the true-environment word-conditional centroid residuals."""
+    errors) of the true-environment word-conditional centroid residuals.
+
+    An agent's true residual is the largest over the words with at least
+    two accepted samples, and NaN if no word has that many. Samples that
+    outlast DEPTH_CAP are not accepted; their count per agent is kept in
+    `true_residual_truncated`."""
     from . import montecarlo  # local import; montecarlo depends on this module
 
     if n_samples < 1:
@@ -245,17 +253,21 @@ def verify_nash(
     report = _quick_report(state, game, converged=True,
                            sweeps=state.iteration, n_starts=n_starts)
     n = game.n_agents
-    true_res = np.empty(n)
-    true_se = np.empty(n)
+    true_res = np.full(n, np.nan)
+    true_se = np.full(n, np.nan)
+    truncated = np.empty(n, dtype=int)
     for i in range(n):
-        resid, se, _counts = montecarlo.true_env_residuals(
+        resid, se, counts = montecarlo.true_env_residuals(
             i, state, game, n_samples=n_samples, seed=seed + i
         )
-        k = int(np.argmax(np.abs(resid)))
-        true_res[i] = float(np.abs(resid[k]))
-        true_se[i] = float(se[k])
+        truncated[i] = n_samples - counts.sum()
+        if not np.isnan(resid).all():  # resid is NaN on words with < 2 samples
+            k = int(np.nanargmax(np.abs(resid)))
+            true_res[i] = float(np.abs(resid[k]))
+            true_se[i] = float(se[k])
     report.true_residuals = true_res
     report.true_residual_ses = true_se
+    report.true_residual_truncated = truncated
     report.converged = bool(np.all(report.observed_residuals < 10 * tol))
     return report
 

@@ -4,6 +4,12 @@ A regular quantizer has cells (a_{k-1}, a_k] covering (0, 1) with each
 word strictly inside its cell. Design alternates the nearest-neighbor
 boundary rule (midpoints of adjacent words, squared-error case) with
 the centroid rule against a MixtureDensity source.
+
+The design loop advances a (starts, levels) array of words: every start
+of a multi-start design takes its iteration in the same moment-kernel
+call, and a start leaves the batch once it settles. Each start's
+arithmetic is elementwise along its own row, so a start run in a batch
+gives bit for bit the result it gives alone.
 """
 
 from __future__ import annotations
@@ -70,7 +76,11 @@ class RegularQuantizer:
 
 
 def _midpoints(words: np.ndarray) -> np.ndarray:
-    return np.concatenate(([0.0], (words[:-1] + words[1:]) / 2.0, [1.0]))
+    """Boundaries 0, midpoints of adjacent words, 1, along the last axis."""
+    b = np.empty(words.shape[:-1] + (words.shape[-1] + 1,))
+    b[..., 0], b[..., -1] = 0.0, 1.0
+    b[..., 1:-1] = (words[..., :-1] + words[..., 1:]) / 2.0
+    return b
 
 
 def nearest_neighbor_boundaries(words: Sequence[float]) -> np.ndarray:
@@ -90,20 +100,21 @@ def quantizer_from_words(words: Sequence[float]) -> RegularQuantizer:
 
 
 def _cell_moments(mix: MixtureDensity, boundaries: np.ndarray) -> Moments:
-    return mix.partial_moments(boundaries[:-1], boundaries[1:])
+    return mix.partial_moments(boundaries[..., :-1], boundaries[..., 1:])
 
 
-def _loss(words: np.ndarray, moments: Moments) -> float:
-    """sum_k (m2 - 2 y m1 + y^2 m0), added left to right: multi-start
-    selection compares losses of starts that reach the same optimum, and
-    those tie to rounding, so the order of the sum is kept fixed."""
+def _loss(words: np.ndarray, moments: Moments) -> np.ndarray:
+    """sum_k (m2 - 2 y m1 + y^2 m0) along the last axis, added left to
+    right: multi-start selection compares losses of starts that reach the
+    same optimum, and those tie to rounding, so the order of the sum is
+    kept fixed."""
     m0, m1, m2 = moments
-    return float(np.cumsum(m2 - 2.0 * words * m1 + words * words * m0)[-1])
+    return np.cumsum(m2 - 2.0 * words * m1 + words * words * m0, axis=-1)[..., -1]
 
 
 def quantization_loss(q: RegularQuantizer, d: Density) -> float:
     """Expected squared error sum_k int_(cell k) (x - y_k)^2 dP."""
-    return _loss(q.words, _cell_moments(as_mixture(d), q.boundaries))
+    return float(_loss(q.words, _cell_moments(as_mixture(d), q.boundaries)))
 
 
 def centroid_residual(q: RegularQuantizer, d: Density) -> float:
@@ -162,11 +173,12 @@ def _resolve_empty_cells(
 
 
 def _separate(words: np.ndarray) -> np.ndarray:
-    """Nudge coincident or boundary-touching words apart."""
+    """Nudge coincident or boundary-touching words apart along the last axis."""
     w = np.clip(words, _SEP, 1.0 - _SEP)
-    for k in range(1, w.size):
-        if w[k] <= w[k - 1]:
-            w[k] = w[k - 1] + _SEP
+    if np.all(w[..., 1:] > w[..., :-1]):
+        return w  # the loop below would change nothing
+    for k in range(1, w.shape[-1]):
+        w[..., k] = np.where(w[..., k] <= w[..., k - 1], w[..., k - 1] + _SEP, w[..., k])
     return np.minimum(w, 1.0 - _SEP)
 
 
@@ -188,7 +200,8 @@ def lloyd_max(
     Each iteration makes one moment-kernel call at the current words; the
     same moments give the empty-cell check, the centroids, and the loss of
     the previous iterate, so `loss_history[n - 1]` is the loss after
-    iteration n and only the last entry costs an extra call.
+    iteration n and only the last entry costs an extra call. This is the
+    loop of `multi_start_lloyd_max` run with a single start.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
@@ -197,33 +210,63 @@ def lloyd_max(
         if levels is None:
             raise ValueError("need levels or an explicit init")
         init = _quantile_init(mix, levels)
-    words = _separate(np.asarray(init, dtype=float))
+    words = np.asarray(init, dtype=float)
+    if words.ndim != 1:
+        raise ValueError("init must be a 1-D sequence of words")
+    words = _separate(words)
     if levels is not None and words.size != levels:
         raise ValueError(f"init has {words.size} words, expected {levels}")
-    if np.any(np.diff(words) <= 0):
+    return _run_starts(mix, words[None, :], max_iters, tol)[0]
+
+
+def _run_starts(mix: MixtureDensity, words: np.ndarray, max_iters: int,
+                tol: float) -> List[LloydMaxResult]:
+    """Lloyd-Max from each row of the (starts, levels) array `words`.
+
+    All unsettled rows take each iteration together: one kernel call over
+    their cells, relocation only in rows with a starved cell, then the
+    centroid step on the whole array. A row leaves once its move is below
+    `tol`, or stops unconverged after `max_iters`. One last kernel call
+    prices every row's final iterate.
+    """
+    if np.any(words[:, 1:] <= words[:, :-1]):
         raise ValueError("init words must be strictly increasing")
-
-    events_total = 0
-    loss_history: List[float] = []
-    move = np.inf
-    converged = False
-    it = 0
+    n = words.shape[0]
+    histories: List[List[float]] = [[] for _ in range(n)]
+    events = [0] * n
+    iterations = np.full(n, max_iters)
+    moves = np.full(n, np.inf)
+    active = np.arange(n)
     for it in range(1, max_iters + 1):
-        moments = _cell_moments(mix, _midpoints(words))
+        w = words[active]
+        b = _midpoints(w)
+        moments = _cell_moments(mix, b)
         if it > 1:
-            loss_history.append(_loss(words, moments))
-        words, b, moments, events = _resolve_empty_cells(words, moments, mix)
-        events_total += events
-        new_words = _separate(centroid_from_moments(b[:-1], b[1:], moments[0], moments[1]))
-        move = float(np.max(np.abs(new_words - words)))
-        words = new_words
-        if move < tol:
-            converged = True
-            break
+            for r, loss in zip(active.tolist(), _loss(w, moments).tolist()):
+                histories[r].append(loss)
+        for j in np.nonzero((moments[0] < EMPTY_CELL_MASS).any(axis=1))[0]:
+            w[j], b[j], row, e = _resolve_empty_cells(w[j], [m[j] for m in moments], mix)
+            for m, v in zip(moments, row):
+                m[j] = v
+            events[active[j]] += e
+        new = _separate(centroid_from_moments(b[:, :-1], b[:, 1:], moments[0], moments[1]))
+        move = np.max(np.abs(new - w), axis=1)
+        words[active] = new
+        moves[active] = move
+        done = move < tol
+        if done.any():
+            iterations[active[done]] = it
+            active = active[~done]
+            if active.size == 0:
+                break
 
-    q = quantizer_from_words(words)
-    loss_history.append(quantization_loss(q, mix))
-    return LloydMaxResult(q, converged, it, move, loss_history, events_total)
+    final = _loss(words, _cell_moments(mix, _midpoints(words))).tolist()
+    return [
+        LloydMaxResult(quantizer_from_words(words[r]), bool(moves[r] < tol),
+                       int(iterations[r]), float(moves[r]), histories[r] + [final[r]],
+                       events[r])
+        for r in range(n)
+    ]
 
 
 def _quantile_init(mix: MixtureDensity, levels: int) -> np.ndarray:
@@ -240,27 +283,34 @@ def multi_start_lloyd_max(
     max_iters: int = 10_000,
     tol: float = 1e-10,
 ) -> LloydMaxResult:
-    """Best of several Lloyd-Max runs: quantile init, jittered variants,
-    and an optional warm start. Returns the minimum-loss result."""
+    """Best of several Lloyd-Max runs: the optional warm start, the
+    quantile start, and jittered quantile starts, `n_starts` cold starts
+    in all. The starts run as one batch, each exactly as `lloyd_max` would
+    run it alone. Returns the minimum-loss result; on a tie the first
+    start in that order wins, so a warm start keeps its place unless a
+    cold start is strictly better."""
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
     mix = as_mixture(d)
+    inits = _multi_start_inits(mix, levels, n_starts, seed, warm_start)
+    return min(_run_starts(mix, inits, max_iters, tol), key=lambda res: res.loss)
+
+
+def _multi_start_inits(mix: MixtureDensity, levels: int, n_starts: int, seed: int,
+                       warm_start: Optional[RegularQuantizer]) -> np.ndarray:
+    """(starts, levels) initial words: the warm start if given, the
+    quantile start, then jittered quantile starts up to `n_starts` cold
+    starts."""
     quant = _quantile_init(mix, levels)
     inits = []
     if warm_start is not None:
         if warm_start.levels != levels:
             raise ValueError("warm start has wrong number of levels")
-        inits.append(warm_start.words.copy())
+        inits.append(warm_start.words)
     inits.append(quant)
     rng = np.random.default_rng(seed)
     while len(inits) < n_starts + (warm_start is not None):
         jitter = rng.uniform(-0.5, 0.5, levels) / (2.0 * levels)
         cand = np.sort(np.clip(quant + jitter, 1e-6, 1.0 - 1e-6))
         inits.append(_separate(cand))
-
-    best: Optional[LloydMaxResult] = None
-    for init in inits:
-        res = lloyd_max(mix, levels=levels, init=init, max_iters=max_iters, tol=tol)
-        if best is None or res.loss < best.loss:
-            best = res
-    return best
+    return _separate(np.array(inits))

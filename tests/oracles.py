@@ -11,8 +11,17 @@ import math
 import numpy as np
 from scipy import integrate, special
 
-from quantgame.densities import KernelShape
+from quantgame.densities import KernelShape, centroid_from_moments
 from quantgame.montecarlo import _CLAMP, DEPTH_CAP
+from quantgame.quantizers import (
+    LloydMaxResult,
+    _cell_moments,
+    _midpoints,
+    _quantile_init,
+    _resolve_empty_cells,
+    _separate,
+    quantizer_from_words,
+)
 
 
 def beta_pdf(x, alpha, beta_param):
@@ -205,3 +214,59 @@ def masked_sample_paths(i, state, game, n, rng):
             value[m] = clipped
 
     return x, value, lengths, int(truncated.sum()), n_clamped
+
+
+def sequential_multi_start(mix, levels, n_starts, seed, warm_start=None,
+                           max_iters=10_000, tol=1e-10):
+    """The multi-start Lloyd-Max that the batched (starts, levels) loop
+    replaced, kept as its reference: the same starts from the same draws,
+    each run to its end on its own by the per-start loop. Returns every
+    start's LloydMaxResult and the index of the first start with the
+    lowest loss."""
+    quant = _quantile_init(mix, levels)
+    inits = []
+    if warm_start is not None:
+        inits.append(warm_start.words.copy())
+    inits.append(quant)
+    rng = np.random.default_rng(seed)
+    while len(inits) < n_starts + (warm_start is not None):
+        jitter = rng.uniform(-0.5, 0.5, levels) / (2.0 * levels)
+        cand = np.sort(np.clip(quant + jitter, 1e-6, 1.0 - 1e-6))
+        inits.append(_separate(cand))
+    results = [sequential_lloyd_max(mix, init, max_iters, tol) for init in inits]
+    best = 0
+    for k, res in enumerate(results):
+        if res.loss < results[best].loss:
+            best = k
+    return results, best
+
+
+def _row_loss(words, moments):
+    m0, m1, m2 = moments
+    return float(np.cumsum(m2 - 2.0 * words * m1 + words * words * m0)[-1])
+
+
+def sequential_lloyd_max(mix, init, max_iters, tol):
+    """One start of `sequential_multi_start`: one kernel call per
+    iteration on this start's cells alone."""
+    words = _separate(np.asarray(init, dtype=float))
+    events_total = 0
+    loss_history = []
+    move = np.inf
+    converged = False
+    it = 0
+    for it in range(1, max_iters + 1):
+        moments = _cell_moments(mix, _midpoints(words))
+        if it > 1:
+            loss_history.append(_row_loss(words, moments))
+        words, b, moments, events = _resolve_empty_cells(words, moments, mix)
+        events_total += events
+        new_words = _separate(centroid_from_moments(b[:-1], b[1:], moments[0], moments[1]))
+        move = float(np.max(np.abs(new_words - words)))
+        words = new_words
+        if move < tol:
+            converged = True
+            break
+    q = quantizer_from_words(words)
+    loss_history.append(_row_loss(q.words, _cell_moments(mix, q.boundaries)))
+    return LloydMaxResult(q, converged, it, move, loss_history, events_total)

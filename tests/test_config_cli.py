@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quantgame import ConfigError, load_config, load_state, save_state
+from quantgame import ConfigError, bootstrap, load_config, load_state, save_state
 from quantgame.cli import (
     EXIT_CONFIG,
     EXIT_MISSING_STATE,
@@ -30,6 +30,22 @@ noise: {shape: point, halfwidth: 0.0}
 solver: {tol: 1.0e-9, max_sweeps: 60, schedule_policy: cyclic, n_starts: 4, seed: 0}
 montecarlo: {n_samples: 20000, seed: 5}
 outputs: {directory: out, formats: [csv, json]}
+"""
+
+# three agents that almost never listen to themselves (diagonals 0.01)
+LOOP_CONFIG = """\
+agents:
+  - {id: 1, alpha: 2.0, beta: 3.0, levels: 4}
+  - {id: 2, alpha: 3.0, beta: 3.0, levels: 4}
+  - {id: 3, alpha: 4.0, beta: 3.0, levels: 4}
+comm_matrix:
+  - [0.01, 0.50, 0.49]
+  - [0.495, 0.01, 0.495]
+  - [0.60, 0.39, 0.01]
+noise: {shape: point, halfwidth: 0.0}
+solver: {tol: 1.0e-9, max_sweeps: 50, schedule_policy: cyclic, n_starts: 2}
+montecarlo: {n_samples: 20000, seed: 5}
+outputs: {directory: out}
 """
 
 
@@ -332,9 +348,12 @@ class TestCliVerify:
         assert code == EXIT_OK
         header, rows = _read_csv(out / "verify.csv")
         assert header == ["agent", "observed_residual", "br_distance",
-                          "true_residual", "true_residual_se"]
+                          "true_residual", "true_residual_se",
+                          "true_residual_truncated"]
+        assert [row[-1] for row in rows] == ["0", "0"]
         doc = json.loads((out / "verify.json").read_text())
         assert doc["converged"] is True
+        assert doc["true_residual_truncated"] == [0, 0]
         assert "stability" in doc
         for r, se in zip(doc["true_residuals"], doc["true_residual_ses"]):
             assert r < 4.0 * se + 1e-3
@@ -354,6 +373,56 @@ class TestCliVerify:
         assert capsys.readouterr().err.count("\n") == 1
         assert not (tmp_path / "verify.json").exists()
 
+    def test_truncated_samples_reported(self, tmp_path):
+        # agents that almost never listen to themselves: many paths outlast
+        # the depth cap, and verify must count the ones it drops exactly as
+        # simulate does for the same seeds
+        cfg_path = tmp_path / "loop.cfg"
+        cfg_path.write_text(LOOP_CONFIG)
+        cfg = load_config(cfg_path)
+        save_state(bootstrap(cfg.game()), cfg.agent_ids, tmp_path / "state.json")
+        for cmd in ("verify", "simulate"):
+            assert main([cmd, "--config", str(cfg_path), "--out", str(tmp_path),
+                         "--samples", "20000", "--seed", "5"]) == EXIT_OK
+        header, rows = _read_csv(tmp_path / "verify.csv")
+        truncated = [int(row[header.index("true_residual_truncated")]) for row in rows]
+        header, rows = _read_csv(tmp_path / "losses.csv")
+        assert truncated == [int(row[header.index("n_truncated")]) for row in rows]
+        assert all(t > 0 for t in truncated)
+        doc = json.loads((tmp_path / "verify.json").read_text())
+        assert doc["true_residual_truncated"] == truncated
+
+    @pytest.fixture(scope="class")
+    def identity_state(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("identity")
+        assert main(["solve", "--config", str(IDENTITY_CONFIG), "--out", str(out)]) == EXIT_OK
+        return out / "state.json"
+
+    def test_too_few_samples_exit_code(self, identity_state, tmp_path, capsys):
+        # 3 samples over 6 words leave agent 1 with no word sampled twice
+        code = main(["verify", "--config", str(IDENTITY_CONFIG), "--out", str(tmp_path),
+                     "--state", str(identity_state), "--samples", "3"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "agent 1" in err and "--samples" in err
+        assert not (tmp_path / "verify.json").exists()
+
+    def test_few_samples_write_no_nan(self, identity_state, tmp_path):
+        # with 4 samples some words still get fewer than 2; the residual is
+        # taken over the others
+        code = main(["verify", "--config", str(IDENTITY_CONFIG), "--out", str(tmp_path),
+                     "--state", str(identity_state), "--samples", "4"])
+        assert code == EXIT_OK
+
+        def reject(token):
+            raise ValueError(f"{token} is not strict JSON")
+
+        doc = json.loads((tmp_path / "verify.json").read_text(), parse_constant=reject)
+        assert all(np.isfinite(doc["true_residuals"] + doc["true_residual_ses"]))
+        _header, rows = _read_csv(tmp_path / "verify.csv")
+        assert all(np.isfinite(float(cell)) for row in rows for cell in row)
+
 
 def test_csv_tables_match_json_exactly(cli_ws, tmp_path):
     """Every CSV cell equals, as a float, the value its JSON twin holds."""
@@ -365,7 +434,7 @@ def test_csv_tables_match_json_exactly(cli_ws, tmp_path):
         assert main(cmd[:1] + state + cmd[1:]) == EXIT_OK
 
     def columns(doc):  # report.json and verify.json hold one list per column
-        return [{"agent": a, **{k[:-1]: v[n] for k, v in doc.items()
+        return [{"agent": a, **{k.removesuffix("s"): v[n] for k, v in doc.items()
                                 if isinstance(v, list) and k != "agents"}}
                 for n, a in enumerate(doc["agents"])]
 

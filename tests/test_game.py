@@ -13,6 +13,7 @@ from quantgame import (
     centroid_residual,
     check_social_stability,
     lloyd_max,
+    load_state,
     refresh_state,
     solve_equilibrium,
     sweep,
@@ -20,6 +21,11 @@ from quantgame import (
 )
 from quantgame.game import observed_mixture
 from quantgame.networks import AgentSpec
+
+from conftest import ROOT
+
+# the benchmark's committed reference equilibrium, read here and never written
+REFERENCE_FIXTURE = ROOT / "perfbench" / "fixtures" / "reference_state.json"
 
 
 def _isolated_game():
@@ -146,6 +152,18 @@ class TestSolveEquilibrium:
         assert report.sweeps <= ref_cfg.solver.max_sweeps
         assert np.max(report.observed_residuals) < 1e-8
         assert np.max(report.br_distances) < 1e-6
+
+    def test_reference_experiment_matches_committed_fixture(self, ref_game, ref_solved):
+        # the solve is deterministic, so any change that moves the reference
+        # equilibrium by a single bit shows here
+        state, report = ref_solved
+        fixture = load_state(REFERENCE_FIXTURE, ref_game)
+        assert report.sweeps == state.iteration == fixture.iteration == 48
+        for got, want in zip(state.quantizers, fixture.quantizers):
+            assert np.max(np.abs(got.words - want.words)) == 0.0
+            assert np.max(np.abs(got.boundaries - want.boundaries)) == 0.0
+        for got, want in zip(state.usage, fixture.usage):
+            assert np.max(np.abs(got - want)) == 0.0
 
 
 class TestRefreshState:

@@ -1,7 +1,8 @@
 """Quantizer layer: regularity validation, half-open cell lookup, design
 loops against analytic optima, a golden-section boundary oracle, an
-exact dynamic-programming oracle on a discretized source, and the
-loss-history contract on random mixtures."""
+exact dynamic-programming oracle on a discretized source, the
+loss-history contract on random mixtures, and the batched multi-start
+loop against the per-start loop it replaced."""
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from quantgame import (
     BetaDensity,
     DomainError,
+    EmptyCellError,
     MixtureDensity,
     RegularQuantizer,
     centroid_residual,
@@ -21,8 +23,16 @@ from quantgame import (
     quantizer_from_words,
 )
 
+from quantgame.quantizers import _multi_start_inits, _run_starts
+
 from conftest import AGENT5_TARGET_WORDS
-from oracles import beta_pdf, dp_optimal_quantizer, riemann_quantizer_loss
+from oracles import (
+    beta_pdf,
+    dp_optimal_quantizer,
+    riemann_quantizer_loss,
+    sequential_lloyd_max,
+    sequential_multi_start,
+)
 from strategies import PROPERTY_SETTINGS, mixtures
 
 # frozen golden-section oracle for the symmetric two-level design:
@@ -207,6 +217,63 @@ class TestMultiStart:
             multi_start_lloyd_max(d, levels=3, n_starts=0)
 
 
+def _assert_same_run(got, want):
+    assert np.array_equal(got.quantizer.words, want.quantizer.words)
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    assert got.final_move == want.final_move
+    assert got.loss_history == want.loss_history
+    assert got.empty_cell_events == want.empty_cell_events
+
+
+# atoms on which the start below starves its middle cell in the second
+# iteration and relocates that word
+RELOCATION_ATOMS = ((0.015, 0.175), (0.086, 0.378), (0.218, 0.423),
+                    (0.385, 0.747), (0.226, 0.808), (0.07, 0.964))
+RELOCATION_INIT = [0.035, 0.722, 0.875]
+
+
+class TestBatchedStarts:
+    """All starts advance as one (starts, levels) array, yet each must end
+    bit for bit where the per-start loop (`oracles.sequential_multi_start`)
+    ends it, and the same start must win."""
+
+    @PROPERTY_SETTINGS
+    @given(mixtures(max_atoms=8), st.integers(1, 6), st.integers(1, 8),
+           st.sampled_from([1, 5, 3000]), st.data())
+    def test_matches_sequential_starts(self, mix, levels, n_starts, max_iters, data):
+        warm = None
+        if data.draw(st.booleans(), label="warm"):
+            words = data.draw(st.lists(st.floats(0.02, 0.98), min_size=levels,
+                                       max_size=levels, unique=True), label="warm words")
+            warm = quantizer_from_words(np.sort(words))
+        args = dict(n_starts=n_starts, seed=3, warm_start=warm, max_iters=max_iters)
+        try:
+            want, best = sequential_multi_start(mix, levels, **args)
+        except EmptyCellError:
+            with pytest.raises(EmptyCellError):
+                multi_start_lloyd_max(mix, levels, **args)
+            return
+        got = _run_starts(mix, _multi_start_inits(mix, levels, n_starts, 3, warm),
+                          max_iters, 1e-10)
+        assert len(got) == len(want) == n_starts + (warm is not None)
+        for g, w in zip(got, want):
+            _assert_same_run(g, w)
+        _assert_same_run(multi_start_lloyd_max(mix, levels, **args), want[best])
+
+    def test_relocating_row_beside_settled_rows(self):
+        # the first row relocates a word and needs one more iteration than
+        # the others, which must leave the batch when they settle
+        mix = MixtureDensity((), [w for w, _c in RELOCATION_ATOMS],
+                             [c for _w, c in RELOCATION_ATOMS])
+        rows = np.array([RELOCATION_INIT, [0.2, 0.4, 0.8], [0.3, 0.6, 0.9]])
+        got = _run_starts(mix, rows.copy(), 10_000, 1e-11)
+        for g, row in zip(got, rows):
+            _assert_same_run(g, sequential_lloyd_max(mix, row, 10_000, 1e-11))
+        assert [g.empty_cell_events for g in got] == [1, 0, 0]
+        assert [g.iterations for g in got] == [3, 2, 2]
+
+
 class TestLossHistory:
     """Each Lloyd-Max iteration's kernel call also prices the previous
     iterate, so the history stays complete without extra kernel calls."""
@@ -226,10 +293,9 @@ class TestLossHistory:
         # run stopped after n iterations. On these atoms the second
         # iteration starves the middle cell and relocates its word, so the
         # first entry must come from the moments before that relocation.
-        atoms = ((0.015, 0.175), (0.086, 0.378), (0.218, 0.423),
-                 (0.385, 0.747), (0.226, 0.808), (0.07, 0.964))
-        mix = MixtureDensity((), [w for w, _c in atoms], [c for _w, c in atoms])
-        init = [0.035, 0.722, 0.875]
+        mix = MixtureDensity((), [w for w, _c in RELOCATION_ATOMS],
+                             [c for _w, c in RELOCATION_ATOMS])
+        init = RELOCATION_INIT
         res = lloyd_max(mix, levels=3, init=init, tol=1e-11)
         assert res.converged and len(res.loss_history) == res.iterations
         events = []
