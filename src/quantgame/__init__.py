@@ -23,7 +23,6 @@ from .quantizers import (
     centroid_residual,
     lloyd_max,
     multi_start_lloyd_max,
-    nearest_neighbor_boundaries,
     quantization_loss,
     quantizer_from_words,
 )

@@ -113,10 +113,6 @@ class BetaDensity:
         m2 = mu2 * (ib - ia)
         return _moments_out(m0, m1, m2)
 
-    @property
-    def mean(self) -> float:
-        return self.alpha / (self.alpha + self.beta_param)
-
 
 class KernelShape(str, Enum):
     POINT = "point"

@@ -117,16 +117,6 @@ def refresh_state(game: QuantizationGame, quantizers: Sequence[RegularQuantizer]
     return GameState(list(quantizers), usage, iteration, last_max_move)
 
 
-def _physical_optima(game: QuantizationGame, n_starts: int) -> List[RegularQuantizer]:
-    """Each agent's Lloyd-Max optimum on its physical source alone."""
-    return [
-        multi_start_lloyd_max(a.physical, a.levels, n_starts=n_starts,
-                              seed=_SOLVER_SEED, tol=_LM_TOL,
-                              max_iters=_LM_MAX_ITERS).quantizer
-        for a in game.agents
-    ]
-
-
 def _physical_usage(game: QuantizationGame, quantizers) -> List[np.ndarray]:
     """Each agent's word usage under its physical source alone."""
     return [word_usage(MixtureDensity.from_beta(a.physical), q)
@@ -136,7 +126,12 @@ def _physical_usage(game: QuantizationGame, quantizers) -> List[np.ndarray]:
 def bootstrap(game: QuantizationGame, n_starts: int = 8) -> GameState:
     """Initial state: per-agent Lloyd-Max optimum on the physical source
     alone, with usage derived from the physical densities."""
-    quantizers = _physical_optima(game, n_starts)
+    quantizers = [
+        multi_start_lloyd_max(a.physical, a.levels, n_starts=n_starts,
+                              seed=_SOLVER_SEED, tol=_LM_TOL,
+                              max_iters=_LM_MAX_ITERS).quantizer
+        for a in game.agents
+    ]
     return GameState(quantizers, _physical_usage(game, quantizers))
 
 
@@ -292,7 +287,7 @@ def check_social_stability(state: GameState, game: QuantizationGame,
     socially stable when both the drift from the physical optima and the
     noise halfwidth stay below epsilon/2.
     """
-    baseline = _physical_optima(game, n_starts)
+    baseline = bootstrap(game, n_starts).quantizers
     n = game.n_agents
     margin = float("inf")
     for i in range(n):

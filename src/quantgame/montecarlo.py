@@ -262,7 +262,7 @@ def enumerate_chains(P, i: int, j: int, max_len: int) -> List[List[int]]:
     """All directed communication chains i -> j of length <= max_len,
     following edges with positive frequency (transmitter to receiver).
     Chains may revisit agents."""
-    entries = getattr(P, "entries", np.asarray(P))
+    entries = P.entries
     n = entries.shape[0]
     receivers = [
         [m for m in range(n) if m != l and entries[m, l] > 0.0] for l in range(n)
@@ -284,8 +284,6 @@ class ProbeReport:
     source: int
     target: int
     n_chains: int
-    inputs: np.ndarray
-    spread_per_input: np.ndarray
     spread: float
     worst_input: float
 
@@ -316,8 +314,6 @@ def path_dependence_probe(quantizers: Sequence[RegularQuantizer], P,
         source=i,
         target=j,
         n_chains=len(chains),
-        inputs=grid,
-        spread_per_input=spread,
         spread=float(spread[worst]),
         worst_input=float(grid[worst]),
     )

@@ -14,7 +14,7 @@ gives bit for bit the result it gives alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -71,9 +71,6 @@ class RegularQuantizer:
         idx = self.cell_index(x)
         return idx, self.words[idx] if np.ndim(x) else float(self.words[idx])
 
-    def __call__(self, x):
-        return self.quantize(x)[1]
-
 
 def _midpoints(words: np.ndarray) -> np.ndarray:
     """Boundaries 0, midpoints of adjacent words, 1, along the last axis."""
@@ -83,20 +80,14 @@ def _midpoints(words: np.ndarray) -> np.ndarray:
     return b
 
 
-def nearest_neighbor_boundaries(words: Sequence[float]) -> np.ndarray:
-    """Midpoint boundaries for strictly increasing words in (0, 1)."""
+def quantizer_from_words(words: Sequence[float]) -> RegularQuantizer:
+    """The quantizer with midpoint (nearest-neighbor) boundaries. Each
+    word strictly inside its midpoint cell means strictly increasing
+    words in (0, 1); RegularQuantizer rejects anything else."""
     w = np.asarray(words, dtype=float)
     if w.ndim != 1 or w.size < 1:
         raise ValueError("need at least one word")
-    if np.any(w <= 0.0) or np.any(w >= 1.0):
-        raise ValueError("words must lie strictly inside (0, 1)")
-    if np.any(np.diff(w) <= 0):
-        raise ValueError("words must be strictly increasing")
-    return _midpoints(w)
-
-
-def quantizer_from_words(words: Sequence[float]) -> RegularQuantizer:
-    return RegularQuantizer(nearest_neighbor_boundaries(words), np.asarray(words, float))
+    return RegularQuantizer(_midpoints(w), w)
 
 
 def _cell_moments(mix: MixtureDensity, boundaries: np.ndarray) -> Moments:
@@ -126,16 +117,15 @@ def centroid_residual(q: RegularQuantizer, d: Density) -> float:
 
 @dataclass
 class LloydMaxResult:
+    """One Lloyd-Max run: its final quantizer and that quantizer's loss
+    against the design source, plus how the run ended."""
+
     quantizer: RegularQuantizer
     converged: bool
     iterations: int
     final_move: float
-    loss_history: List[float] = field(default_factory=list)
+    loss: float
     empty_cell_events: int = 0
-
-    @property
-    def loss(self) -> float:
-        return self.loss_history[-1]
 
 
 def _resolve_empty_cells(
@@ -197,11 +187,10 @@ def lloyd_max(
     relocations (e.g. fewer atoms than levels and no continuous part to
     feed it) makes the centroid step raise EmptyCellError.
 
-    Each iteration makes one moment-kernel call at the current words; the
-    same moments give the empty-cell check, the centroids, and the loss of
-    the previous iterate, so `loss_history[n - 1]` is the loss after
-    iteration n and only the last entry costs an extra call. This is the
-    loop of `multi_start_lloyd_max` run with a single start.
+    Each iteration makes one moment-kernel call at the current words,
+    which gives the empty-cell check and the centroids; one more call
+    prices the final quantizer as `loss`. This is the loop of
+    `multi_start_lloyd_max` run with a single start.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
@@ -232,7 +221,6 @@ def _run_starts(mix: MixtureDensity, words: np.ndarray, max_iters: int,
     if np.any(words[:, 1:] <= words[:, :-1]):
         raise ValueError("init words must be strictly increasing")
     n = words.shape[0]
-    histories: List[List[float]] = [[] for _ in range(n)]
     events = [0] * n
     iterations = np.full(n, max_iters)
     moves = np.full(n, np.inf)
@@ -241,9 +229,6 @@ def _run_starts(mix: MixtureDensity, words: np.ndarray, max_iters: int,
         w = words[active]
         b = _midpoints(w)
         moments = _cell_moments(mix, b)
-        if it > 1:
-            for r, loss in zip(active.tolist(), _loss(w, moments).tolist()):
-                histories[r].append(loss)
         for j in np.nonzero((moments[0] < EMPTY_CELL_MASS).any(axis=1))[0]:
             w[j], b[j], row, e = _resolve_empty_cells(w[j], [m[j] for m in moments], mix)
             for m, v in zip(moments, row):
@@ -263,8 +248,7 @@ def _run_starts(mix: MixtureDensity, words: np.ndarray, max_iters: int,
     final = _loss(words, _cell_moments(mix, _midpoints(words))).tolist()
     return [
         LloydMaxResult(quantizer_from_words(words[r]), bool(moves[r] < tol),
-                       int(iterations[r]), float(moves[r]), histories[r] + [final[r]],
-                       events[r])
+                       int(iterations[r]), float(moves[r]), final[r], events[r])
         for r in range(n)
     ]
 

@@ -233,7 +233,7 @@ def sequential_multi_start(mix, levels, n_starts, seed, warm_start=None,
         jitter = rng.uniform(-0.5, 0.5, levels) / (2.0 * levels)
         cand = np.sort(np.clip(quant + jitter, 1e-6, 1.0 - 1e-6))
         inits.append(_separate(cand))
-    results = [sequential_lloyd_max(mix, init, max_iters, tol) for init in inits]
+    results = [sequential_lloyd_max(mix, init, max_iters, tol)[0] for init in inits]
     best = 0
     for k, res in enumerate(results):
         if res.loss < results[best].loss:
@@ -248,7 +248,10 @@ def _row_loss(words, moments):
 
 def sequential_lloyd_max(mix, init, max_iters, tol):
     """One start of `sequential_multi_start`: one kernel call per
-    iteration on this start's cells alone."""
+    iteration on this start's cells alone. Returns the LloydMaxResult and
+    the loss of every iterate: entry n - 1 is the loss after iteration n,
+    taken from the moments of iteration n + 1 before any relocation, and
+    the last entry is the result's `loss`."""
     words = _separate(np.asarray(init, dtype=float))
     events_total = 0
     loss_history = []
@@ -269,4 +272,5 @@ def sequential_lloyd_max(mix, init, max_iters, tol):
             break
     q = quantizer_from_words(words)
     loss_history.append(_row_loss(q.words, _cell_moments(mix, q.boundaries)))
-    return LloydMaxResult(q, converged, it, move, loss_history, events_total)
+    res = LloydMaxResult(q, converged, it, move, loss_history[-1], events_total)
+    return res, loss_history

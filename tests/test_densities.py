@@ -80,9 +80,6 @@ class TestBetaDensity:
         got = d.partial_moments(a, b)
         assert got == pytest.approx(want, abs=5e-9)
 
-    def test_mean_and_log_concavity(self):
-        assert BetaDensity(2, 3).mean == pytest.approx(0.4)
-
 
 class TestNoiseKernel:
     def test_construction_errors(self):

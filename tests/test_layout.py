@@ -6,10 +6,13 @@
   (`from . import game; game._helper`).
 - Every name the benchmark's tracer (`perfbench/tracing.py`) wraps is
   still bound where the tracer looks it up.
+- Every name the package exports has a reader in the library or the
+  benchmark, so no helper survives that only tests use.
 """
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -74,3 +77,56 @@ def test_benchmark_binding_sites_exist():
     missing = [f"{owner.__name__}.{attr}" for owner, attr, *_ in tracing._SITES
                if not hasattr(owner, attr)]
     assert missing == []
+
+
+# the paper's analysis API, kept for callers outside the library: the
+# exact loss of a quantizer against a source, the true environment of an
+# agent, and beta parameter recovery from a design
+READERLESS_EXPORTS = {"quantization_loss", "true_environment", "recover_beta_params"}
+
+
+def exports(init_source: str):
+    """Names `__init__.py` imports from the package's modules."""
+    return {alias.asname or alias.name
+            for node in ast.parse(init_source).body
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            for alias in node.names}
+
+
+def library_reads(source: str):
+    """Names a module reads: Name loads, attribute names and names taken
+    by `from ... import`; a `def` or `class` statement reads nothing."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def unread_exports(init_source: str, module_sources, bench_text: str):
+    """Exports that no other package module reads and the benchmark never
+    names (its tracer names the sites it wraps by string)."""
+    read = set().union(*(library_reads(src) for src in module_sources))
+    return {name for name in exports(init_source)
+            if name not in read and not re.search(rf"\b{name}\b", bench_text)}
+
+
+def test_detector_flags_unused_export():
+    init = "from .game import solve, helper\n"
+    assert unread_exports(init, ["def helper():\n    pass\n",
+                                 "def solve():\n    return 1\n"],
+                          "game.solve") == {"helper"}
+
+
+def test_every_export_has_a_library_reader():
+    modules = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))
+               if p.name != "__init__.py"]
+    bench = "\n".join(p.read_text()
+                      for p in sorted((PACKAGE.parents[1] / "perfbench").glob("*.py")))
+    init = (PACKAGE / "__init__.py").read_text()
+    assert READERLESS_EXPORTS <= exports(init)
+    assert unread_exports(init, modules, bench) - READERLESS_EXPORTS == set()

@@ -17,6 +17,7 @@ from quantgame import (
     estimate_losses,
     quantization_loss,
     quantizer_from_words,
+    refresh_state,
     shared_vocabulary,
     solve_equilibrium,
     true_env_residuals,
@@ -216,6 +217,41 @@ class TestTrueEnvResiduals:
         assert counts.sum() == 300_000
         for k in range(4):
             assert abs(resid[k]) < 4.0 * se[k]
+
+
+class TestDrawsAtOne:
+    """Beta(2, 0.05) draws round to exactly 1.0 about one time in six.
+    `cell_index` rejects 1.0, so the sampling layer must look cells up
+    leniently: 1.0 belongs to the last cell, as the closed right end of
+    (a_{M-1}, 1]."""
+
+    @staticmethod
+    def _game():
+        agents = (AgentSpec(0, BetaDensity(2, 0.05), 4),
+                  AgentSpec(1, BetaDensity(2, 2), 4))
+        game = QuantizationGame(agents, CommMatrix(np.array([[0.8, 0.2], [0.3, 0.7]])))
+        quantizers = [quantizer_from_words([0.3, 0.6, 0.85, 0.97]),
+                      quantizer_from_words([0.2, 0.4, 0.6, 0.8])]
+        return game, refresh_state(game, quantizers)
+
+    def test_draws_at_one_take_the_last_word(self):
+        game, state = self._game()
+        n, seed = 100_000, 31
+        x, xhat, lengths, n_trunc, _ = sample_paths(
+            1, state, game, n, np.random.default_rng(seed))
+        at_one = x == 1.0
+        assert n_trunc == 0 and at_one.any()
+        # length 2: agent 0 quantized the draw and agent 1 heard it directly
+        direct = at_one & (lengths == 2)
+        assert direct.any()
+        assert np.all(xhat[direct] == state.quantizers[0].words[-1])
+
+        rep = estimate_losses(1, state, game, n, seed=seed)
+        assert rep.n_truncated == 0 and rep.n_samples == n
+        assert rep.total == pytest.approx(
+            rep.quantization + rep.communication + rep.cross, abs=1e-12)
+        _resid, _se, counts = true_env_residuals(1, state, game, n_samples=n, seed=seed)
+        assert counts.sum() == n
 
 
 class TestSharedVocabulary:

@@ -1,8 +1,8 @@
 """Quantizer layer: regularity validation, half-open cell lookup, design
 loops against analytic optima, a golden-section boundary oracle, an
-exact dynamic-programming oracle on a discretized source, the
-loss-history contract on random mixtures, and the batched multi-start
-loop against the per-start loop it replaced."""
+exact dynamic-programming oracle on a discretized source, monotone
+descent of the per-start reference loop on random mixtures, and the
+batched multi-start loop against the per-start loop it replaced."""
 
 import numpy as np
 import pytest
@@ -18,12 +18,11 @@ from quantgame import (
     centroid_residual,
     lloyd_max,
     multi_start_lloyd_max,
-    nearest_neighbor_boundaries,
     quantization_loss,
     quantizer_from_words,
 )
 
-from quantgame.quantizers import _multi_start_inits, _run_starts
+from quantgame.quantizers import _multi_start_inits, _quantile_init, _run_starts
 
 from conftest import AGENT5_TARGET_WORDS
 from oracles import (
@@ -72,32 +71,32 @@ class TestRegularQuantizer:
         q = quantizer_from_words([0.2, 0.8])
         k, w = q.quantize(0.3)
         assert (k, w) == (0, 0.2)
-        assert q(0.7) == 0.8
+        assert q.quantize(0.7)[1] == 0.8
 
     def test_reference_agent5_lookup(self):
         # x = 0.25 falls left of the first midpoint boundary 0.26125
         q = quantizer_from_words(AGENT5_TARGET_WORDS)
         assert q.boundaries[1] == pytest.approx(0.26125, abs=1e-12)
-        assert q(0.25) == pytest.approx(0.1982)
+        assert q.quantize(0.25)[1] == pytest.approx(0.1982)
 
 
 class TestBoundaryRule:
     def test_uniform_words(self):
         words = [(2 * k + 1) / 12.0 for k in range(6)]
-        b = nearest_neighbor_boundaries(words)
+        b = quantizer_from_words(words).boundaries
         assert b == pytest.approx([k / 6.0 for k in range(7)], abs=1e-15)
 
     def test_two_words(self):
-        assert nearest_neighbor_boundaries([0.2, 0.8]) == pytest.approx(
+        assert quantizer_from_words([0.2, 0.8]).boundaries == pytest.approx(
             [0.0, 0.5, 1.0])
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            nearest_neighbor_boundaries([0.3, 0.2])
+            quantizer_from_words([0.3, 0.2])
         with pytest.raises(ValueError):
-            nearest_neighbor_boundaries([0.0, 0.5])
+            quantizer_from_words([0.0, 0.5])
         with pytest.raises(ValueError):
-            nearest_neighbor_boundaries([])
+            quantizer_from_words([])
 
 
 class TestLoss:
@@ -144,9 +143,11 @@ class TestLloydMax:
         assert res.loss <= dp_loss + 1e-5
 
     def test_loss_history_non_increasing(self):
-        res = lloyd_max(BetaDensity(5, 2), levels=5, tol=1e-12)
-        hist = np.asarray(res.loss_history)
+        mix = MixtureDensity.from_beta(BetaDensity(5, 2))
+        res = lloyd_max(mix, levels=5, tol=1e-12)
+        _ref, hist = sequential_lloyd_max(mix, _quantile_init(mix, 5), 10_000, 1e-12)
         assert np.all(np.diff(hist) <= 1e-14)
+        assert res.loss == hist[-1]
 
     def test_postcondition_residual(self):
         tol = 1e-10
@@ -222,7 +223,7 @@ def _assert_same_run(got, want):
     assert got.iterations == want.iterations
     assert got.converged == want.converged
     assert got.final_move == want.final_move
-    assert got.loss_history == want.loss_history
+    assert got.loss == want.loss
     assert got.empty_cell_events == want.empty_cell_events
 
 
@@ -269,44 +270,48 @@ class TestBatchedStarts:
         rows = np.array([RELOCATION_INIT, [0.2, 0.4, 0.8], [0.3, 0.6, 0.9]])
         got = _run_starts(mix, rows.copy(), 10_000, 1e-11)
         for g, row in zip(got, rows):
-            _assert_same_run(g, sequential_lloyd_max(mix, row, 10_000, 1e-11))
+            _assert_same_run(g, sequential_lloyd_max(mix, row, 10_000, 1e-11)[0])
         assert [g.empty_cell_events for g in got] == [1, 0, 0]
         assert [g.iterations for g in got] == [3, 2, 2]
 
 
 class TestLossHistory:
-    """Each Lloyd-Max iteration's kernel call also prices the previous
-    iterate, so the history stays complete without extra kernel calls."""
+    """Lloyd-Max is a descent method: the loss of each iterate does not
+    increase. The library keeps only the final loss, so the per-iterate
+    losses come from the reference loop (`oracles.sequential_lloyd_max`),
+    which runs the same iterates."""
 
     @PROPERTY_SETTINGS
     @given(mixtures(max_atoms=8), st.integers(1, 6))
     def test_history_complete_and_non_increasing(self, mix, levels):
         res = lloyd_max(mix, levels=levels, tol=1e-10, max_iters=3000)
-        hist = np.asarray(res.loss_history)
-        assert len(hist) == res.iterations
-        assert hist[-1] == quantization_loss(res.quantizer, mix)
-        assert res.loss == hist[-1]
+        _ref, hist = sequential_lloyd_max(mix, _quantile_init(mix, levels), 3000, 1e-10)
         assert np.all(np.diff(hist) <= 1e-14)
+        assert len(hist) == res.iterations
+        assert res.loss == hist[-1] == quantization_loss(res.quantizer, mix)
 
     def test_history_prices_each_iterate_across_relocations(self):
-        # entry n is the loss of the n-th iterate, i.e. of the result of a
-        # run stopped after n iterations. On these atoms the second
-        # iteration starves the middle cell and relocates its word, so the
-        # first entry must come from the moments before that relocation.
+        # a run stopped after n iterations returns the n-th iterate. On
+        # these atoms the second iteration starves the middle cell and
+        # relocates its word; the loss must still not rise across it.
         mix = MixtureDensity((), [w for w, _c in RELOCATION_ATOMS],
                              [c for _w, c in RELOCATION_ATOMS])
         init = RELOCATION_INIT
         res = lloyd_max(mix, levels=3, init=init, tol=1e-11)
-        assert res.converged and len(res.loss_history) == res.iterations
-        events = []
+        assert res.converged
+        losses, events = [], []
         for n in range(1, res.iterations + 1):
             part = lloyd_max(mix, levels=3, init=init, tol=1e-11, max_iters=n)
-            assert res.loss_history[n - 1] == quantization_loss(part.quantizer, mix)
+            assert part.loss == quantization_loss(part.quantizer, mix)
+            losses.append(part.loss)
             events.append(part.empty_cell_events)
+        assert np.all(np.diff(losses) <= 1e-14)
+        assert losses[-1] == res.loss
         assert events[:2] == [0, 1]
 
     def test_max_iters_validation(self):
         with pytest.raises(ValueError):
             lloyd_max(BetaDensity(2, 2), levels=3, max_iters=0)
         res = lloyd_max(BetaDensity(2, 2), levels=3, max_iters=1)
-        assert res.iterations == 1 and len(res.loss_history) == 1
+        assert res.iterations == 1
+        assert res.loss == quantization_loss(res.quantizer, BetaDensity(2, 2))
