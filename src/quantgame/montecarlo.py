@@ -93,8 +93,7 @@ def sample_paths(i: int, state: GameState, game: QuantizationGame, n: int,
         for a in np.flatnonzero(np.bincount(transmitter, minlength=n_agents)):
             ma = transmitter == a
             q = state.quantizers[a]
-            k = np.searchsorted(q.boundaries, v[ma], side="left") - 1
-            v[ma] = q.words[np.clip(k, 0, q.levels - 1)]
+            v[ma] = q.words[q.closed_cell_index(v[ma])]
         if game.noise.shape is not KernelShape.POINT:
             noised = v + game.noise.sample(rng, moved.size)
             v = np.clip(noised, _CLAMP, 1.0 - _CLAMP)
@@ -131,8 +130,7 @@ def estimate_losses(i: int, state: GameState, game: QuantizationGame,
     ok = ~np.isnan(x)
     x, xhat = x[ok], xhat[ok]
     q = state.quantizers[i]
-    idx = np.searchsorted(q.boundaries, xhat, side="left") - 1
-    word = q.words[np.clip(idx, 0, q.levels - 1)]
+    word = q.words[q.closed_cell_index(xhat)]
     total = (x - word) ** 2
     quant = (xhat - word) ** 2
     comm = (x - xhat) ** 2
@@ -169,8 +167,7 @@ def true_env_residuals(i: int, state: GameState, game: QuantizationGame,
     ok = ~np.isnan(x)
     x, xhat = x[ok], xhat[ok]
     q = state.quantizers[i]
-    idx = np.searchsorted(q.boundaries, xhat, side="left") - 1
-    idx = np.clip(idx, 0, q.levels - 1)
+    idx = q.closed_cell_index(xhat)
     resid = np.full(q.levels, np.nan)
     se = np.full(q.levels, np.nan)
     counts = np.zeros(q.levels, dtype=int)
@@ -304,9 +301,7 @@ def path_dependence_probe(quantizers: Sequence[RegularQuantizer], P,
         v = grid
         for pos, agent in enumerate(chain):
             q = quantizers[agent]
-            idx = np.clip(np.searchsorted(q.boundaries, v, side="left") - 1,
-                          0, q.levels - 1)
-            v = q.words[idx]
+            v = q.words[q.closed_cell_index(v)]
         finals[c] = v
     spread = finals.max(axis=0) - finals.min(axis=0)
     worst = int(np.argmax(spread))

@@ -166,6 +166,5 @@ def observed_environment(
 
 def word_usage(observed: MixtureDensity, quantizer) -> np.ndarray:
     """p_k = mass of the observed mixture in cell k of the quantizer."""
-    b = quantizer.boundaries
-    u = observed.mass_in(b[:-1], b[1:])
+    u = observed.mass_in(quantizer.boundaries)
     return u / u.sum()

@@ -63,8 +63,14 @@ class RegularQuantizer:
         xa = np.asarray(x, dtype=float)
         if np.any(xa <= 0.0) or np.any(xa >= 1.0):
             raise DomainError("quantizer input must be strictly inside (0, 1)")
-        idx = np.searchsorted(self.boundaries, xa, side="left") - 1
+        idx = self.closed_cell_index(xa)
         return idx if np.ndim(x) else int(idx)
+
+    def closed_cell_index(self, x: np.ndarray) -> np.ndarray:
+        """Cell indices for an array x in [0, 1]: as `cell_index`, but a
+        draw of 0.0 falls in the first cell and 1.0 in the last."""
+        idx = np.searchsorted(self.boundaries, x, side="left") - 1
+        return np.clip(idx, 0, self.levels - 1)
 
     def quantize(self, x):
         """Map x to (cell index, word value)."""
@@ -90,10 +96,6 @@ def quantizer_from_words(words: Sequence[float]) -> RegularQuantizer:
     return RegularQuantizer(_midpoints(w), w)
 
 
-def _cell_moments(mix: MixtureDensity, boundaries: np.ndarray) -> Moments:
-    return mix.partial_moments(boundaries[..., :-1], boundaries[..., 1:])
-
-
 def _loss(words: np.ndarray, moments: Moments) -> np.ndarray:
     """sum_k (m2 - 2 y m1 + y^2 m0) along the last axis, added left to
     right: multi-start selection compares losses of starts that reach the
@@ -105,13 +107,12 @@ def _loss(words: np.ndarray, moments: Moments) -> np.ndarray:
 
 def quantization_loss(q: RegularQuantizer, d: Density) -> float:
     """Expected squared error sum_k int_(cell k) (x - y_k)^2 dP."""
-    return float(_loss(q.words, _cell_moments(as_mixture(d), q.boundaries)))
+    return float(_loss(q.words, as_mixture(d).partial_moments(q.boundaries)))
 
 
 def centroid_residual(q: RegularQuantizer, d: Density) -> float:
     """Max over cells of |centroid - word|; zero iff the centroid condition holds."""
-    b = q.boundaries
-    centroids = as_mixture(d).cell_centroid(b[:-1], b[1:])
+    centroids = as_mixture(d).cell_centroid(q.boundaries)
     return float(np.max(np.abs(centroids - q.words)))
 
 
@@ -129,17 +130,17 @@ class LloydMaxResult:
 
 
 def _resolve_empty_cells(
-    words: np.ndarray, moments: Moments, mix: MixtureDensity,
+    words: np.ndarray, mix: MixtureDensity,
 ) -> Tuple[np.ndarray, np.ndarray, Moments, int]:
     """Move words of starved cells into the cell with the largest squared
     error about its centroid, then re-sort.
 
-    `moments` are the cell moments of `words`. Returns the (possibly
-    new) words, their boundaries and cell moments, and the number of
-    relocation events.
+    Returns the (possibly new) words, their boundaries and cell moments
+    (m0, m1, m2), and the number of relocation events.
     """
     events = 0
     b = _midpoints(words)
+    moments = mix.partial_moments(b)
     for _ in range(words.size):
         m0, m1, m2 = moments
         starved = np.nonzero(m0 < EMPTY_CELL_MASS)[0]
@@ -158,7 +159,7 @@ def _resolve_empty_cells(
         words = _separate(words)
         events += 1
         b = _midpoints(words)
-        moments = _cell_moments(mix, b)
+        moments = mix.partial_moments(b)
     return words, b, moments, events
 
 
@@ -187,13 +188,11 @@ def lloyd_max(
     relocations (e.g. fewer atoms than levels and no continuous part to
     feed it) makes the centroid step raise EmptyCellError.
 
-    Each iteration makes one moment-kernel call at the current words,
-    which gives the empty-cell check and the centroids; one more call
-    prices the final quantizer as `loss`. This is the loop of
-    `multi_start_lloyd_max` run with a single start.
+    Each iteration makes one moment-kernel call for (m0, m1) at the
+    current words, which gives the empty-cell check and the centroids;
+    one more call prices the final quantizer as `loss`. This is the loop
+    of `multi_start_lloyd_max` run with a single start.
     """
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
     mix = as_mixture(d)
     if init is None:
         if levels is None:
@@ -212,12 +211,18 @@ def _run_starts(mix: MixtureDensity, words: np.ndarray, max_iters: int,
                 tol: float) -> List[LloydMaxResult]:
     """Lloyd-Max from each row of the (starts, levels) array `words`.
 
-    All unsettled rows take each iteration together: one kernel call over
-    their cells, relocation only in rows with a starved cell, then the
-    centroid step on the whole array. A row leaves once its move is below
-    `tol`, or stops unconverged after `max_iters`. One last kernel call
-    prices every row's final iterate.
+    All unsettled rows take each iteration together: one kernel call for
+    (m0, m1) over their cells, relocation (pricing m2 too) only in rows
+    with a starved cell, then the centroid step on the whole array. A
+    row leaves once its move is below `tol`, or stops unconverged after
+    `max_iters`. One last kernel call prices every row's final iterate.
     """
+    if words.shape[1] < 1:
+        raise ValueError("levels must be at least 1")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if np.any(words[:, 1:] <= words[:, :-1]):
         raise ValueError("init words must be strictly increasing")
     n = words.shape[0]
@@ -228,13 +233,11 @@ def _run_starts(mix: MixtureDensity, words: np.ndarray, max_iters: int,
     for it in range(1, max_iters + 1):
         w = words[active]
         b = _midpoints(w)
-        moments = _cell_moments(mix, b)
-        for j in np.nonzero((moments[0] < EMPTY_CELL_MASS).any(axis=1))[0]:
-            w[j], b[j], row, e = _resolve_empty_cells(w[j], [m[j] for m in moments], mix)
-            for m, v in zip(moments, row):
-                m[j] = v
+        m0, m1 = mix.partial_moments(b, orders=2)
+        for j in np.nonzero((m0 < EMPTY_CELL_MASS).any(axis=1))[0]:
+            w[j], b[j], (m0[j], m1[j], _m2), e = _resolve_empty_cells(w[j], mix)
             events[active[j]] += e
-        new = _separate(centroid_from_moments(b[:, :-1], b[:, 1:], moments[0], moments[1]))
+        new = _separate(centroid_from_moments(b[:, :-1], b[:, 1:], m0, m1))
         move = np.max(np.abs(new - w), axis=1)
         words[active] = new
         moves[active] = move
@@ -245,7 +248,7 @@ def _run_starts(mix: MixtureDensity, words: np.ndarray, max_iters: int,
             if active.size == 0:
                 break
 
-    final = _loss(words, _cell_moments(mix, _midpoints(words))).tolist()
+    final = _loss(words, mix.partial_moments(_midpoints(words))).tolist()
     return [
         LloydMaxResult(quantizer_from_words(words[r]), bool(moves[r] < tol),
                        int(iterations[r]), float(moves[r]), final[r], events[r])
@@ -255,6 +258,8 @@ def _run_starts(mix: MixtureDensity, words: np.ndarray, max_iters: int,
 
 def _quantile_init(mix: MixtureDensity, levels: int) -> np.ndarray:
     """Source quantiles at the levels (2k+1)/(2M), k = 0..M-1."""
+    if levels < 1:
+        raise ValueError("levels must be at least 1")
     return mix.quantile((2 * np.arange(levels) + 1) / (2.0 * levels))
 
 

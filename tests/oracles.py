@@ -11,11 +11,10 @@ import math
 import numpy as np
 from scipy import integrate, special
 
-from quantgame.densities import KernelShape, centroid_from_moments
+from quantgame.densities import EMPTY_CELL_MASS, KernelShape, centroid_from_moments
 from quantgame.montecarlo import _CLAMP, DEPTH_CAP
 from quantgame.quantizers import (
     LloydMaxResult,
-    _cell_moments,
     _midpoints,
     _quantile_init,
     _resolve_empty_cells,
@@ -152,6 +151,21 @@ def scalar_loop_moments(mix, a, b):
     return tuple(m)
 
 
+def bisection_quantile(mix, p):
+    """The quantile search that the 1/16-grid replay replaced, kept as its
+    reference: 44 bisection steps, each one kernel call that prices the
+    cell (0, mid] of every bracket's midpoint."""
+    p = np.asarray(p, dtype=float)
+    lo, hi = np.zeros_like(p), np.ones_like(p)
+    while np.any(hi - lo > 1e-13):
+        mid = 0.5 * (lo + hi)
+        up = mix.mass_in(np.stack((np.zeros_like(mid), mid), axis=-1))[..., 0] >= p
+        hi = np.where(up, mid, hi)
+        lo = np.where(up, lo, mid)
+    x = 0.5 * (lo + hi)
+    return float(x) if x.ndim == 0 else x
+
+
 def masked_sample_paths(i, state, game, n, rng):
     """The path sampler that the in-flight index walk replaced, kept as its
     reference: every hop runs full-width masks over all n samples and the
@@ -259,11 +273,13 @@ def sequential_lloyd_max(mix, init, max_iters, tol):
     converged = False
     it = 0
     for it in range(1, max_iters + 1):
-        moments = _cell_moments(mix, _midpoints(words))
+        b = _midpoints(words)
+        moments = mix.partial_moments(b)
         if it > 1:
             loss_history.append(_row_loss(words, moments))
-        words, b, moments, events = _resolve_empty_cells(words, moments, mix)
-        events_total += events
+        if np.any(moments[0] < EMPTY_CELL_MASS):
+            words, b, moments, events = _resolve_empty_cells(words, mix)
+            events_total += events
         new_words = _separate(centroid_from_moments(b[:-1], b[1:], moments[0], moments[1]))
         move = float(np.max(np.abs(new_words - words)))
         words = new_words
@@ -271,6 +287,6 @@ def sequential_lloyd_max(mix, init, max_iters, tol):
             converged = True
             break
     q = quantizer_from_words(words)
-    loss_history.append(_row_loss(q.words, _cell_moments(mix, q.boundaries)))
+    loss_history.append(_row_loss(q.words, mix.partial_moments(q.boundaries)))
     res = LloydMaxResult(q, converged, it, move, loss_history[-1], events_total)
     return res, loss_history

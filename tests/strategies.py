@@ -27,11 +27,11 @@ def kernels(draw):
 
 
 @st.composite
-def mixtures(draw, max_atoms=12):
-    """A normalized mixture of 1-2 beta parts and up to `max_atoms` atoms,
-    all smeared by one kernel."""
+def mixtures(draw, max_atoms=12, centers=st.floats(0.1, 0.9)):
+    """A normalized mixture of 1-2 beta parts and up to `max_atoms` atoms
+    with centers drawn from `centers`, all smeared by one kernel."""
     betas = draw(st.lists(st.tuples(_shape, _shape), min_size=1, max_size=2))
-    atoms = draw(st.lists(st.tuples(_weight, st.floats(0.1, 0.9)), max_size=max_atoms))
+    atoms = draw(st.lists(st.tuples(_weight, centers), max_size=max_atoms))
     weights = np.array([draw(_weight) for _ in betas] + [w for w, _c in atoms])
     weights = weights / weights.sum()
     return MixtureDensity(

@@ -1,13 +1,15 @@
 """Density layer: beta pdfs/moments against Riemann-sum oracles, atom and
 noise-kernel interval conventions, rejection of non-finite parameters and
 of words the noise pushes out of (0, 1), the beta-pair dissimilarity
-formula against a quadrature oracle, and properties of the array moment
-kernel on random mixtures."""
+formula against a quadrature oracle, properties of the boundaries moment
+kernel on random mixtures, the grid quantile search against the one-point
+bisection it replaced, and the work counts of both."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import special
 
 from quantgame import (
     BetaDensity,
@@ -19,10 +21,12 @@ from quantgame import (
     POINT_KERNEL,
     hellinger_beta,
 )
+from quantgame import densities
 
 from oracles import (
     beta_pdf,
     bhattacharyya_overlap,
+    bisection_quantile,
     riemann_moments,
     scalar_loop_moments,
 )
@@ -60,12 +64,12 @@ class TestBetaDensity:
 
     def test_mass_against_frozen_oracle(self):
         d = MixtureDensity.from_beta(BetaDensity(2, 5))
-        assert d.mass_in(0.0, 0.2) == pytest.approx(
+        assert d.mass_in([0.0, 0.2])[0] == pytest.approx(
             MASS_BETA25_0_02, abs=1e-10)
 
     def test_centroid_against_frozen_oracle(self):
         d = MixtureDensity.from_beta(BetaDensity(2, 2))
-        assert d.cell_centroid(0.25, 0.75) == pytest.approx(
+        assert d.cell_centroid([0.25, 0.75])[0] == pytest.approx(
             CENTROID_BETA22_025_075, abs=1e-10)
 
     @pytest.mark.parametrize("alpha,beta_param,a,b", [
@@ -77,7 +81,7 @@ class TestBetaDensity:
     def test_partial_moments_against_riemann(self, alpha, beta_param, a, b):
         d = BetaDensity(alpha, beta_param)
         want = riemann_moments(lambda x: beta_pdf(x, alpha, beta_param), a, b)
-        got = d.partial_moments(a, b)
+        got = tuple(m[0] for m in d.partial_moments([a, b]))
         assert got == pytest.approx(want, abs=5e-9)
 
 
@@ -163,10 +167,10 @@ class TestMixtureDensity:
 
     def test_atom_mass_and_centroid(self):
         d = MixtureDensity(((0.5, BetaDensity(1, 1)),), [0.3, 0.2], [0.25, 0.75])
-        assert d.mass_in(0.0, 0.5) == pytest.approx(0.55, abs=1e-12)
+        assert d.mass_in([0.0, 0.5])[0] == pytest.approx(0.55, abs=1e-12)
         # centroid mixes the uniform part and the atom at 0.25
         want = (0.5 * 0.125 + 0.3 * 0.25) / 0.55
-        assert d.cell_centroid(0.0, 0.5) == pytest.approx(want, abs=1e-12)
+        assert d.cell_centroid([0.0, 0.5])[0] == pytest.approx(want, abs=1e-12)
 
     def test_empty_cell(self):
         d = MixtureDensity(
@@ -174,23 +178,24 @@ class TestMixtureDensity:
         )
         # a zero-width-ish sliver right at the edge carries ~no mass
         with pytest.raises(EmptyCellError):
-            d.cell_centroid(1.0 - 1e-14, 1.0)
+            d.cell_centroid([1.0 - 1e-14, 1.0])
 
     def test_quantile(self):
         u = MixtureDensity.from_beta(BetaDensity(1, 1))
         assert u.quantile(0.3) == pytest.approx(0.3, abs=1e-10)
         d = MixtureDensity.from_beta(BetaDensity(2, 5))
         p = 0.41
-        assert d.mass_in(0.0, d.quantile(p)) == pytest.approx(p, abs=1e-9)
+        assert d.mass_in([0.0, d.quantile(p)])[0] == pytest.approx(p, abs=1e-9)
 
     def test_smeared_atom_total_mass(self):
         k = NoiseKernel("triangular", 0.05)
         d = MixtureDensity(((0.6, BetaDensity(2, 2)),), [0.4], [0.5], k)
-        assert d.mass_in(0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert d.mass_in([0.0, 1.0])[0] == pytest.approx(1.0, abs=1e-12)
         # pdf integrates the smeared atom too
         want = riemann_moments(lambda x: 0.6 * beta_pdf(x, 2, 2) + 0.4 * k.pdf(x, 0.5),
                                0.3, 0.7, n=400_000)
-        assert d.partial_moments(0.3, 0.7) == pytest.approx(want, abs=1e-8)
+        got = tuple(m[0] for m in d.partial_moments([0.3, 0.7]))
+        assert got == pytest.approx(want, abs=1e-8)
 
 
 class TestHellinger:
@@ -221,35 +226,51 @@ class TestHellinger:
 
 
 class TestArrayKernel:
-    """One array call of the moment kernel against per-cell scalar calls."""
+    """One array call of the moment kernel against per-cell calls."""
 
     @PROPERTY_SETTINGS
     @given(mixtures_with_edges())
     def test_array_call_matches_scalar_calls(self, case):
         mix, edges = case
-        got = np.array(mix.partial_moments(edges[:-1], edges[1:]))
-        want = np.array([mix.partial_moments(a, b) for a, b in zip(edges[:-1], edges[1:])]).T
+        got = np.array(mix.partial_moments(edges))
+        want = np.array([mix.partial_moments(edges[k:k + 2])
+                         for k in range(edges.size - 1)])[..., 0].T
         assert np.all(np.abs(got - want) <= 1e-15)
-        assert all(type(v) is float for v in mix.partial_moments(edges[0], edges[1]))
+        assert all(m.shape == (1,) for m in mix.partial_moments(edges[:2]))
 
     @PROPERTY_SETTINGS
     @given(mixtures_with_edges())
     def test_matches_scalar_loop_reference(self, case):
         # bit for bit on point atoms; smeared atoms differ in rounding only,
-        # amplified by the 1/h^2 of the narrowest kernel (h >= 0.005)
+        # amplified by the 1/h^2 of the narrowest kernel (h >= 0.005); the
+        # boundaries come as a (2, M+1) batch: the edges and their mirror
         mix, edges = case
-        got = np.array(mix.partial_moments(edges[:-1], edges[1:]))
-        want = np.array([scalar_loop_moments(mix, a, b)
-                         for a, b in zip(edges[:-1], edges[1:])]).T
+        batch = np.array([edges, 1.0 - edges[::-1]])
+        got = np.array(mix.partial_moments(batch))
+        want = np.array([[scalar_loop_moments(mix, a, b) for a, b in zip(row[:-1], row[1:])]
+                         for row in batch]).transpose(2, 0, 1)
         smeared = mix.noise.shape is not KernelShape.POINT and mix.atom_weights.size > 0
         assert np.max(np.abs(got - want)) <= (1e-11 if smeared else 0.0)
+
+    @PROPERTY_SETTINGS
+    @given(mixtures_with_edges())
+    def test_fewer_orders_are_a_prefix(self, case):
+        mix, edges = case
+        batch = np.array([edges, 1.0 - edges[::-1]])
+        d = mix.continuous_parts[0][1]
+        for kernel in (mix, d):
+            full = kernel.partial_moments(batch)
+            for k in (1, 2):
+                part = kernel.partial_moments(batch, orders=k)
+                assert len(part) == k
+                assert all(np.array_equal(a, b) for a, b in zip(part, full))
 
     @PROPERTY_SETTINGS
     @given(mixtures_with_edges())
     def test_cell_masses_sum_to_total_weight(self, case):
         mix, edges = case
         total = sum(w for w, _d in mix.continuous_parts) + mix.atom_weights.sum()
-        m0 = mix.mass_in(edges[:-1], edges[1:])
+        m0 = mix.mass_in(edges)
         assert np.all(m0 >= 0.0)
         assert m0.sum() == pytest.approx(total, abs=1e-12)
 
@@ -257,7 +278,7 @@ class TestArrayKernel:
     @given(mixtures_with_edges())
     def test_edge_atom_falls_in_left_cell(self, case):
         mix, edges = case
-        m0 = mix.mass_in(edges[:-1], edges[1:])
+        m0 = mix.mass_in(edges)
         if mix.noise is not POINT_KERNEL:
             return
         for w, c in zip(mix.atom_weights, mix.atom_centers):
@@ -275,21 +296,71 @@ class TestArrayKernel:
         got = mix.quantile(np.array(levels))
         assert got.tolist() == [mix.quantile(p) for p in levels]
 
+    @PROPERTY_SETTINGS
+    @given(mixtures(centers=st.one_of(st.sampled_from([0.5, 0.25, 0.375]),
+                                      st.floats(0.1, 0.9))),
+           st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                    min_size=1, max_size=6))
+    def test_quantile_matches_one_point_bisection(self, mix, levels):
+        # atoms on dyadics put mass jumps exactly on bisection midpoints
+        got = mix.quantile(np.array(levels))
+        assert np.array_equal(got, bisection_quantile(mix, np.array(levels)))
+        assert mix.quantile(levels[0]) == bisection_quantile(mix, levels[0])
+
     def test_scalar_inputs_return_floats(self):
         d = BetaDensity(2, 5)
         k = NoiseKernel("triangular", 0.05)
-        for moments in (d.partial_moments(0.1, 0.4), k.partial_moments(0.4, 0.52, 0.5),
+        for moments in (k.partial_moments(0.4, 0.52, 0.5),
                         POINT_KERNEL.partial_moments(0.4, 0.5, 0.5)):
             assert all(type(v) is float for v in moments)
         mix = MixtureDensity(((0.5, d),), [0.5], [0.5], k)
         assert type(mix.quantile(0.5)) is float
-        assert type(mix.cell_centroid(0.2, 0.6)) is float
 
     def test_invalid_cells_rejected(self):
         d = MixtureDensity.from_beta(BetaDensity(2, 2))
         with pytest.raises(ValueError, match="0.5, 0.5"):
-            d.partial_moments(np.array([0.0, 0.5]), np.array([0.5, 0.5]))
+            d.partial_moments(np.array([0.0, 0.5, 0.5]))
         with pytest.raises(ValueError):
             d.quantile(np.array([0.2, 1.5]))
         with pytest.raises(EmptyCellError):
-            d.cell_centroid(np.array([0.0, 1.0 - 1e-15]), np.array([1.0 - 1e-15, 1.0]))
+            d.cell_centroid(np.array([0.0, 1.0 - 1e-15, 1.0]))
+        for orders in (0, 4):
+            with pytest.raises(ValueError, match="orders must be 1, 2 or 3"):
+                d.partial_moments([0.0, 1.0], orders=orders)
+
+
+class TestKernelWork:
+    """Work counts of the moment kernel and the quantile search."""
+
+    def test_one_betainc_call_per_order_over_each_boundary(self, monkeypatch):
+        sizes = []
+        betainc = special.betainc
+
+        def counting(a, b, x):
+            sizes.append(np.size(x))
+            return betainc(a, b, x)
+
+        monkeypatch.setattr(densities.special, "betainc", counting)
+        mix = MixtureDensity(((0.6, BetaDensity(2, 5)),), [0.3, 0.1], [0.25, 0.5])
+        batch = np.array([[0.0, 0.2, 0.5, 0.7, 1.0],
+                          [0.0, 0.1, 0.3, 0.9, 1.0],
+                          [0.0, 0.4, 0.6, 0.8, 1.0]])  # S = 3 rows of M + 1 = 5
+        for k in (1, 2, 3):
+            sizes.clear()
+            mix.partial_moments(batch, orders=k)
+            assert sizes == [batch.size] * k
+
+    @pytest.mark.parametrize("levels", [1, 6])
+    def test_quantile_makes_at_most_11_kernel_calls(self, monkeypatch, levels):
+        calls = []
+        kernel = MixtureDensity.partial_moments
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return kernel(self, *args, **kwargs)
+
+        monkeypatch.setattr(MixtureDensity, "partial_moments", counting)
+        mix = MixtureDensity(((0.7, BetaDensity(2, 5)),), [0.3], [0.5],
+                             NoiseKernel("triangular", 0.02))
+        mix.quantile((2 * np.arange(levels) + 1) / (2.0 * levels))
+        assert 0 < len(calls) <= 11

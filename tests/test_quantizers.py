@@ -1,12 +1,13 @@
 """Quantizer layer: regularity validation, half-open cell lookup, design
 loops against analytic optima, a golden-section boundary oracle, an
 exact dynamic-programming oracle on a discretized source, monotone
-descent of the per-start reference loop on random mixtures, and the
-batched multi-start loop against the per-start loop it replaced."""
+descent of the per-start reference loop on random mixtures, the
+batched multi-start loop against the per-start loop it replaced, and
+one-line rejection of bad design arguments."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantgame import (
@@ -142,6 +143,16 @@ class TestLloydMax:
         assert res.quantizer.words == pytest.approx(w, abs=2e-3)
         assert res.loss <= dp_loss + 1e-5
 
+    @settings(max_examples=6, derandomize=True, database=None, deadline=None)
+    @given(st.floats(1.0, 8.0), st.floats(1.0, 8.0), st.integers(2, 6))
+    def test_against_dp_oracle_on_log_concave_betas(self, alpha, beta_param, levels):
+        # alpha, beta >= 1: log-concave, so the optimum is unique
+        res = lloyd_max(BetaDensity(alpha, beta_param), levels=levels, tol=1e-12)
+        _b, w, dp_loss = dp_optimal_quantizer(
+            lambda x: beta_pdf(x, alpha, beta_param), levels)
+        assert res.quantizer.words == pytest.approx(w, abs=2e-3)
+        assert res.loss <= dp_loss + 1e-5
+
     def test_loss_history_non_increasing(self):
         mix = MixtureDensity.from_beta(BetaDensity(5, 2))
         res = lloyd_max(mix, levels=5, tol=1e-12)
@@ -216,6 +227,34 @@ class TestMultiStart:
             multi_start_lloyd_max(d, levels=4, warm_start=warm)
         with pytest.raises(ValueError):
             multi_start_lloyd_max(d, levels=3, n_starts=0)
+
+
+class TestArgumentValidation:
+    """Bad level counts, iteration caps and tolerances fail with one line
+    instead of a NumPy error or a silent 10,000-iteration run."""
+
+    @pytest.mark.parametrize("call", [
+        lambda d: lloyd_max(d, levels=0),
+        lambda d: lloyd_max(d, init=[]),
+        lambda d: multi_start_lloyd_max(d, 0),
+        lambda d: multi_start_lloyd_max(d, -2),
+    ], ids=["lloyd_max-levels-0", "lloyd_max-empty-init", "multi_start-0", "multi_start-minus-2"])
+    def test_levels_must_be_positive(self, call):
+        with pytest.raises(ValueError, match="^levels must be at least 1$"):
+            call(BetaDensity(2, 2))
+
+    @pytest.mark.parametrize("max_iters", [0, -5])
+    def test_multi_start_max_iters_must_be_positive(self, max_iters):
+        # lloyd_max's own case is TestLossHistory::test_max_iters_validation
+        with pytest.raises(ValueError, match="^max_iters must be at least 1$"):
+            multi_start_lloyd_max(BetaDensity(2, 2), 3, max_iters=max_iters)
+
+    @pytest.mark.parametrize("tol", [np.nan, 0.0, -1e-10, np.inf])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            lloyd_max(BetaDensity(2, 2), levels=3, tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            multi_start_lloyd_max(BetaDensity(2, 2), 3, tol=tol)
 
 
 def _assert_same_run(got, want):
