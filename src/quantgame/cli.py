@@ -30,8 +30,8 @@ EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_MISSING_STATE = 4
 
-# smallest accepted value of each numeric option, checked before dispatch
-_MINIMUM = {"samples": 1, "inputs": 1, "max_len": 2, "seed": 0}
+# smallest accepted (finite) value of each numeric option, checked before dispatch
+_MINIMUM = {"samples": 1, "inputs": 1, "max_len": 2, "seed": 0, "max_sweeps": 1, "tol": 0}
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -297,9 +297,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     for name, least in _MINIMUM.items():
         value = getattr(args, name, None)
-        if value is not None and value < least:
-            print(f"--{name.replace('_', '-')} must be at least {least}, got {value}",
-                  file=sys.stderr)
+        if value is not None and not least <= value < np.inf:
+            print(f"--{name.replace('_', '-')} must be finite and at least {least}, "
+                  f"got {value}", file=sys.stderr)
             return EXIT_CONFIG
     try:
         return args.func(args)

@@ -89,10 +89,17 @@ def _section(where, value, build, kind=dict):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _integer(name: str, value) -> int:
+    """`value` as an int; only integral numbers, never booleans, pass."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 != 0:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _agent(n: int, entry) -> AgentSpec:
-    return AgentSpec(id=int(entry.get("id", n)),
+    return AgentSpec(id=_integer("id", entry.get("id", n)),
                      physical=BetaDensity(float(entry["alpha"]), float(entry["beta"])),
-                     levels=int(entry["levels"]))
+                     levels=_integer("levels", entry["levels"]))
 
 
 def _stochastic_row(n: int, row) -> np.ndarray:
@@ -124,10 +131,20 @@ def _noise(doc) -> NoiseKernel:
     return NoiseKernel(shape, float(doc.get("halfwidth", 0.0)))
 
 
+# smallest accepted (finite) value of each numeric setting
+_LEAST = {"tol": 0.0, "max_sweeps": 1, "n_starts": 1, "n_samples": 1, "seed": 0}
+
+
 def _settings(cls, doc):
     """`cls` from its config section: each given field is cast to the type
-    of its default, absent fields keep the default, other keys are ignored."""
-    return cls(**{f.name: type(f.default)(doc[f.name]) for f in fields(cls) if f.name in doc})
+    of its default (an int by `_integer`) and checked against `_LEAST`,
+    absent fields keep the default, other keys are ignored."""
+    values = {f.name: _integer(f.name, doc[f.name]) if isinstance(f.default, int)
+              else type(f.default)(doc[f.name]) for f in fields(cls) if f.name in doc}
+    for name, value in values.items():
+        if name in _LEAST and not _LEAST[name] <= value < np.inf:
+            raise ValueError(f"{name} must be finite and at least {_LEAST[name]}, got {value}")
+    return cls(**values)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -156,14 +173,8 @@ def load_config(path) -> ExperimentConfig:
     solver = _section("solver", doc.get("solver") or {}, partial(_settings, SolverSettings))
     if solver.schedule_policy not in ("cyclic", "topological_if_acyclic"):
         raise ConfigError(f"solver.schedule_policy {solver.schedule_policy!r} unknown")
-    if solver.n_starts < 1:
-        raise ConfigError("solver.n_starts must be at least 1")
     mc = _section("montecarlo", doc.get("montecarlo") or {},
                   partial(_settings, MonteCarloSettings))
-    if mc.n_samples < 1:
-        raise ConfigError("montecarlo.n_samples must be positive")
-    if mc.seed < 0:
-        raise ConfigError("montecarlo.seed must be non-negative")
     outputs = _section("outputs", doc.get("outputs") or {}, partial(_settings, OutputSettings))
     return ExperimentConfig(agents, comm, noise, solver, mc, outputs)
 

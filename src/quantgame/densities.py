@@ -7,11 +7,11 @@ incomplete beta for the continuous parts, polynomial antiderivatives
 for the noise kernels), which keeps errors near machine precision.
 
 The moment kernel `partial_moments(boundaries, orders)` takes cell
-boundaries along the last axis and returns the first `orders` of (m0,
-m1, m2) for every cell of a quantizer, or of a batch of them, in one
-call. Each beta part prices every boundary once per order with one
-`betainc` call, and all word atoms, which share one noise kernel, are
-evaluated as one atoms x cells array.
+boundaries along the last axis and returns arrays of the first `orders`
+of (m0, m1, m2) for every cell of a quantizer, or of a batch of them, in
+one call. Each beta part prices every boundary once per order with one
+`betainc` call; all word atoms, which share one noise kernel, form one
+atoms x cells array, of which the kernel prices only those `orders`.
 """
 
 from __future__ import annotations
@@ -24,34 +24,28 @@ from typing import Tuple, Union
 import numpy as np
 from scipy import special
 
-# clamping margin for endpoint-singular beta pdfs (alpha < 1 or beta < 1)
-_EDGE = 1e-12
-
 # below this mass a cell is considered empty
 EMPTY_CELL_MASS = 1e-12
 
 
-# (m0, m1, m2) or their first `orders`: floats for scalar edges, arrays otherwise
-Moments = Tuple[Union[float, np.ndarray], ...]
+# the first `orders` of (m0, m1, m2), one array each
+Moments = Tuple[np.ndarray, ...]
 
 
-def _moments_out(m0, m1, m2) -> Moments:
-    if np.ndim(m0) == 0:
-        return float(m0), float(m1), float(m2)
-    return m0, m1, m2
-
-
-def _clipped_powers(a, b, lo, hi):
-    """(u^k - l^k) / k for k = 1..4 over (l, u] = (a, b] clipped to (lo, hi];
-    all four are 0 where the intervals do not overlap."""
+def _clipped_powers(a, b, lo, hi, n):
+    """(u^k - l^k) / k for k = 1..n over (l, u] = (a, b] clipped to (lo, hi];
+    all are 0 where the intervals do not overlap."""
     l = np.maximum(a, lo)
     u = np.maximum(np.minimum(b, hi), l)
-    l2, u2 = l * l, u * u
-    return u - l, (u2 - l2) / 2.0, (u2 * u - l2 * l) / 3.0, (u2 * u2 - l2 * l2) / 4.0
+    up, lp = [1.0, u], [1.0, l]  # x^k = x^(k // 2) * x^(k - k // 2)
+    for k in range(2, n + 1):
+        up.append(up[k // 2] * up[k - k // 2])
+        lp.append(lp[k // 2] * lp[k - k // 2])
+    return [(up[k] - lp[k]) / k for k in range(1, n + 1)]
 
 
 class DomainError(ValueError):
-    """Evaluation point outside the open unit interval."""
+    """A point, or the noise support around a word, outside the open unit interval."""
 
 
 class EmptyCellError(ValueError):
@@ -68,8 +62,7 @@ def centroid_from_moments(a, b, m0, m1):
         a, b, m0 = np.broadcast_arrays(a, b, m0)
         k = np.unravel_index(np.argmax(empty), empty.shape)
         raise EmptyCellError(f"cell ({a[k]}, {b[k]}] carries mass {m0[k]:.3g}")
-    c = np.minimum(np.maximum(m1 / m0, a), b)
-    return float(c) if np.ndim(c) == 0 else c
+    return np.minimum(np.maximum(m1 / m0, a), b)
 
 
 @dataclass(frozen=True)
@@ -85,12 +78,6 @@ class BetaDensity:
                 "beta shape parameters must be positive and finite, got "
                 f"({self.alpha}, {self.beta_param})"
             )
-
-    def pdf(self, x):
-        x = np.clip(np.asarray(x, dtype=float), _EDGE, 1.0 - _EDGE)
-        a, b = self.alpha, self.beta_param
-        logp = (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - special.betaln(a, b)
-        return np.exp(logp)
 
     def partial_moments(self, boundaries, orders: int = 3) -> Moments:
         """The first `orders` of (m0, m1, m2), the integrals of 1, x, x^2
@@ -141,44 +128,29 @@ class NoiseKernel:
             raise DomainError(f"noise of halfwidth {self.halfwidth:g} around word "
                               f"{words[np.argmin(fits)]:.6g} leaves the unit interval")
 
-    def pdf(self, x, center):
-        """Density at x of center + noise; `x` and `center` broadcast.
-        Zero for point kernels."""
-        t = np.abs(np.asarray(x, dtype=float) - center)
-        h = self.halfwidth
-        if self.shape is KernelShape.POINT:
-            return np.zeros_like(t)
-        if self.shape is KernelShape.UNIFORM:
-            return np.where(t < h, 1.0 / (2.0 * h), 0.0)
-        return np.where(t < h, (h - t) / (h * h), 0.0)
+    def partial_moments(self, a, b, center, orders: int = 3) -> Moments:
+        """The first `orders` of (m0, m1, m2) of the smeared density over (a, b].
 
-    def partial_moments(self, a, b, center) -> Moments:
-        """(m0, m1, m2) of the smeared density over (a, b].
-
-        `a`, `b` and `center` broadcast, e.g. atoms down a column against
-        cells along a row. Point kernels are Dirac masses: the atom is in
-        (a, b] iff a < center <= b, so an atom on an edge belongs to the
-        cell on its left.
+        `a`, `b` and `center` are float arrays (or numbers) that broadcast,
+        e.g. atoms down a column against cells along a row. Point kernels
+        are Dirac masses: the atom is in (a, b] iff a < center <= b, so an
+        atom on an edge belongs to the cell on its left.
         """
-        a, b, c = (np.asarray(v, dtype=float) for v in (a, b, center))
         h = self.halfwidth
         if self.shape is KernelShape.POINT:
-            inside = (a < c) & (c <= b)
-            return _moments_out(inside.astype(float), inside * c, inside * (c * c))
+            inside = (a < center) & (center <= b)
+            return tuple(inside * p for p in (1.0, center, center * center)[:orders])
         if self.shape is KernelShape.UNIFORM:
             inv = 1.0 / (2.0 * h)
-            d1, d2, d3, _ = _clipped_powers(a, b, c - h, c + h)
-            return _moments_out(d1 * inv, d2 * inv, d3 * inv)
+            return tuple(d * inv for d in _clipped_powers(a, b, center - h, center + h, orders))
         # triangular: density (h + s*(x - center)) / h^2 with s = +1 left, -1 right
         inv = 1.0 / (h * h)
-        m0 = m1 = m2 = 0.0
-        for seg_lo, seg_hi, s in ((c - h, c, 1.0), (c, c + h, -1.0)):
-            c0 = h - s * c
-            d1, d2, d3, d4 = _clipped_powers(a, b, seg_lo, seg_hi)
-            m0 = m0 + (c0 * d1 + s * d2) * inv
-            m1 = m1 + (c0 * d2 + s * d3) * inv
-            m2 = m2 + (c0 * d3 + s * d4) * inv
-        return _moments_out(m0, m1, m2)
+        m = [0.0] * orders
+        for seg_lo, seg_hi, s in ((center - h, center, 1.0), (center, center + h, -1.0)):
+            c0 = h - s * center
+            d = _clipped_powers(a, b, seg_lo, seg_hi, orders + 1)
+            m = [m[j] + (c0 * d[j] + s * d[j + 1]) * inv for j in range(orders)]
+        return tuple(m)
 
     def sample(self, rng: np.random.Generator, size=None):
         """Draw noise values (not shifted by any word)."""
@@ -230,20 +202,6 @@ class MixtureDensity:
     def from_beta(cls, d: BetaDensity) -> "MixtureDensity":
         return cls(continuous_parts=((1.0, d),))
 
-    def pdf(self, x):
-        """Continuous density at x; point atoms contribute nothing here."""
-        xa = np.asarray(x, dtype=float)
-        if np.any(xa <= 0.0) or np.any(xa >= 1.0):
-            raise DomainError("pdf evaluation requires x strictly inside (0, 1)")
-        out = np.zeros_like(xa)
-        for w, d in self.continuous_parts:
-            out = out + w * d.pdf(xa)
-        c = self.atom_centers.reshape((-1,) + (1,) * xa.ndim)
-        out = out + np.tensordot(self.atom_weights, self.noise.pdf(xa, c), axes=1)
-        if np.isscalar(x) or np.ndim(x) == 0:
-            return float(out)
-        return out
-
     def partial_moments(self, boundaries, orders: int = 3) -> Moments:
         """The first `orders` of (m0, m1, m2) of the mixture over the cells
         (b_k, b_{k+1}] between consecutive boundaries along the last axis.
@@ -252,6 +210,8 @@ class MixtureDensity:
         if orders not in (1, 2, 3):
             raise ValueError(f"orders must be 1, 2 or 3, got {orders}")
         b = np.asarray(boundaries, dtype=float)
+        if b.ndim == 0 or b.shape[-1] < 2:
+            raise ValueError(f"need >= 2 boundaries on the last axis, got shape {b.shape}")
         a, z = b[..., :-1].ravel(), b[..., 1:].ravel()
         ok = (0.0 <= a) & (a < z) & (z <= 1.0)
         if not ok.all():
@@ -266,7 +226,7 @@ class MixtureDensity:
         if self.atom_weights.size:
             # all atoms down a column against the cells along a row
             w, c = self.atom_weights[:, None], self.atom_centers[:, None]
-            for j, m in zip(range(orders), self.noise.partial_moments(a, z, c)):
+            for j, m in enumerate(self.noise.partial_moments(a, z, c, orders)):
                 np.multiply(w, m, out=terms[n:, j])
         # unlike sum, accumulate never switches to pairwise summation
         total = np.add.accumulate(terms, axis=0)[-1]
@@ -302,8 +262,7 @@ class MixtureDensity:
             for half in (8, 4, 2, 1):
                 j = np.where(up[rows, j + half - 1], j, j + half)
             lo, hi = grid[rows, j], grid[rows, j + 1]
-        x = (0.5 * (lo + hi)).reshape(p.shape)
-        return float(x) if x.ndim == 0 else x
+        return (0.5 * (lo + hi)).reshape(p.shape)
 
 
 Density = Union[BetaDensity, MixtureDensity]

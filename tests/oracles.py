@@ -32,6 +32,15 @@ def beta_pdf(x, alpha, beta_param):
     )
 
 
+def kernel_pdf(kernel, x, center):
+    """Density at x of center + noise for a uniform or triangular kernel."""
+    t = np.abs(np.asarray(x, dtype=float) - center)
+    h = kernel.halfwidth
+    if kernel.shape is KernelShape.UNIFORM:
+        return np.where(t < h, 1.0 / (2.0 * h), 0.0)
+    return np.where(t < h, (h - t) / (h * h), 0.0)
+
+
 def riemann_moments(pdf, a, b, n=2_000_000):
     """(m0, m1, m2) of `pdf` over (a, b] by the midpoint rule."""
     h = (b - a) / n

@@ -105,6 +105,14 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="noise.shape"):
             load_config(p)
 
+    def test_integral_floats_accepted(self, tmp_path):
+        p = tmp_path / "float.cfg"
+        p.write_text(SMALL_CONFIG.replace("levels: 4", "levels: 4.0", 1)
+                     .replace("max_sweeps: 60", "max_sweeps: 60.0"))
+        cfg = load_config(p)
+        assert cfg.agents[0].levels == 4 and type(cfg.agents[0].levels) is int
+        assert cfg.solver.max_sweeps == 60 and type(cfg.solver.max_sweeps) is int
+
     def test_bad_beta_params(self, tmp_path):
         bad = SMALL_CONFIG.replace("alpha: 8.0", "alpha: -1.0", 1)
         p = tmp_path / "beta.cfg"
@@ -205,11 +213,24 @@ class TestCliSolve:
          "  - {id: 2, alpha: 2.0, beta: 8.0, levels: 4}\n"
          "comm_matrix:\n  - [0.85, 0.15]\n  - [0.15, 0.85]\n",
          " []\ncomm_matrix: []\n"),
+        ("levels: 4", "levels: 6.7"),
+        ("levels: 4", "levels: true"),
+        ("id: 1", "id: 1.5"),
+        ("max_sweeps: 60", "max_sweeps: 2.9"),
+        ("max_sweeps: 60", "max_sweeps: 0"),
+        ("n_starts: 4", "n_starts: true"),
+        ("n_samples: 20000", "n_samples: 20000.5"),
+        ("seed: 5", "seed: true"),
+        ("tol: 1.0e-9", "tol: -1.0e-9"),
+        ("tol: 1.0e-9", "tol: .nan"),
+        ("tol: 1.0e-9", "tol: .inf"),
     ], ids=["alpha-text", "levels-text", "tol-text", "no-starts", "entry-text", "entry-nan",
             "uniform-zero-width", "negative-width", "point-with-width",
             "agent-not-mapping", "solver-scalar", "noise-scalar", "montecarlo-list",
             "negative-seed", "outputs-text", "agents-scalar", "matrix-scalar",
-            "alpha-inf", "width-nan", "no-agents"])
+            "alpha-inf", "width-nan", "no-agents", "levels-fraction", "levels-bool",
+            "id-fraction", "sweeps-fraction", "no-sweeps", "starts-bool",
+            "samples-fraction", "seed-bool", "tol-negative", "tol-nan", "tol-inf"])
     def test_malformed_config_exit_code(self, tmp_path, capsys, old, new):
         assert old in SMALL_CONFIG
         p = tmp_path / "bad.cfg"
@@ -218,6 +239,16 @@ class TestCliSolve:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("args", [
+        ["--max-sweeps", "0"], ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"],
+    ], ids=["no-sweeps", "tol-negative", "tol-nan", "tol-inf"])
+    def test_bad_solve_flags_exit_code(self, cli_ws, tmp_path, capsys, args):
+        cfg, _out = cli_ws
+        code = main(["solve", "--config", str(cfg), "--out", str(tmp_path)] + args)
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "state.json").exists()  # rejected before any work
 
     def test_starved_cell_exit_code(self, tmp_path, capsys):
         # agent 1 hears only its peer, whose four words leave a cell empty

@@ -1,6 +1,7 @@
-"""Density layer: beta pdfs/moments against Riemann-sum oracles, atom and
-noise-kernel interval conventions, rejection of non-finite parameters and
-of words the noise pushes out of (0, 1), the beta-pair dissimilarity
+"""Density layer: beta and noise-kernel moments against Riemann-sum
+oracles, atom and noise-kernel interval conventions, rejection of
+non-finite parameters and of words the noise pushes out of (0, 1), of
+malformed cells and orders, the beta-pair dissimilarity
 formula against a quadrature oracle, properties of the boundaries moment
 kernel on random mixtures, the grid quantile search against the one-point
 bisection it replaced, and the work counts of both."""
@@ -27,6 +28,7 @@ from oracles import (
     beta_pdf,
     bhattacharyya_overlap,
     bisection_quantile,
+    kernel_pdf,
     riemann_moments,
     scalar_loop_moments,
 )
@@ -41,16 +43,6 @@ DISSIM_25_52 = 0.5398057636397473
 
 
 class TestBetaDensity:
-    def test_pdf_values(self):
-        assert BetaDensity(2, 2).pdf(0.5) == pytest.approx(1.5, abs=1e-12)
-        assert BetaDensity(1, 1).pdf(0.123) == pytest.approx(1.0, abs=1e-12)
-
-    def test_pdf_rejects_exterior_points(self):
-        d = MixtureDensity.from_beta(BetaDensity(2, 2))
-        for x in (0.0, 1.0, -0.1, 1.1):
-            with pytest.raises(DomainError):
-                d.pdf(x)
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             BetaDensity(0.0, 1.0)
@@ -130,7 +122,7 @@ class TestNoiseKernel:
         # the density jump at the support edge lies on the range boundary
         # (the midpoint rule converges slowly across a discontinuity)
         lo, hi = max(a, 0.5 - 0.06), min(b, 0.5 + 0.06)
-        want = riemann_moments(lambda x: k.pdf(x, 0.5), lo, hi, n=400_000)
+        want = riemann_moments(lambda x: kernel_pdf(k, x, 0.5), lo, hi, n=400_000)
         got = k.partial_moments(a, b, 0.5)
         assert got == pytest.approx(want, abs=1e-9)
 
@@ -191,9 +183,10 @@ class TestMixtureDensity:
         k = NoiseKernel("triangular", 0.05)
         d = MixtureDensity(((0.6, BetaDensity(2, 2)),), [0.4], [0.5], k)
         assert d.mass_in([0.0, 1.0])[0] == pytest.approx(1.0, abs=1e-12)
-        # pdf integrates the smeared atom too
-        want = riemann_moments(lambda x: 0.6 * beta_pdf(x, 2, 2) + 0.4 * k.pdf(x, 0.5),
-                               0.3, 0.7, n=400_000)
+        # the integrand holds the smeared atom too
+        want = riemann_moments(
+            lambda x: 0.6 * beta_pdf(x, 2, 2) + 0.4 * kernel_pdf(k, x, 0.5),
+            0.3, 0.7, n=400_000)
         got = tuple(m[0] for m in d.partial_moments([0.3, 0.7]))
         assert got == pytest.approx(want, abs=1e-8)
 
@@ -258,10 +251,15 @@ class TestArrayKernel:
         mix, edges = case
         batch = np.array([edges, 1.0 - edges[::-1]])
         d = mix.continuous_parts[0][1]
-        for kernel in (mix, d):
-            full = kernel.partial_moments(batch)
+        # the noise kernel prices every atom (down the first axis) on every cell
+        centers = mix.atom_centers[:, None, None]
+        for kernel in (lambda k: mix.partial_moments(batch, orders=k),
+                       lambda k: d.partial_moments(batch, orders=k),
+                       lambda k: mix.noise.partial_moments(batch[..., :-1], batch[..., 1:],
+                                                           centers, orders=k)):
+            full = kernel(3)
             for k in (1, 2):
-                part = kernel.partial_moments(batch, orders=k)
+                part = kernel(k)
                 assert len(part) == k
                 assert all(np.array_equal(a, b) for a, b in zip(part, full))
 
@@ -307,15 +305,6 @@ class TestArrayKernel:
         assert np.array_equal(got, bisection_quantile(mix, np.array(levels)))
         assert mix.quantile(levels[0]) == bisection_quantile(mix, levels[0])
 
-    def test_scalar_inputs_return_floats(self):
-        d = BetaDensity(2, 5)
-        k = NoiseKernel("triangular", 0.05)
-        for moments in (k.partial_moments(0.4, 0.52, 0.5),
-                        POINT_KERNEL.partial_moments(0.4, 0.5, 0.5)):
-            assert all(type(v) is float for v in moments)
-        mix = MixtureDensity(((0.5, d),), [0.5], [0.5], k)
-        assert type(mix.quantile(0.5)) is float
-
     def test_invalid_cells_rejected(self):
         d = MixtureDensity.from_beta(BetaDensity(2, 2))
         with pytest.raises(ValueError, match="0.5, 0.5"):
@@ -327,6 +316,10 @@ class TestArrayKernel:
         for orders in (0, 4):
             with pytest.raises(ValueError, match="orders must be 1, 2 or 3"):
                 d.partial_moments([0.0, 1.0], orders=orders)
+        # a 0-d boundary, or fewer than two along the last axis, holds no cell
+        for boundaries in (0.5, [0.5], np.zeros((3, 1)), np.empty((2, 0))):
+            with pytest.raises(ValueError, match=">= 2 boundaries"):
+                d.partial_moments(boundaries)
 
 
 class TestKernelWork:
@@ -349,6 +342,21 @@ class TestKernelWork:
             sizes.clear()
             mix.partial_moments(batch, orders=k)
             assert sizes == [batch.size] * k
+
+    def test_noise_kernel_prices_only_the_orders_asked_for(self, monkeypatch):
+        asked = []
+        kernel = NoiseKernel.partial_moments
+
+        def counting(self, a, b, center, orders=3):
+            asked.append(orders)
+            return kernel(self, a, b, center, orders)
+
+        monkeypatch.setattr(NoiseKernel, "partial_moments", counting)
+        mix = MixtureDensity(((0.6, BetaDensity(2, 5)),), [0.4], [0.5],
+                             NoiseKernel("triangular", 0.02))
+        for k in (1, 2, 3):
+            mix.partial_moments([0.0, 0.5, 1.0], orders=k)
+        assert asked == [1, 2, 3]
 
     @pytest.mark.parametrize("levels", [1, 6])
     def test_quantile_makes_at_most_11_kernel_calls(self, monkeypatch, levels):

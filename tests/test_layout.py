@@ -6,8 +6,9 @@
   (`from . import game; game._helper`).
 - Every name the benchmark's tracer (`perfbench/tracing.py`) wraps is
   still bound where the tracer looks it up.
-- Every name the package exports has a reader in the library or the
-  benchmark, so no helper survives that only tests use.
+- Every name the package exports, and every public function, class and
+  method it defines, has a reader in the library or the benchmark, so
+  no helper survives that only tests use.
 """
 
 import ast
@@ -93,40 +94,85 @@ def exports(init_source: str):
             for alias in node.names}
 
 
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def definitions(source: str):
+    """Names of the public functions, classes and methods a module defines."""
+    return {node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, _DEFINITIONS) and not node.name.startswith("_")}
+
+
 def library_reads(source: str):
     """Names a module reads: Name loads, attribute names and names taken
-    by `from ... import`; a `def` or `class` statement reads nothing."""
+    by `from ... import`; a `def` or `class` statement reads nothing, and
+    a read inside a definition of the same name (recursion, or delegation
+    such as a `pdf` method calling a part's `pdf`) does not count."""
     found = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
+
+    def visit(node, enclosing):
+        if isinstance(node, _DEFINITIONS):
+            enclosing = enclosing | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in enclosing:
             found.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and node.attr not in enclosing:
             found.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             found.update(alias.name for alias in node.names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(ast.parse(source), frozenset())
     return found
 
 
-def unread_exports(init_source: str, module_sources, bench_text: str):
-    """Exports that no other package module reads and the benchmark never
-    names (its tracer names the sites it wraps by string)."""
+def unread_names(names, module_sources, bench_text: str):
+    """Those of `names` that no package module reads and the benchmark
+    never names (its tracer names the sites it wraps by string)."""
     read = set().union(*(library_reads(src) for src in module_sources))
-    return {name for name in exports(init_source)
+    return {name for name in names
             if name not in read and not re.search(rf"\b{name}\b", bench_text)}
 
 
 def test_detector_flags_unused_export():
     init = "from .game import solve, helper\n"
-    assert unread_exports(init, ["def helper():\n    pass\n",
-                                 "def solve():\n    return 1\n"],
-                          "game.solve") == {"helper"}
+    assert unread_names(exports(init), ["def helper():\n    pass\n",
+                                        "def solve():\n    return 1\n"],
+                        "game.solve") == {"helper"}
 
 
-def test_every_export_has_a_library_reader():
+def test_detector_flags_unread_methods():
+    # a method read only by its own delegation, and a function read only by
+    # its own recursion, have no reader; the benchmark names `Mixture`
+    source = ("class Mixture:\n"
+              "    def pdf(self, x):\n"
+              "        return self.part.pdf(x)\n"
+              "    def mass(self):\n"
+              "        return 1.0\n"
+              "def depth(n):\n"
+              "    return 0 if n == 0 else depth(n - 1)\n"
+              "def total(m):\n"
+              "    return m.mass()\n"
+              "TOTAL = total(Mixture())\n")
+    assert unread_names(definitions(source), [source], "Mixture") == {"pdf", "depth"}
+
+
+def _library_and_benchmark():
     modules = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))
                if p.name != "__init__.py"]
     bench = "\n".join(p.read_text()
                       for p in sorted((PACKAGE.parents[1] / "perfbench").glob("*.py")))
+    return modules, bench
+
+
+def test_every_export_has_a_library_reader():
+    modules, bench = _library_and_benchmark()
     init = (PACKAGE / "__init__.py").read_text()
     assert READERLESS_EXPORTS <= exports(init)
-    assert unread_exports(init, modules, bench) - READERLESS_EXPORTS == set()
+    assert unread_names(exports(init), modules, bench) - READERLESS_EXPORTS == set()
+
+
+def test_every_definition_has_a_library_reader():
+    modules, bench = _library_and_benchmark()
+    defined = set().union(*(definitions(src) for src in modules))
+    assert unread_names(defined, modules, bench) - READERLESS_EXPORTS == set()
