@@ -246,8 +246,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """One-line command-line errors, exit EXIT_CONFIG; subparsers share the class."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"{self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quantgame",
         description="Nash-equilibrium quantizer design on communication networks",
     )
@@ -294,14 +301,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    for name, least in _MINIMUM.items():
-        value = getattr(args, name, None)
-        if value is not None and not least <= value < np.inf:
-            print(f"--{name.replace('_', '-')} must be finite and at least {least}, "
-                  f"got {value}", file=sys.stderr)
-            return EXIT_CONFIG
     try:
+        args = build_parser().parse_args(argv)
+        for name, least in _MINIMUM.items():
+            value = getattr(args, name, None)
+            if value is not None and not least <= value < np.inf:
+                print(f"--{name.replace('_', '-')} must be finite and at least {least}, "
+                      f"got {value}", file=sys.stderr)
+                return EXIT_CONFIG
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -89,17 +89,20 @@ def _section(where, value, build, kind=dict):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _integer(name: str, value) -> int:
-    """`value` as an int; only integral numbers, never booleans, pass."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 != 0:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def _number(name: str, value, kind):
+    """`value` as a `kind`, int or float: never from a boolean, nor an int from a fraction."""
+    if isinstance(value, bool) or kind is int and (
+            not isinstance(value, (int, float)) or value % 1 != 0):
+        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
+                         f"got {value!r}")
+    return kind(value)
 
 
 def _agent(n: int, entry) -> AgentSpec:
-    return AgentSpec(id=_integer("id", entry.get("id", n)),
-                     physical=BetaDensity(float(entry["alpha"]), float(entry["beta"])),
-                     levels=_integer("levels", entry["levels"]))
+    return AgentSpec(id=_number("id", entry.get("id", n), int),
+                     physical=BetaDensity(_number("alpha", entry["alpha"], float),
+                                          _number("beta", entry["beta"], float)),
+                     levels=_number("levels", entry["levels"], int))
 
 
 def _stochastic_row(n: int, row) -> np.ndarray:
@@ -128,7 +131,7 @@ def _noise(doc) -> NoiseKernel:
     except ValueError:
         raise ConfigError(f"noise.shape must be one of "
                           f"{[s.value for s in KernelShape]}, got {shape!r}")
-    return NoiseKernel(shape, float(doc.get("halfwidth", 0.0)))
+    return NoiseKernel(shape, _number("halfwidth", doc.get("halfwidth", 0.0), float))
 
 
 # smallest accepted (finite) value of each numeric setting
@@ -137,10 +140,11 @@ _LEAST = {"tol": 0.0, "max_sweeps": 1, "n_starts": 1, "n_samples": 1, "seed": 0}
 
 def _settings(cls, doc):
     """`cls` from its config section: each given field is cast to the type
-    of its default (an int by `_integer`) and checked against `_LEAST`,
+    of its default (a number by `_number`) and checked against `_LEAST`,
     absent fields keep the default, other keys are ignored."""
-    values = {f.name: _integer(f.name, doc[f.name]) if isinstance(f.default, int)
-              else type(f.default)(doc[f.name]) for f in fields(cls) if f.name in doc}
+    values = {f.name: str(doc[f.name]) if isinstance(f.default, str)
+              else _number(f.name, doc[f.name], type(f.default))
+              for f in fields(cls) if f.name in doc}
     for name, value in values.items():
         if name in _LEAST and not _LEAST[name] <= value < np.inf:
             raise ValueError(f"{name} must be finite and at least {_LEAST[name]}, got {value}")

@@ -153,9 +153,8 @@ class NoiseKernel:
         return tuple(m)
 
     def sample(self, rng: np.random.Generator, size=None):
-        """Draw noise values (not shifted by any word)."""
-        if self.shape is KernelShape.POINT:
-            return np.zeros(size) if size is not None else 0.0
+        """Draw noise values (not shifted by any word) from a uniform or
+        triangular kernel; callers skip the point kernel."""
         if self.shape is KernelShape.UNIFORM:
             return rng.uniform(-self.halfwidth, self.halfwidth, size)
         return rng.triangular(-self.halfwidth, 0.0, self.halfwidth, size)

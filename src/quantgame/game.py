@@ -9,6 +9,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import montecarlo
 from .densities import MixtureDensity, NoiseKernel, POINT_KERNEL
 from .networks import (
     AgentSpec,
@@ -17,20 +18,7 @@ from .networks import (
     observed_environment,
     word_usage,
 )
-from .quantizers import (
-    RegularQuantizer,
-    multi_start_lloyd_max,
-    centroid_residual,
-)
-
-# Lloyd-Max inner tolerance sits well below the sweep-level tolerance so
-# per-agent residuals do not dominate the convergence metric.
-_LM_TOL = 1e-11
-_LM_MAX_ITERS = 20_000
-
-# Multi-start jitter uses a fixed internal seed: equilibrium solving is
-# deterministic and independent of any user-facing sampling seed.
-_SOLVER_SEED = 0
+from .quantizers import RegularQuantizer, centroid_residual, multi_start_lloyd_max
 
 
 @dataclass(frozen=True)
@@ -94,8 +82,7 @@ def observed_mixture(i: int, game: QuantizationGame, quantizers, usage) -> Mixtu
     )
 
 
-def refresh_state(game: QuantizationGame, quantizers: Sequence[RegularQuantizer],
-                  iteration: int = 0, last_max_move: float = float("inf")) -> GameState:
+def refresh_state(game: QuantizationGame, quantizers: Sequence[RegularQuantizer]) -> GameState:
     """Build a consistent GameState (usage vectors) from quantizers.
 
     Usage vectors are iterated to their mutual fixed point: each agent's
@@ -114,7 +101,7 @@ def refresh_state(game: QuantizationGame, quantizers: Sequence[RegularQuantizer]
         usage = new_usage
         if delta < 1e-14:
             break
-    return GameState(list(quantizers), usage, iteration, last_max_move)
+    return GameState(list(quantizers), usage)
 
 
 def _physical_usage(game: QuantizationGame, quantizers) -> List[np.ndarray]:
@@ -127,9 +114,7 @@ def bootstrap(game: QuantizationGame, n_starts: int = 8) -> GameState:
     """Initial state: per-agent Lloyd-Max optimum on the physical source
     alone, with usage derived from the physical densities."""
     quantizers = [
-        multi_start_lloyd_max(a.physical, a.levels, n_starts=n_starts,
-                              seed=_SOLVER_SEED, tol=_LM_TOL,
-                              max_iters=_LM_MAX_ITERS).quantizer
+        multi_start_lloyd_max(a.physical, a.levels, n_starts=n_starts).quantizer
         for a in game.agents
     ]
     return GameState(quantizers, _physical_usage(game, quantizers))
@@ -140,11 +125,8 @@ def best_response(i: int, state: GameState, game: QuantizationGame,
     """Loss-minimizing quantizer for agent i against the current observed
     environment, warm-started from the agent's present strategy."""
     obs = observed_mixture(i, game, state.quantizers, state.usage)
-    res = multi_start_lloyd_max(
-        obs, game.agents[i].levels, n_starts=n_starts, seed=_SOLVER_SEED,
-        warm_start=state.quantizers[i], tol=_LM_TOL, max_iters=_LM_MAX_ITERS,
-    )
-    return res.quantizer
+    return multi_start_lloyd_max(obs, game.agents[i].levels, n_starts=n_starts,
+                                 warm_start=state.quantizers[i]).quantizer
 
 
 def sweep(state: GameState, game: QuantizationGame,
@@ -241,8 +223,6 @@ def verify_nash(
     two accepted samples, and NaN if no word has that many. Samples that
     outlast DEPTH_CAP are not accepted; their count per agent is kept in
     `true_residual_truncated`."""
-    from . import montecarlo  # local import; montecarlo depends on this module
-
     if n_samples < 1:
         raise ValueError("sample count must be positive")
     report = _quick_report(state, game, converged=True,

@@ -11,13 +11,15 @@ estimates stay cheap and a seed fixes every sample.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
-from .densities import NoiseKernel, POINT_KERNEL, KernelShape
-from .game import GameState, QuantizationGame
+from .densities import DomainError, NoiseKernel, POINT_KERNEL, KernelShape
 from .quantizers import RegularQuantizer
+
+if TYPE_CHECKING:  # game imports this module
+    from .game import GameState, QuantizationGame
 
 DEPTH_CAP = 64
 
@@ -121,16 +123,22 @@ class LossReport:
     n_clamped: int = 0
 
 
-def estimate_losses(i: int, state: GameState, game: QuantizationGame,
-                    n: int, seed: int = 0) -> LossReport:
+def _observed(i: int, state: GameState, game: QuantizationGame, n: int, seed: int):
+    """n signals sampled at agent i less the truncated ones: (x_true, x_obs,
+    agent i's cell of each x_obs, n_truncated, n_clamped)."""
     if n < 1:
         raise ValueError("sample count must be positive")
     rng = np.random.default_rng(seed)
     x, xhat, _lengths, n_trunc, n_clamp = sample_paths(i, state, game, n, rng)
     ok = ~np.isnan(x)
     x, xhat = x[ok], xhat[ok]
-    q = state.quantizers[i]
-    word = q.words[q.closed_cell_index(xhat)]
+    return x, xhat, state.quantizers[i].closed_cell_index(xhat), n_trunc, n_clamp
+
+
+def estimate_losses(i: int, state: GameState, game: QuantizationGame,
+                    n: int, seed: int = 0) -> LossReport:
+    x, xhat, idx, n_trunc, n_clamp = _observed(i, state, game, n, seed)
+    word = state.quantizers[i].words[idx]
     total = (x - word) ** 2
     quant = (xhat - word) ** 2
     comm = (x - xhat) ** 2
@@ -162,12 +170,8 @@ def true_env_residuals(i: int, state: GameState, game: QuantizationGame,
     Zero residuals (within noise) certify the centroid condition against
     the true environment.
     """
-    rng = np.random.default_rng(seed)
-    x, xhat, _lengths, _t, _c = sample_paths(i, state, game, n_samples, rng)
-    ok = ~np.isnan(x)
-    x, xhat = x[ok], xhat[ok]
+    x, _xhat, idx, _t, _c = _observed(i, state, game, n_samples, seed)
     q = state.quantizers[i]
-    idx = q.closed_cell_index(xhat)
     resid = np.full(q.levels, np.nan)
     se = np.full(q.levels, np.nan)
     counts = np.zeros(q.levels, dtype=int)
@@ -229,27 +233,30 @@ def chain_translate(quantizers: Sequence[RegularQuantizer], chain: Sequence[int]
         raise ValueError("a chain needs at least two agents")
     if noise.shape is not KernelShape.POINT and rng is None:
         raise ValueError("noisy translation needs an rng")
-    k, w = quantizers[chain[0]].quantize(x)
-    hop_words = [w]
+    if not 0.0 < x < 1.0:
+        raise DomainError("quantizer input must be strictly inside (0, 1)")
+    k = int(quantizers[chain[0]].closed_cell_index(x))
+    hop_words = [float(quantizers[chain[0]].words[k])]
     clamped = 0
     for agent in chain[1:]:
-        v = w
+        v = hop_words[-1]
         if noise.shape is not KernelShape.POINT:
             nv = v + float(noise.sample(rng))
             v = float(np.clip(nv, _CLAMP, 1.0 - _CLAMP))
             clamped += int(v != nv)
-        _, w = quantizers[agent].quantize(v)
-        hop_words.append(w)
+        q = quantizers[agent]
+        hop_words.append(float(q.words[q.closed_cell_index(v)]))
+    w = hop_words[-1]
     shared, witnesses = shared_vocabulary(quantizers, chain)
     bound = witnesses[k][1] - witnesses[k][0] if shared else None
     return ChainReport(
         chain=chain,
         x=float(x),
         hop_words=hop_words,
-        final_word=float(w),
+        final_word=w,
         translation_loss=float((w - x) ** 2),
         word_drift=float(abs(w - hop_words[0])),
-        cell_index=int(k),
+        cell_index=k,
         bound=bound,
         n_clamped=clamped,
     )
@@ -299,7 +306,7 @@ def path_dependence_probe(quantizers: Sequence[RegularQuantizer], P,
     finals = np.empty((len(chains), grid.size))
     for c, chain in enumerate(chains):
         v = grid
-        for pos, agent in enumerate(chain):
+        for agent in chain:
             q = quantizers[agent]
             v = q.words[q.closed_cell_index(v)]
         finals[c] = v

@@ -22,7 +22,6 @@ import numpy as np
 from .densities import (
     EMPTY_CELL_MASS,
     Density,
-    DomainError,
     MixtureDensity,
     Moments,
     as_mixture,
@@ -31,6 +30,12 @@ from .densities import (
 
 # minimal gap used to keep words strictly interior / strictly increasing
 _SEP = 1e-14
+
+# the game's best response runs on these multi-start defaults: the inner
+# tolerance sits well below the sweep tolerance, and the jitter seed
+# (`seed`, 0) is fixed, so solving is deterministic
+_MULTI_TOL = 1e-11
+_MULTI_MAX_ITERS = 20_000
 
 
 @dataclass(frozen=True)
@@ -58,24 +63,11 @@ class RegularQuantizer:
     def levels(self) -> int:
         return self.words.size
 
-    def cell_index(self, x) -> np.ndarray:
-        """0-based cell index for x in (0, 1); cells are (a_k, a_{k+1}]."""
-        xa = np.asarray(x, dtype=float)
-        if np.any(xa <= 0.0) or np.any(xa >= 1.0):
-            raise DomainError("quantizer input must be strictly inside (0, 1)")
-        idx = self.closed_cell_index(xa)
-        return idx if np.ndim(x) else int(idx)
-
     def closed_cell_index(self, x: np.ndarray) -> np.ndarray:
-        """Cell indices for an array x in [0, 1]: as `cell_index`, but a
-        draw of 0.0 falls in the first cell and 1.0 in the last."""
+        """Cell indices for an array x in [0, 1]: cells are (a_k, a_{k+1}],
+        but a draw of 0.0 falls in the first cell and 1.0 in the last."""
         idx = np.searchsorted(self.boundaries, x, side="left") - 1
         return np.clip(idx, 0, self.levels - 1)
-
-    def quantize(self, x):
-        """Map x to (cell index, word value)."""
-        idx = self.cell_index(x)
-        return idx, self.words[idx] if np.ndim(x) else float(self.words[idx])
 
 
 def _midpoints(words: np.ndarray) -> np.ndarray:
@@ -269,8 +261,8 @@ def multi_start_lloyd_max(
     n_starts: int = 8,
     seed: int = 0,
     warm_start: Optional[RegularQuantizer] = None,
-    max_iters: int = 10_000,
-    tol: float = 1e-10,
+    max_iters: int = _MULTI_MAX_ITERS,
+    tol: float = _MULTI_TOL,
 ) -> LloydMaxResult:
     """Best of several Lloyd-Max runs: the optional warm start, the
     quantile start, and jittered quantile starts, `n_starts` cold starts

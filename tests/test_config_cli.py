@@ -224,13 +224,17 @@ class TestCliSolve:
         ("tol: 1.0e-9", "tol: -1.0e-9"),
         ("tol: 1.0e-9", "tol: .nan"),
         ("tol: 1.0e-9", "tol: .inf"),
+        ("alpha: 8.0", "alpha: true"),
+        ("shape: point, halfwidth: 0.0", "shape: uniform, halfwidth: true"),
+        ("tol: 1.0e-9", "tol: true"),
     ], ids=["alpha-text", "levels-text", "tol-text", "no-starts", "entry-text", "entry-nan",
             "uniform-zero-width", "negative-width", "point-with-width",
             "agent-not-mapping", "solver-scalar", "noise-scalar", "montecarlo-list",
             "negative-seed", "outputs-text", "agents-scalar", "matrix-scalar",
             "alpha-inf", "width-nan", "no-agents", "levels-fraction", "levels-bool",
             "id-fraction", "sweeps-fraction", "no-sweeps", "starts-bool",
-            "samples-fraction", "seed-bool", "tol-negative", "tol-nan", "tol-inf"])
+            "samples-fraction", "seed-bool", "tol-negative", "tol-nan", "tol-inf",
+            "alpha-bool", "width-bool", "tol-bool"])
     def test_malformed_config_exit_code(self, tmp_path, capsys, old, new):
         assert old in SMALL_CONFIG
         p = tmp_path / "bad.cfg"
@@ -249,6 +253,26 @@ class TestCliSolve:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.count("\n") == 1
         assert not (tmp_path / "state.json").exists()  # rejected before any work
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "--config", str(IDENTITY_CONFIG), "--max-sweeps", "2.5"],
+        ["simulate", "--config", str(IDENTITY_CONFIG), "--samples", "x"],
+        ["solve", "--config", str(IDENTITY_CONFIG), "--tol", "abc"],
+        ["solve"],
+        ["translate", "--config", str(IDENTITY_CONFIG)],
+    ], ids=["sweeps-fraction", "samples-text", "tol-text", "no-config", "no-command"])
+    def test_bad_command_line_exit_code(self, tmp_path, capsys, args):
+        # argparse's own rejections end in one line, as the checks of ours do
+        code = main(args + ["--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("quantgame")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["solve", "--help"]) == EXIT_OK
+        assert "--max-sweeps" in capsys.readouterr().out
 
     def test_starved_cell_exit_code(self, tmp_path, capsys):
         # agent 1 hears only its peer, whose four words leave a cell empty

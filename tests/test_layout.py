@@ -9,9 +9,13 @@
 - Every name the package exports, and every public function, class and
   method it defines, has a reader in the library or the benchmark, so
   no helper survives that only tests use.
+- No module of the package imports another inside a function, and the
+  graph of module-level imports (imports under `if TYPE_CHECKING:` left
+  out) has no cycle.
 """
 
 import ast
+import graphlib
 import importlib.util
 import re
 from pathlib import Path
@@ -66,6 +70,80 @@ def test_no_module_uses_another_modules_private_names():
     assert len(modules) >= 8
     offenders = {p.name: private_uses(p.read_text()) for p in modules}
     assert {name: uses for name, uses in offenders.items() if uses} == {}
+
+
+def package_imports(source: str, modules):
+    """(line, module, inside a function) for each import of one of
+    `modules`, the package's module names; imports under
+    `if TYPE_CHECKING:` are left out."""
+    found = []
+
+    def visit(node, in_function):
+        if (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+                and node.test.id == "TYPE_CHECKING"):
+            node = ast.Module(body=node.orelse, type_ignores=[])
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            in_function = True
+        elif isinstance(node, ast.ImportFrom) and _is_ours(node):
+            module = node.module or ""
+            if node.level == 0:
+                module = module.partition(".")[2]  # drop the leading "quantgame"
+            names = [module.split(".")[0]] if module else [a.name for a in node.names]
+            found.extend((node.lineno, m, in_function) for m in names if m in modules)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                top, _, rest = alias.name.partition(".")
+                module = rest.split(".")[0]
+                if top == "quantgame" and module in modules:
+                    found.append((node.lineno, module, in_function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_function)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def import_cycle(sources):
+    """A cycle, as a list of module names, in the module-level import
+    graph of `sources` (module name -> source), or None."""
+    graph = {name: {m for _line, m, in_function in package_imports(src, sources)
+                    if not in_function}
+             for name, src in sources.items()}
+    try:
+        tuple(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as exc:
+        return exc.args[1]
+    return None
+
+
+def test_detector_flags_function_imports_and_cycles():
+    sources = {"game": "from . import montecarlo\n",
+               "montecarlo": "from .game import GameState\n"}
+    assert import_cycle(sources)
+    assert package_imports("def f():\n    from . import montecarlo\n",
+                           sources) == [(2, "montecarlo", True)]
+    sources["montecarlo"] = ("from typing import TYPE_CHECKING\n"
+                             "if TYPE_CHECKING:\n    from .game import GameState\n"
+                             "import quantgame.game\n")
+    assert package_imports(sources["montecarlo"], sources) == [(4, "game", False)]
+    sources["montecarlo"] = sources["montecarlo"].replace("import quantgame.game", "")
+    assert import_cycle(sources) is None
+
+
+def _package_sources():
+    return {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_no_module_imports_the_package_inside_a_function():
+    sources = _package_sources()
+    offenders = {name: [(line, m) for line, m, in_function in package_imports(src, sources)
+                        if in_function]
+                 for name, src in sources.items()}
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_module_import_graph_is_acyclic():
+    assert import_cycle(_package_sources()) is None
 
 
 def test_benchmark_binding_sites_exist():

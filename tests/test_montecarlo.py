@@ -7,6 +7,7 @@ import pytest
 from quantgame import (
     BetaDensity,
     CommMatrix,
+    DomainError,
     NoChainError,
     NoiseKernel,
     POINT_KERNEL,
@@ -173,6 +174,13 @@ class TestTruncation:
         assert rep.total == pytest.approx(
             rep.quantization + rep.communication + rep.cross, abs=1e-12)
 
+    def test_estimators_accept_the_same_samples(self):
+        game, state = _loop_game(NoiseKernel("triangular", 0.05))
+        rep = estimate_losses(2, state, game, 20_000, seed=51)
+        _resid, _se, counts = true_env_residuals(2, state, game, n_samples=20_000, seed=51)
+        assert rep.n_truncated > 0
+        assert rep.n_samples == counts.sum()
+
 
 class TestLossDecomposition:
     def test_identity_network_has_no_communication_loss(self):
@@ -221,9 +229,9 @@ class TestTrueEnvResiduals:
 
 class TestDrawsAtOne:
     """Beta(2, 0.05) draws round to exactly 1.0 about one time in six.
-    `cell_index` rejects 1.0, so the sampling layer must look cells up
-    leniently: 1.0 belongs to the last cell, as the closed right end of
-    (a_{M-1}, 1]."""
+    The cells (a_k, a_{k+1}] cover (0, 1], so the sampling layer looks
+    cells up with `closed_cell_index`: 1.0 belongs to the last cell, as
+    the closed right end of (a_{M-1}, 1]."""
 
     @staticmethod
     def _game():
@@ -319,6 +327,9 @@ class TestChains:
     def test_chain_validation(self, shared_quantizers):
         with pytest.raises(ValueError):
             chain_translate(shared_quantizers, [0], 0.5)
+        for x in (0.0, 1.0, -0.1, 1.5, float("nan")):
+            with pytest.raises(DomainError):
+                chain_translate(shared_quantizers, [0, 1], x)
         from quantgame import NoiseKernel
         with pytest.raises(ValueError):
             chain_translate(shared_quantizers, [0, 1], 0.5,

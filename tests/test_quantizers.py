@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from quantgame import (
     BetaDensity,
-    DomainError,
     EmptyCellError,
     MixtureDensity,
     RegularQuantizer,
@@ -58,27 +57,26 @@ class TestRegularQuantizer:
     def test_half_open_cell_lookup(self):
         q = quantizer_from_words([(2 * k + 1) / 12.0 for k in range(6)])
         # boundary points belong to the cell on their left
-        assert q.cell_index(1.0 / 6.0) == 0
-        assert q.cell_index(1.0 / 6.0 + 1e-12) == 1
-        assert q.cell_index(0.999999) == 5
-        idx = q.cell_index(np.array([0.1, 0.5, 0.9]))
+        assert q.closed_cell_index(1.0 / 6.0) == 0
+        assert q.closed_cell_index(1.0 / 6.0 + 1e-12) == 1
+        assert q.closed_cell_index(0.999999) == 5
+        idx = q.closed_cell_index(np.array([0.1, 0.5, 0.9]))
         assert list(idx) == [0, 2, 5]
-        with pytest.raises(DomainError):
-            q.cell_index(0.0)
-        with pytest.raises(DomainError):
-            q.cell_index(1.0)
+        # the closed ends: 0.0 falls in the first cell, 1.0 in the last
+        assert q.closed_cell_index(0.0) == 0
+        assert q.closed_cell_index(1.0) == 5
 
-    def test_quantize_and_call(self):
+    def test_lookup_words(self):
         q = quantizer_from_words([0.2, 0.8])
-        k, w = q.quantize(0.3)
-        assert (k, w) == (0, 0.2)
-        assert q.quantize(0.7)[1] == 0.8
+        k = q.closed_cell_index(0.3)
+        assert (k, q.words[k]) == (0, 0.2)
+        assert q.words[q.closed_cell_index(0.7)] == 0.8
 
     def test_reference_agent5_lookup(self):
         # x = 0.25 falls left of the first midpoint boundary 0.26125
         q = quantizer_from_words(AGENT5_TARGET_WORDS)
         assert q.boundaries[1] == pytest.approx(0.26125, abs=1e-12)
-        assert q.quantize(0.25)[1] == pytest.approx(0.1982)
+        assert q.words[q.closed_cell_index(0.25)] == pytest.approx(0.1982)
 
 
 class TestBoundaryRule:
@@ -287,7 +285,8 @@ class TestBatchedStarts:
             words = data.draw(st.lists(st.floats(0.02, 0.98), min_size=levels,
                                        max_size=levels, unique=True), label="warm words")
             warm = quantizer_from_words(np.sort(words))
-        args = dict(n_starts=n_starts, seed=3, warm_start=warm, max_iters=max_iters)
+        args = dict(n_starts=n_starts, seed=3, warm_start=warm, max_iters=max_iters,
+                    tol=1e-10)
         try:
             want, best = sequential_multi_start(mix, levels, **args)
         except EmptyCellError:
