@@ -168,7 +168,7 @@ def cmd_chains(args) -> int:
     }
     if chain:
         grid = np.linspace(0.0, 1.0, args.inputs + 2)[1:-1]
-        rng = np.random.default_rng(args.seed or 0)
+        rng = np.random.default_rng(args.seed if args.seed is not None else cfg.montecarlo.seed)
         chain_rows = []
         for x in grid:
             rep = montecarlo.chain_translate(state.quantizers, chain, float(x),

@@ -7,17 +7,17 @@ incomplete beta for the continuous parts, polynomial antiderivatives
 for the noise kernels), which keeps errors near machine precision.
 
 The moment kernel `partial_moments(boundaries, orders)` takes cell
-boundaries along the last axis and returns arrays of the first `orders`
-of (m0, m1, m2) for every cell of a quantizer, or of a batch of them, in
-one call. Each beta part prices every boundary once per order with one
-`betainc` call; all word atoms, which share one noise kernel, form one
-atoms x cells array, of which the kernel prices only those `orders`.
+boundaries along the last axis and returns the first `orders` of
+(m0, m1, m2), stacked, for every cell of one quantizer or a batch. Each
+beta part prices all orders at every boundary in one `betainc` call; all
+word atoms, which share one noise kernel, form one cells x atoms array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 from typing import Tuple, Union
 
@@ -28,8 +28,8 @@ from scipy import special
 EMPTY_CELL_MASS = 1e-12
 
 
-# the first `orders` of (m0, m1, m2), one array each
-Moments = Tuple[np.ndarray, ...]
+# the first `orders` of (m0, m1, m2), stacked down the first axis
+Moments = np.ndarray
 
 
 def _clipped_powers(a, b, lo, hi, n):
@@ -79,17 +79,24 @@ class BetaDensity:
                 f"({self.alpha}, {self.beta_param})"
             )
 
+    @cached_property
+    def _moment_terms(self) -> Tuple[np.ndarray, np.ndarray]:
+        """alpha + j and s_j, j < 3: moment j over (a, b] is s_j (I_b - I_a)(alpha + j, beta)."""
+        al, be = self.alpha, self.beta_param
+        s1 = 1.0 * al / (al + be)  # s_{j+1} = s_j (alpha + j) / (alpha + beta + j), s_0 = 1
+        return al + np.arange(3.0), np.array([1.0, s1, s1 * (al + 1) / (al + be + 1)])
+
     def partial_moments(self, boundaries, orders: int = 3) -> Moments:
         """The first `orders` of (m0, m1, m2), the integrals of 1, x, x^2
         against the pdf, over the cells between consecutive boundaries
-        along the last axis: one `betainc` call per order, differenced."""
-        al, be = self.alpha, self.beta_param
+        along the last axis: one `betainc` call over orders x boundaries."""
         b = np.asarray(boundaries, dtype=float)
-        out, scale = [], 1.0
-        for j in range(orders):
-            out.append(scale * np.diff(special.betainc(al + j, be, b), axis=-1))
-            scale = scale * (al + j) / (al + be + j)
-        return tuple(out)
+        if b.ndim == 0:
+            raise ValueError("need boundaries along a last axis")
+        shapes, scales = self._moment_terms
+        col = (slice(orders),) + (None,) * b.ndim  # orders down a new first axis
+        cdf = special.betainc(shapes[col], self.beta_param, b)
+        return scales[col] * (cdf[..., 1:] - cdf[..., :-1])
 
 
 class KernelShape(str, Enum):
@@ -132,25 +139,27 @@ class NoiseKernel:
         """The first `orders` of (m0, m1, m2) of the smeared density over (a, b].
 
         `a`, `b` and `center` are float arrays (or numbers) that broadcast,
-        e.g. atoms down a column against cells along a row. Point kernels
+        e.g. cells against a last axis of atoms. Point kernels
         are Dirac masses: the atom is in (a, b] iff a < center <= b, so an
         atom on an edge belongs to the cell on its left.
         """
         h = self.halfwidth
         if self.shape is KernelShape.POINT:
-            inside = (a < center) & (center <= b)
-            return tuple(inside * p for p in (1.0, center, center * center)[:orders])
+            m = np.empty((orders,) + np.broadcast(a, b, center).shape)
+            m[0] = (a < center) & (center <= b)  # 1.0 inside, else 0.0
+            for j in range(1, orders):  # 1.0 * c is c, so this is inside * c^j
+                np.multiply(m[j - 1], center, out=m[j, ...])
+            return m
         if self.shape is KernelShape.UNIFORM:
-            inv = 1.0 / (2.0 * h)
-            return tuple(d * inv for d in _clipped_powers(a, b, center - h, center + h, orders))
+            d = _clipped_powers(a, b, center - h, center + h, orders)
+            return np.array(d) * (1.0 / (2.0 * h))
         # triangular: density (h + s*(x - center)) / h^2 with s = +1 left, -1 right
         inv = 1.0 / (h * h)
-        m = [0.0] * orders
+        m = 0.0
         for seg_lo, seg_hi, s in ((center - h, center, 1.0), (center, center + h, -1.0)):
-            c0 = h - s * center
-            d = _clipped_powers(a, b, seg_lo, seg_hi, orders + 1)
-            m = [m[j] + (c0 * d[j] + s * d[j + 1]) * inv for j in range(orders)]
-        return tuple(m)
+            d = np.array(_clipped_powers(a, b, seg_lo, seg_hi, orders + 1))
+            m = m + ((h - s * center) * d[:-1] + s * d[1:]) * inv
+        return m
 
     def sample(self, rng: np.random.Generator, size=None):
         """Draw noise values (not shifted by any word) from a uniform or
@@ -211,25 +220,22 @@ class MixtureDensity:
         b = np.asarray(boundaries, dtype=float)
         if b.ndim == 0 or b.shape[-1] < 2:
             raise ValueError(f"need >= 2 boundaries on the last axis, got shape {b.shape}")
-        a, z = b[..., :-1].ravel(), b[..., 1:].ravel()
-        ok = (0.0 <= a) & (a < z) & (z <= 1.0)
-        if not ok.all():
-            k = np.argmin(ok)
-            raise ValueError(f"need 0 <= a < b <= 1, got ({a[k]}, {z[k]})")
-        # one row of weighted moments per part, summed down the rows
+        a, z = b[..., :-1], b[..., 1:]
+        # increasing rows, all in [0, 1] (ufunc reductions: fewer calls than .all())
+        if not (np.logical_and.reduce(a < z, axis=None) and 0.0 <= np.minimum.reduce(b, axis=None)
+                and np.maximum.reduce(b, axis=None) <= 1.0):
+            k = np.argmin((0.0 <= a) & (a < z) & (z <= 1.0))
+            raise ValueError(f"need 0 <= a < b <= 1, got ({a.flat[k]}, {z.flat[k]})")
+        # the weighted moments of the parts, then of the atoms, along a last axis
         n = len(self.continuous_parts)
-        terms = np.empty((n + self.atom_weights.size, orders, a.size))
+        terms = np.empty((orders,) + a.shape + (n + self.atom_weights.size,))
         for r, (w, d) in enumerate(self.continuous_parts):
-            for j, m in enumerate(d.partial_moments(b, orders)):
-                np.multiply(w, m.ravel(), out=terms[r, j])
+            np.multiply(w, d.partial_moments(b, orders), out=terms[..., r])
         if self.atom_weights.size:
-            # all atoms down a column against the cells along a row
-            w, c = self.atom_weights[:, None], self.atom_centers[:, None]
-            for j, m in enumerate(self.noise.partial_moments(a, z, c, orders)):
-                np.multiply(w, m, out=terms[n:, j])
+            m = self.noise.partial_moments(a[..., None], z[..., None], self.atom_centers, orders)
+            np.multiply(m, self.atom_weights, out=terms[..., n:])
         # unlike sum, accumulate never switches to pairwise summation
-        total = np.add.accumulate(terms, axis=0)[-1]
-        return tuple(total.reshape((orders,) + b.shape[:-1] + (b.shape[-1] - 1,)))
+        return np.add.accumulate(terms, axis=-1)[..., -1]
 
     def mass_in(self, boundaries):
         return self.partial_moments(boundaries, orders=1)[0]

@@ -22,6 +22,7 @@ import numpy as np
 from .densities import (
     EMPTY_CELL_MASS,
     Density,
+    EmptyCellError,
     MixtureDensity,
     Moments,
     as_mixture,
@@ -54,9 +55,9 @@ class RegularQuantizer:
             raise ValueError("need M words and M+1 boundaries")
         if b[0] != 0.0 or b[-1] != 1.0:
             raise ValueError("boundaries must start at 0 and end at 1")
-        if np.any(np.diff(b) <= 0):
+        if not np.all(b[:-1] < b[1:]):  # also rejects nan
             raise ValueError("boundaries must be strictly increasing")
-        if np.any(w <= b[:-1]) or np.any(w >= b[1:]):
+        if not (np.all(b[:-1] < w) and np.all(w < b[1:])):  # also rejects nan
             raise ValueError("each word must lie strictly inside its cell")
 
     @property
@@ -70,12 +71,15 @@ class RegularQuantizer:
         return np.clip(idx, 0, self.levels - 1)
 
 
-def _midpoints(words: np.ndarray) -> np.ndarray:
-    """Boundaries 0, midpoints of adjacent words, 1, along the last axis."""
-    b = np.empty(words.shape[:-1] + (words.shape[-1] + 1,))
-    b[..., 0], b[..., -1] = 0.0, 1.0
-    b[..., 1:-1] = (words[..., :-1] + words[..., 1:]) / 2.0
-    return b
+def _midpoints(words: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Boundaries 0, midpoints of adjacent words, 1, along the last axis;
+    `out`, if given, already holds the 0 and 1 and takes the midpoints."""
+    if out is None:
+        out = np.empty(words.shape[:-1] + (words.shape[-1] + 1,))
+        out[..., 0], out[..., -1] = 0.0, 1.0
+    mid = np.add(words[..., :-1], words[..., 1:], out=out[..., 1:-1])
+    np.divide(mid, 2.0, out=mid)
+    return out
 
 
 def quantizer_from_words(words: Sequence[float]) -> RegularQuantizer:
@@ -128,17 +132,20 @@ def _resolve_empty_cells(
     error about its centroid, then re-sort.
 
     Returns the (possibly new) words, their boundaries and cell moments
-    (m0, m1, m2), and the number of relocation events.
+    (m0, m1, m2), and the number of relocation events; raises
+    EmptyCellError if a cell is still starved after one relocation per word.
     """
     events = 0
     b = _midpoints(words)
     moments = mix.partial_moments(b)
-    for _ in range(words.size):
+    while True:
         m0, m1, m2 = moments
         starved = np.nonzero(m0 < EMPTY_CELL_MASS)[0]
         if starved.size == 0:
-            break
+            return words, b, moments, events
         k = int(starved[0])
+        if events == words.size:
+            raise EmptyCellError(f"cell ({b[k]}, {b[k + 1]}] carries mass {m0[k]:.3g}")
         # split the cell with the largest error, not the heaviest one: a
         # cell holding a single atom is heavy but has nothing to split
         fat = int(np.argmax(m2 - m1 * m1 / np.maximum(m0, EMPTY_CELL_MASS)))
@@ -152,13 +159,12 @@ def _resolve_empty_cells(
         events += 1
         b = _midpoints(words)
         moments = mix.partial_moments(b)
-    return words, b, moments, events
 
 
 def _separate(words: np.ndarray) -> np.ndarray:
     """Nudge coincident or boundary-touching words apart along the last axis."""
-    w = np.clip(words, _SEP, 1.0 - _SEP)
-    if np.all(w[..., 1:] > w[..., :-1]):
+    w = np.minimum(np.maximum(words, _SEP), 1.0 - _SEP)
+    if np.logical_and.reduce(w[..., 1:] > w[..., :-1], axis=None):
         return w  # the loop below would change nothing
     for k in range(1, w.shape[-1]):
         w[..., k] = np.where(w[..., k] <= w[..., k - 1], w[..., k - 1] + _SEP, w[..., k])
@@ -178,7 +184,7 @@ def lloyd_max(
     of starved cells are relocated into the cell with the largest error
     and the event counted; a cell still starved after `levels`
     relocations (e.g. fewer atoms than levels and no continuous part to
-    feed it) makes the centroid step raise EmptyCellError.
+    feed it) raises EmptyCellError.
 
     Each iteration makes one moment-kernel call for (m0, m1) at the
     current words, which gives the empty-cell check and the centroids;
@@ -221,24 +227,27 @@ def _run_starts(mix: MixtureDensity, words: np.ndarray, max_iters: int,
     events = [0] * n
     iterations = np.full(n, max_iters)
     moves = np.full(n, np.inf)
-    active = np.arange(n)
+    rows = np.arange(n)  # the row of `words` that each unsettled start came from
+    w, b = words.copy(), _midpoints(words)
     for it in range(1, max_iters + 1):
-        w = words[active]
-        b = _midpoints(w)
         m0, m1 = mix.partial_moments(b, orders=2)
-        for j in np.nonzero((m0 < EMPTY_CELL_MASS).any(axis=1))[0]:
-            w[j], b[j], (m0[j], m1[j], _m2), e = _resolve_empty_cells(w[j], mix)
-            events[active[j]] += e
-        new = _separate(centroid_from_moments(b[:, :-1], b[:, 1:], m0, m1))
-        move = np.max(np.abs(new - w), axis=1)
-        words[active] = new
-        moves[active] = move
-        done = move < tol
-        if done.any():
-            iterations[active[done]] = it
-            active = active[~done]
-            if active.size == 0:
+        if np.minimum.reduce(m0, axis=None) < EMPTY_CELL_MASS:
+            for j in np.nonzero((m0 < EMPTY_CELL_MASS).any(axis=1))[0]:
+                w[j], b[j], (m0[j], m1[j], _m2), e = _resolve_empty_cells(w[j], mix)
+                events[rows[j]] += e
+        # centroid_from_moments, whose starved test is the one above
+        new = _separate(np.minimum(np.maximum(m1 / m0, b[:, :-1]), b[:, 1:]))
+        move = np.maximum.reduce(np.abs(new - w), axis=1)
+        if np.minimum.reduce(move) < tol:
+            done = move < tol
+            left, keep = rows[done], ~done
+            words[left], moves[left], iterations[left] = new[done], move[done], it
+            rows, new, move, b = rows[keep], new[keep], move[keep], b[keep]
+            if rows.size == 0:
                 break
+        w = new
+        _midpoints(w, out=b)
+    words[rows], moves[rows] = new, move  # the rows stopped by max_iters
 
     final = _loss(words, mix.partial_moments(_midpoints(words))).tolist()
     return [

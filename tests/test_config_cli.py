@@ -61,6 +61,14 @@ def cli_ws(tmp_path_factory):
     return cfg, out
 
 
+@pytest.fixture(scope="session")
+def identity_state(tmp_path_factory):
+    """The state 'solve' saves for the three isolated agents of identity.cfg."""
+    out = tmp_path_factory.mktemp("identity")
+    assert main(["solve", "--config", str(IDENTITY_CONFIG), "--out", str(out)]) == EXIT_OK
+    return out / "state.json"
+
+
 def _read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -340,6 +348,21 @@ class TestCliSimulate:
                      "--samples", "0"])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("field,k", [("words", 0), ("boundaries", 1)])
+    def test_non_finite_state_entry(self, identity_state, tmp_path, capsys, field, k):
+        # json writes and reads nan as NaN; no peer hears agent 1 in
+        # identity.cfg, so only the quantizer itself can reject it
+        doc = json.loads(identity_state.read_text())
+        doc["quantizers"][0][field][k] = float("nan")
+        broken = tmp_path / "state.json"
+        broken.write_text(json.dumps(doc))
+        code = main(["simulate", "--config", str(IDENTITY_CONFIG), "--out", str(tmp_path),
+                     "--state", str(broken), "--samples", "1000"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert not (tmp_path / "losses.csv").exists()
+
     def test_negative_seed(self, cli_ws, tmp_path, capsys):
         cfg, out = cli_ws
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path),
@@ -364,6 +387,24 @@ class TestCliChains:
         assert header == ["x", "final_word", "translation_loss", "word_drift",
                           "cell", "bound"]
         assert len(rows) == 101
+
+    def test_noisy_chain_seed_defaults_to_config(self, tmp_path):
+        # without --seed the noise along the chain is drawn from the
+        # config's montecarlo seed, as simulate and verify draw theirs
+        cfg = tmp_path / "noisy.cfg"
+        cfg.write_text(SMALL_CONFIG.replace("shape: point, halfwidth: 0.0",
+                                            "shape: uniform, halfwidth: 0.02")
+                       .replace("seed: 5", "seed: 7"))
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        tables = {}
+        for seed in (None, "7", "0"):
+            out = tmp_path / f"seed-{seed}"
+            flag = [] if seed is None else ["--seed", seed]
+            code = main(["chains", "--config", str(cfg), "--out", str(out), "--state",
+                         str(tmp_path / "state.json"), "--chain", "1,2"] + flag)
+            assert code == EXIT_OK
+            tables[seed] = (out / "chain.csv").read_text()
+        assert tables[None] == tables["7"] != tables["0"]
 
     @pytest.mark.parametrize("args", [
         ["--chain", "1,9"],  # unknown agent id
@@ -446,12 +487,6 @@ class TestCliVerify:
         assert all(t > 0 for t in truncated)
         doc = json.loads((tmp_path / "verify.json").read_text())
         assert doc["true_residual_truncated"] == truncated
-
-    @pytest.fixture(scope="class")
-    def identity_state(self, tmp_path_factory):
-        out = tmp_path_factory.mktemp("identity")
-        assert main(["solve", "--config", str(IDENTITY_CONFIG), "--out", str(out)]) == EXIT_OK
-        return out / "state.json"
 
     def test_too_few_samples_exit_code(self, identity_state, tmp_path, capsys):
         # 3 samples over 6 words leave agent 1 with no word sampled twice

@@ -320,28 +320,32 @@ class TestArrayKernel:
         for boundaries in (0.5, [0.5], np.zeros((3, 1)), np.empty((2, 0))):
             with pytest.raises(ValueError, match=">= 2 boundaries"):
                 d.partial_moments(boundaries)
+        with pytest.raises(ValueError, match="along a last axis"):
+            BetaDensity(2, 2).partial_moments(0.5)
 
 
 class TestKernelWork:
     """Work counts of the moment kernel and the quantile search."""
 
-    def test_one_betainc_call_per_order_over_each_boundary(self, monkeypatch):
+    def test_one_betainc_call_per_beta_part_over_all_orders(self, monkeypatch):
+        # each boundary is priced once per order, every order in one call
         sizes = []
         betainc = special.betainc
 
         def counting(a, b, x):
-            sizes.append(np.size(x))
+            sizes.append(np.broadcast(a, b, x).size)
             return betainc(a, b, x)
 
         monkeypatch.setattr(densities.special, "betainc", counting)
-        mix = MixtureDensity(((0.6, BetaDensity(2, 5)),), [0.3, 0.1], [0.25, 0.5])
+        mix = MixtureDensity(((0.4, BetaDensity(2, 5)), (0.2, BetaDensity(3, 1.5))),
+                             [0.3, 0.1], [0.25, 0.5])
         batch = np.array([[0.0, 0.2, 0.5, 0.7, 1.0],
                           [0.0, 0.1, 0.3, 0.9, 1.0],
                           [0.0, 0.4, 0.6, 0.8, 1.0]])  # S = 3 rows of M + 1 = 5
         for k in (1, 2, 3):
             sizes.clear()
             mix.partial_moments(batch, orders=k)
-            assert sizes == [batch.size] * k
+            assert sizes == [k * batch.size] * 2  # one call per beta part
 
     def test_noise_kernel_prices_only_the_orders_asked_for(self, monkeypatch):
         asked = []

@@ -7,6 +7,7 @@ import pytest
 from quantgame import (
     BetaDensity,
     CommMatrix,
+    NoiseKernel,
     QuantizationGame,
     best_response,
     bootstrap,
@@ -26,6 +27,8 @@ from conftest import ROOT
 
 # the benchmark's committed reference equilibrium, read here and never written
 REFERENCE_FIXTURE = ROOT / "perfbench" / "fixtures" / "reference_state.json"
+# solve_equilibrium(_triangular_noise_game()) saved by save_state
+TRIANGULAR_NOISE_FIXTURE = ROOT / "tests" / "triangular_noise_state.json"
 
 
 def _isolated_game():
@@ -39,6 +42,15 @@ def _coupled_game():
               AgentSpec(1, BetaDensity(2, 8), 5))
     P = CommMatrix(np.array([[0.85, 0.15], [0.15, 0.85]]))
     return QuantizationGame(agents, P)
+
+
+def _triangular_noise_game():
+    """Three five-level agents on a loopy network; every word heard is
+    smeared by triangular noise of halfwidth 0.02."""
+    agents = tuple(AgentSpec(k + 1, BetaDensity(a, b), 5)
+                   for k, (a, b) in enumerate([(2.0, 5.0), (3.0, 3.0), (5.0, 2.0)]))
+    P = np.array([[0.8, 0.1, 0.1], [0.15, 0.7, 0.15], [0.1, 0.2, 0.7]])
+    return QuantizationGame(agents, CommMatrix(P), NoiseKernel("triangular", 0.02))
 
 
 class TestGameConstruction:
@@ -165,6 +177,20 @@ class TestSolveEquilibrium:
         for got, want in zip(state.usage, fixture.usage):
             assert np.max(np.abs(got - want)) == 0.0
 
+    def test_triangular_noise_solve_matches_committed_state(self):
+        # the reference fixture has point atoms only; smeared atoms take the
+        # noise kernel's polynomial branch, pinned here bit for bit too
+        game = _triangular_noise_game()
+        state, report = solve_equilibrium(game)
+        fixture = load_state(TRIANGULAR_NOISE_FIXTURE, game)
+        assert report.converged
+        assert report.sweeps == state.iteration == fixture.iteration == 24
+        for got, want in zip(state.quantizers, fixture.quantizers):
+            assert np.max(np.abs(got.words - want.words)) == 0.0
+            assert np.max(np.abs(got.boundaries - want.boundaries)) == 0.0
+        for got, want in zip(state.usage, fixture.usage):
+            assert np.max(np.abs(got - want)) == 0.0
+
 
 class TestRefreshState:
     def test_usage_fixed_point(self, ref_game, ref_solved):
@@ -210,7 +236,6 @@ class TestSocialStability:
 
     def test_noise_wider_than_margin_fails(self, stable_pair):
         game, state, _ = stable_pair
-        from quantgame import NoiseKernel
         noisy = QuantizationGame(game.agents, game.comm,
                                  NoiseKernel("uniform", 0.2))
         rep = check_social_stability(state, noisy)

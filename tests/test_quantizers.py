@@ -54,6 +54,17 @@ class TestRegularQuantizer:
             # word on a cell boundary is not strictly interior
             RegularQuantizer(np.array([0.0, 0.5, 1.0]), np.array([0.5, 0.7]))
 
+    @pytest.mark.parametrize("boundaries,words", [
+        ([0.0, np.nan, 1.0], [0.2, 0.7]),
+        ([0.0, 0.5, 1.0], [np.nan, 0.7]),
+        ([0.0, 0.5, 1.0], [0.2, np.nan]),
+        ([0.0, np.inf, 1.0], [0.2, 0.7]),
+        ([0.0, 0.5, 1.0], [0.2, np.inf]),
+    ], ids=["nan-boundary", "nan-first-word", "nan-last-word", "inf-boundary", "inf-word"])
+    def test_non_finite_rejected(self, boundaries, words):
+        with pytest.raises(ValueError):
+            RegularQuantizer(np.array(boundaries), np.array(words))
+
     def test_half_open_cell_lookup(self):
         q = quantizer_from_words([(2 * k + 1) / 12.0 for k in range(6)])
         # boundary points belong to the cell on their left
@@ -311,6 +322,37 @@ class TestBatchedStarts:
             _assert_same_run(g, sequential_lloyd_max(mix, row, 10_000, 1e-11)[0])
         assert [g.empty_cell_events for g in got] == [1, 0, 0]
         assert [g.iterations for g in got] == [3, 2, 2]
+
+
+class TestLoopWork:
+    """The design loop's budget: one moment-kernel call per iteration, for
+    every start in the batch at once, plus one call for the final loss."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+        kernel = MixtureDensity.partial_moments
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return kernel(self, *args, **kwargs)
+
+        monkeypatch.setattr(MixtureDensity, "partial_moments", counting)
+        return calls
+
+    # a beta part feeds every cell, so no cell starves
+    MIX = MixtureDensity(((0.7, BetaDensity(2, 5)),), [0.2, 0.1], [0.3, 0.6])
+
+    def test_one_kernel_call_per_iteration(self, kernel_calls):
+        res = lloyd_max(self.MIX, init=[0.1, 0.4, 0.6, 0.9])
+        assert res.converged and res.empty_cell_events == 0
+        assert len(kernel_calls) == res.iterations + 1
+
+    def test_batched_starts_share_each_call(self, kernel_calls):
+        rows = np.array([[0.1, 0.4, 0.6, 0.9], [0.2, 0.3, 0.5, 0.8], [0.05, 0.5, 0.7, 0.95]])
+        got = _run_starts(self.MIX, rows, 10_000, 1e-10)
+        assert all(r.converged and r.empty_cell_events == 0 for r in got)
+        assert len(kernel_calls) == max(r.iterations for r in got) + 1
 
 
 class TestLossHistory:
