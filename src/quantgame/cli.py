@@ -4,9 +4,9 @@ Subcommands: solve, simulate, chains, analyze, verify. All read a YAML
 experiment config; everything downstream of solve additionally needs the
 state file it wrote. Outputs are CSV (header row, fixed column order) and
 JSON. Exit codes: 0 success, 2 validation error (including a quantizer
-cell that no source reaches, channel noise too wide for the words, and
-too few verify samples for a true residual), 3 non-convergence, 4
-missing prerequisite state.
+cell that no source reaches, channel noise too wide for the words, too
+few verify samples for a true residual, and an agent whose every sample
+outlasts the hop cap), 3 non-convergence, 4 missing prerequisite state.
 """
 
 from __future__ import annotations
@@ -80,6 +80,12 @@ def _snapshot_rows(sweep_no, cfg, state):
     return rows
 
 
+def _all_truncated(aid, n) -> int:
+    print(f"agent {aid}: all {n} samples outlasted {montecarlo.DEPTH_CAP} hops: "
+          "a closed communication cycle with no physical observation", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     out = _outdir(args, cfg)
@@ -121,6 +127,9 @@ def cmd_simulate(args) -> int:
         montecarlo.estimate_losses(i, state, game, n, seed=seed + i)
         for i in range(game.n_agents)
     ]
+    for aid, rep in zip(cfg.agent_ids, reports):
+        if rep.n_samples == 0:
+            return _all_truncated(aid, n)
     records = [asdict(r) for r in reports]
     header = ["agent"] + [f.name for f in fields(montecarlo.LossReport)]
     _write_csv(out / "losses.csv", header,
@@ -219,7 +228,10 @@ def cmd_verify(args) -> int:
     tol = args.tol if args.tol is not None else cfg.solver.tol
     report = verify_nash(state, game, tol=tol, n_samples=n, seed=seed,
                          n_starts=cfg.solver.n_starts)
-    for aid, resid in zip(cfg.agent_ids, report.true_residuals):
+    for aid, resid, truncated in zip(cfg.agent_ids, report.true_residuals,
+                                     report.true_residual_truncated):
+        if truncated == n:
+            return _all_truncated(aid, n)
         if np.isnan(resid):
             print(f"agent {aid}: no word got 2 accepted samples for a true "
                   f"residual; raise --samples (now {n})", file=sys.stderr)

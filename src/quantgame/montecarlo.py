@@ -31,6 +31,14 @@ class NoChainError(LookupError):
     """No communication chain exists between the requested agents."""
 
 
+def _route(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per uniform, how many of the ascending `edges` are <= it, by counting."""
+    k = np.zeros(u.shape, np.min_scalar_type(edges.size))
+    for e in edges.tolist():
+        k += u >= e
+    return k
+
+
 def sample_paths(i: int, state: GameState, game: QuantizationGame, n: int,
                  rng: np.random.Generator):
     """Vectorized batch of n signals observed at agent i.
@@ -56,16 +64,18 @@ def sample_paths(i: int, state: GameState, game: QuantizationGame, n: int,
     terminal_agent = cur.copy()  # latest agent of every sample
     lengths = np.ones(n, dtype=np.int64)
     hops = []  # per hop: (indices, new agents) of the samples that moved
-    for _ in range(DEPTH_CAP):
+    for hop in range(DEPTH_CAP):
         if idx.size == 0:
             break
-        u = rng.random(n)[idx]
+        u = rng.random(n)
         nxt = np.empty_like(cur)
-        for a in np.flatnonzero(np.bincount(cur, minlength=n_agents)):
-            m = cur == a
-            nxt[m] = np.minimum(
-                np.searchsorted(cum[a], u[m], side="right"), last_edge[a]
-            )
+        if hop == 0:  # every sample is at agent i
+            nxt[:] = _route(cum[i, :last_edge[i]], u)
+        else:
+            u = u[idx]
+            for a in np.flatnonzero(np.bincount(cur, minlength=n_agents)):
+                m = cur == a
+                nxt[m] = _route(cum[a, :last_edge[a]], u[m])
         moved = np.flatnonzero(nxt != cur)
         idx, cur = idx[moved], nxt[moved]
         terminal_agent[idx] = cur
@@ -130,8 +140,9 @@ def _observed(i: int, state: GameState, game: QuantizationGame, n: int, seed: in
         raise ValueError("sample count must be positive")
     rng = np.random.default_rng(seed)
     x, xhat, _lengths, n_trunc, n_clamp = sample_paths(i, state, game, n, rng)
-    ok = ~np.isnan(x)
-    x, xhat = x[ok], xhat[ok]
+    if n_trunc:
+        ok = ~np.isnan(x)
+        x, xhat = x[ok], xhat[ok]
     return x, xhat, state.quantizers[i].closed_cell_index(xhat), n_trunc, n_clamp
 
 
@@ -145,14 +156,17 @@ def estimate_losses(i: int, state: GameState, game: QuantizationGame,
     cross = total - quant - comm
     m = x.size
 
+    def mean(v):  # NaN, with no warning, when every sample was truncated
+        return float(v.mean()) if m else float("nan")
+
     def se(v):
         return float(np.std(v, ddof=1) / np.sqrt(m)) if m > 1 else float("nan")
 
     return LossReport(
-        total=float(total.mean()),
-        quantization=float(quant.mean()),
-        communication=float(comm.mean()),
-        cross=float(cross.mean()),
+        total=mean(total),
+        quantization=mean(quant),
+        communication=mean(comm),
+        cross=mean(cross),
         total_se=se(total),
         quantization_se=se(quant),
         communication_se=se(comm),

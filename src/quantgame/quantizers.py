@@ -66,9 +66,13 @@ class RegularQuantizer:
 
     def closed_cell_index(self, x: np.ndarray) -> np.ndarray:
         """Cell indices for an array x in [0, 1]: cells are (a_k, a_{k+1}],
-        but a draw of 0.0 falls in the first cell and 1.0 in the last."""
-        idx = np.searchsorted(self.boundaries, x, side="left") - 1
-        return np.clip(idx, 0, self.levels - 1)
+        but a draw of 0.0 falls in the first cell and 1.0 in the last. The
+        index is the number of interior boundaries below x; NaN is outside
+        the domain."""
+        k = np.zeros(np.shape(x), np.intp)
+        for b in self.boundaries[1:-1].tolist():
+            k += x > b
+        return k
 
 
 def _midpoints(words: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Shared fixtures: the reference five-agent experiment (loaded and solved
 once per session), the constructed shared-vocabulary and shifted-ladder
-quantizer sets, and a weakly coupled two-agent pair used for the loss
-decomposition checks."""
+quantizer sets, a weakly coupled two-agent pair used for the loss
+decomposition checks, and a three-agent game with triangular noise whose
+solved state is committed."""
 
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from quantgame import (
     BetaDensity,
     CommMatrix,
+    NoiseKernel,
     QuantizationGame,
     RegularQuantizer,
     bootstrap,
@@ -22,6 +24,8 @@ from quantgame.networks import AgentSpec
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE_CONFIG = ROOT / "configs" / "reference.cfg"
 IDENTITY_CONFIG = ROOT / "configs" / "identity.cfg"
+# solve_equilibrium(triangular_noise_game()) saved by save_state
+TRIANGULAR_NOISE_FIXTURE = ROOT / "tests" / "triangular_noise_state.json"
 
 # Six-word reference target table for agent 5, and the beta parameters
 # recovered from it by minimax search (committed fixture). No beta Lloyd-Max
@@ -59,6 +63,15 @@ def ref_solved(ref_cfg, ref_game):
 def ref_bootstrap(ref_game):
     """Physical-only optimal quantizers for the reference experiment."""
     return bootstrap(ref_game)
+
+
+def triangular_noise_game():
+    """Three five-level agents on a loopy network; every word heard is
+    smeared by triangular noise of halfwidth 0.02."""
+    agents = tuple(AgentSpec(k + 1, BetaDensity(a, b), 5)
+                   for k, (a, b) in enumerate([(2.0, 5.0), (3.0, 3.0), (5.0, 2.0)]))
+    P = np.array([[0.8, 0.1, 0.1], [0.15, 0.7, 0.15], [0.1, 0.2, 0.7]])
+    return QuantizationGame(agents, CommMatrix(P), NoiseKernel("triangular", 0.02))
 
 
 def _quantizer(boundaries, words):

@@ -175,6 +175,13 @@ def bisection_quantile(mix, p):
     return float(x) if x.ndim == 0 else x
 
 
+def searchsorted_cell_index(q, x):
+    """The binary-search cell lookup that the comparison count in
+    `RegularQuantizer.closed_cell_index` replaced, kept as its reference."""
+    idx = np.searchsorted(q.boundaries, x, side="left") - 1
+    return np.clip(idx, 0, q.levels - 1)
+
+
 def masked_sample_paths(i, state, game, n, rng):
     """The path sampler that the in-flight index walk replaced, kept as its
     reference: every hop runs full-width masks over all n samples and the
@@ -228,8 +235,7 @@ def masked_sample_paths(i, state, game, n, rng):
         for a in np.unique(transmitter[m]):
             ma = m & (transmitter == a)
             q = state.quantizers[a]
-            idx = np.searchsorted(q.boundaries, value[ma], side="left") - 1
-            value[ma] = q.words[np.clip(idx, 0, q.levels - 1)]
+            value[ma] = q.words[searchsorted_cell_index(q, value[ma])]
         if game.noise.shape is not KernelShape.POINT:
             noised = value[m] + game.noise.sample(rng, int(m.sum()))
             clipped = np.clip(noised, _CLAMP, 1.0 - _CLAMP)

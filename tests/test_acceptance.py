@@ -29,7 +29,7 @@ from conftest import (
     RECOVERED_AGENT5_PARAMS,
     REFERENCE_CONFIG,
 )
-from oracles import beta_pdf, bhattacharyya_overlap
+from oracles import beta_pdf, bhattacharyya_overlap, searchsorted_cell_index
 
 
 def _verdict(num, desc, ok):
@@ -237,9 +237,7 @@ def test_criterion_09_loss_decomposition(ref_game, ref_solved, stable_pair):
     keep = ~np.isnan(x)
     x, xhat = x[keep], xhat[keep]
     q = state.quantizers[0]
-    idx = np.clip(np.searchsorted(q.boundaries, xhat, side="left") - 1,
-                  0, q.levels - 1)
-    w = q.words[idx]
+    w = q.words[searchsorted_cell_index(q, xhat)]
     total = (x - w) ** 2
     quant = (xhat - w) ** 2
     comm = (x - xhat) ** 2

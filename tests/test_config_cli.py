@@ -48,6 +48,30 @@ montecarlo: {n_samples: 20000, seed: 5}
 outputs: {directory: out}
 """
 
+# two agents that only hear each other: no path reaches a physical source
+CYCLE_CONFIG = """\
+agents:
+  - {id: 1, alpha: 2.0, beta: 5.0, levels: 3}
+  - {id: 2, alpha: 5.0, beta: 2.0, levels: 3}
+comm_matrix:
+  - [0.0, 1.0]
+  - [1.0, 0.0]
+noise: {shape: point, halfwidth: 0.0}
+solver: {tol: 1.0e-9, max_sweeps: 50, schedule_policy: cyclic, n_starts: 2}
+montecarlo: {n_samples: 1000, seed: 5}
+outputs: {directory: out}
+"""
+CYCLE_MESSAGE = ("agent 1: all 1000 samples outlasted 64 hops: a closed "
+                 "communication cycle with no physical observation\n")
+
+
+def _solved_cycle(tmp_path, capsys):
+    cfg = tmp_path / "cycle.cfg"
+    cfg.write_text(CYCLE_CONFIG)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    return cfg
+
 
 @pytest.fixture(scope="session")
 def cli_ws(tmp_path_factory):
@@ -371,6 +395,14 @@ class TestCliSimulate:
         assert capsys.readouterr().err.count("\n") == 1
         assert not (tmp_path / "losses.json").exists()
 
+    def test_closed_cycle_exit_code(self, tmp_path, capsys):
+        # every sample outlasts the hop cap: a NaN report helps no one
+        cfg = _solved_cycle(tmp_path, capsys)
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == CYCLE_MESSAGE
+        assert not (tmp_path / "losses.csv").exists()
+
 
 class TestCliChains:
     def test_probes_and_chain_trace(self, cli_ws):
@@ -512,6 +544,14 @@ class TestCliVerify:
         assert all(np.isfinite(doc["true_residuals"] + doc["true_residual_ses"]))
         _header, rows = _read_csv(tmp_path / "verify.csv")
         assert all(np.isfinite(float(cell)) for row in rows for cell in row)
+
+    def test_closed_cycle_exit_code(self, tmp_path, capsys):
+        # no sample count can help, so verify must not ask for more
+        cfg = _solved_cycle(tmp_path, capsys)
+        code = main(["verify", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == CYCLE_MESSAGE
+        assert not (tmp_path / "verify.json").exists()
 
 
 def test_csv_tables_match_json_exactly(cli_ws, tmp_path):

@@ -23,12 +23,10 @@ from quantgame import (
 from quantgame.game import observed_mixture
 from quantgame.networks import AgentSpec
 
-from conftest import ROOT
+from conftest import ROOT, TRIANGULAR_NOISE_FIXTURE, triangular_noise_game
 
 # the benchmark's committed reference equilibrium, read here and never written
 REFERENCE_FIXTURE = ROOT / "perfbench" / "fixtures" / "reference_state.json"
-# solve_equilibrium(_triangular_noise_game()) saved by save_state
-TRIANGULAR_NOISE_FIXTURE = ROOT / "tests" / "triangular_noise_state.json"
 
 
 def _isolated_game():
@@ -42,15 +40,6 @@ def _coupled_game():
               AgentSpec(1, BetaDensity(2, 8), 5))
     P = CommMatrix(np.array([[0.85, 0.15], [0.15, 0.85]]))
     return QuantizationGame(agents, P)
-
-
-def _triangular_noise_game():
-    """Three five-level agents on a loopy network; every word heard is
-    smeared by triangular noise of halfwidth 0.02."""
-    agents = tuple(AgentSpec(k + 1, BetaDensity(a, b), 5)
-                   for k, (a, b) in enumerate([(2.0, 5.0), (3.0, 3.0), (5.0, 2.0)]))
-    P = np.array([[0.8, 0.1, 0.1], [0.15, 0.7, 0.15], [0.1, 0.2, 0.7]])
-    return QuantizationGame(agents, CommMatrix(P), NoiseKernel("triangular", 0.02))
 
 
 class TestGameConstruction:
@@ -180,7 +169,7 @@ class TestSolveEquilibrium:
     def test_triangular_noise_solve_matches_committed_state(self):
         # the reference fixture has point atoms only; smeared atoms take the
         # noise kernel's polynomial branch, pinned here bit for bit too
-        game = _triangular_noise_game()
+        game = triangular_noise_game()
         state, report = solve_equilibrium(game)
         fixture = load_state(TRIANGULAR_NOISE_FIXTURE, game)
         assert report.converged

@@ -1,5 +1,9 @@
-"""Sampling layer: path routing, loss decomposition, shared-vocabulary
-detection, translation chains, and path-dependence probes."""
+"""Sampling layer: path routing, loss decomposition, estimates pinned bit
+for bit, shared-vocabulary detection, translation chains, and
+path-dependence probes."""
+
+import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from quantgame import (
     chain_translate,
     enumerate_chains,
     estimate_losses,
+    load_state,
     quantization_loss,
     quantizer_from_words,
     refresh_state,
@@ -29,7 +34,13 @@ from quantgame.montecarlo import (
     sample_paths,
 )
 from quantgame.networks import AgentSpec
+
+from conftest import ROOT, TRIANGULAR_NOISE_FIXTURE, triangular_noise_game
 from oracles import masked_sample_paths
+
+# _estimator_record of the reference equilibrium and of the committed
+# triangular-noise state, as json.dumps writes it (floats in full)
+ESTIMATOR_FIXTURE = ROOT / "tests" / "estimator_pins.json"
 
 
 def _identity_game():
@@ -51,17 +62,17 @@ LOOP_NOISES = [POINT_KERNEL, NoiseKernel("uniform", 0.05),
 LOOP_IDS = ["point", "uniform", "triangular"]
 
 
-def _loop_game(noise):
+def _loop_game(noise, levels=(4, 4, 4)):
     """Three agents that almost never listen to themselves (diagonals 0.01),
     so about half of all paths outlast DEPTH_CAP hops. Agent 1 has a word at
     0.02, so smeared noise pushes some hops out of (0, 1) and gets clamped."""
-    agents = tuple(AgentSpec(k, BetaDensity(2.0 + k, 3.0), 4) for k in range(3))
+    agents = tuple(AgentSpec(k, BetaDensity(2.0 + k, 3.0), levels[k]) for k in range(3))
     P = CommMatrix(np.array([[0.01, 0.50, 0.49],
                              [0.495, 0.01, 0.495],
                              [0.60, 0.39, 0.01]]))
     game = QuantizationGame(agents, P, noise)
     state = bootstrap(game)
-    state.quantizers[1] = quantizer_from_words([0.02, 0.3, 0.6, 0.9])
+    state.quantizers[1] = quantizer_from_words([0.02, 0.3, 0.6, 0.9][:levels[1]])
     return game, state
 
 
@@ -127,9 +138,12 @@ class TestSampling:
         for i in range(ref_game.n_agents):
             _assert_matches_oracle(i, state, ref_game, 100_000, seed=30 + i)
 
-    @pytest.mark.parametrize("noise", LOOP_NOISES, ids=LOOP_IDS)
-    def test_truncating_loop_matches_masked_oracle(self, noise):
-        game, state = _loop_game(noise)
+    @pytest.mark.parametrize(
+        "noise, levels",
+        [(k, (4, 4, 4)) for k in LOOP_NOISES] + [(NoiseKernel("uniform", 0.05), (1, 3, 8))],
+        ids=LOOP_IDS + ["mixed-levels"])
+    def test_truncating_loop_matches_masked_oracle(self, noise, levels):
+        game, state = _loop_game(noise, levels)
         for i in range(3):
             _x, _xhat, _lengths, n_trunc, n_clamp = _assert_matches_oracle(
                 i, state, game, 20_000, seed=40 + i)
@@ -152,6 +166,25 @@ class TestSampling:
         assert np.all(lengths == 2)
         assert np.all(x == 0.5)
         assert np.all(xhat == 0.6)  # agent 1's word for 0.5; agent 2 says 0.4
+
+    def test_no_later_hop_along_zero_weight_edge(self):
+        # agent 3 hears only agent 0, whose row sums to 1 - 5e-13: the
+        # second hop, routed per agent, must also stop at agent 1
+        agents = tuple(AgentSpec(k, BetaDensity(2, 2), 2) for k in range(4))
+        P = CommMatrix(np.array([[0.7, 0.3 - 5e-13, 0.0, 0.0],
+                                 [0.0, 1.0, 0.0, 0.0],
+                                 [0.0, 0.0, 1.0, 0.0],
+                                 [1.0, 0.0, 0.0, 0.0]]))
+        game = QuantizationGame(agents, P)
+        state = bootstrap(game)
+        state.quantizers[0] = quantizer_from_words([0.5, 0.9])
+        state.quantizers[1] = quantizer_from_words([0.2, 0.6])
+        state.quantizers[2] = quantizer_from_words([0.8, 0.9])
+        x, xhat, lengths, n_trunc, _ = sample_paths(3, state, game, 4, _StubRng())
+        assert n_trunc == 0
+        assert np.all(lengths == 3)
+        assert np.all(x == 0.5)
+        assert np.all(xhat == 0.5)  # 0.6 from agent 1; via agent 2 it would be 0.9
 
 
 class TestTruncation:
@@ -180,6 +213,16 @@ class TestTruncation:
         _resid, _se, counts = true_env_residuals(2, state, game, n_samples=20_000, seed=51)
         assert rep.n_truncated > 0
         assert rep.n_samples == counts.sum()
+
+    def test_closed_cycle_reports_nan(self):
+        # two agents that only hear each other: every path outlasts
+        # DEPTH_CAP, and the report is NaN with no empty-mean warning
+        agents = tuple(AgentSpec(k, BetaDensity(2, 2), 3) for k in range(2))
+        game = QuantizationGame(agents, CommMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        rep = estimate_losses(0, bootstrap(game), game, 1000, seed=5)
+        assert rep.n_samples == 0 and rep.n_truncated == 1000
+        assert np.all(np.isnan([rep.total, rep.quantization, rep.communication,
+                                rep.cross, rep.total_se, rep.cross_se]))
 
 
 class TestLossDecomposition:
@@ -214,6 +257,32 @@ class TestLossDecomposition:
         state, _ = ref_solved
         with pytest.raises(ValueError):
             estimate_losses(0, state, ref_game, 0)
+
+
+def _estimator_record(game, state, n=200_000):
+    """Per agent, every field of estimate_losses and true_env_residuals'
+    (resid, se, counts) at n samples and seed 60 + agent."""
+    rows = []
+    for i in range(game.n_agents):
+        resid, se, counts = true_env_residuals(i, state, game, n_samples=n, seed=60 + i)
+        rows.append({"losses": asdict(estimate_losses(i, state, game, n, seed=60 + i)),
+                     "resid": resid.tolist(), "se": se.tolist(), "counts": counts.tolist()})
+    return rows
+
+
+class TestEstimatorsPinned:
+    """The estimates themselves, not only the sampler, are held bit for bit
+    from one change to the next."""
+
+    def test_reference(self, ref_game, ref_solved):
+        want = json.loads(ESTIMATOR_FIXTURE.read_text())["reference"]
+        assert _estimator_record(ref_game, ref_solved[0]) == want
+
+    def test_triangular_noise(self):
+        game = triangular_noise_game()
+        state = load_state(TRIANGULAR_NOISE_FIXTURE, game)
+        want = json.loads(ESTIMATOR_FIXTURE.read_text())["triangular_noise"]
+        assert _estimator_record(game, state) == want
 
 
 class TestTrueEnvResiduals:

@@ -1,9 +1,10 @@
-"""Quantizer layer: regularity validation, half-open cell lookup, design
-loops against analytic optima, a golden-section boundary oracle, an
-exact dynamic-programming oracle on a discretized source, monotone
-descent of the per-start reference loop on random mixtures, the
-batched multi-start loop against the per-start loop it replaced, and
-one-line rejection of bad design arguments."""
+"""Quantizer layer: regularity validation, half-open cell lookup (also
+against the binary search it replaced), design loops against analytic
+optima, a golden-section boundary oracle, an exact dynamic-programming
+oracle on a discretized source, monotone descent of the per-start
+reference loop on random mixtures, the batched multi-start loop against
+the per-start loop it replaced, and one-line rejection of bad design
+arguments."""
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from oracles import (
     beta_pdf,
     dp_optimal_quantizer,
     riemann_quantizer_loss,
+    searchsorted_cell_index,
     sequential_lloyd_max,
     sequential_multi_start,
 )
@@ -88,6 +90,27 @@ class TestRegularQuantizer:
         q = quantizer_from_words(AGENT5_TARGET_WORDS)
         assert q.boundaries[1] == pytest.approx(0.26125, abs=1e-12)
         assert q.words[q.closed_cell_index(0.25)] == pytest.approx(0.1982)
+
+    @PROPERTY_SETTINGS
+    @given(st.integers(1, 64), st.integers(0, 2**32 - 1), st.booleans())
+    def test_lookup_matches_search(self, levels, seed, midpoint):
+        # random boundaries, or the midpoint boundaries of random words
+        rng = np.random.default_rng(seed)
+        cuts = np.sort(rng.uniform(1e-6, 1.0 - 1e-6, levels - 1))
+        b = np.concatenate(([0.0], cuts, [1.0]))
+        q = (quantizer_from_words(b[:-1] + np.diff(b) / 2.0) if midpoint
+             else RegularQuantizer(b, b[:-1] + np.diff(b) / 2.0))
+        edges = q.boundaries
+        x = np.concatenate((rng.random(500), edges, q.words, [0.0, 1.0],
+                            np.nextafter(edges, 0.5)))
+        got = q.closed_cell_index(x)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, searchsorted_cell_index(q, x))
+        for v in (0.0, 1.0, edges[levels // 2], q.words[-1], x[0]):
+            for scalar in (np.float64(v), np.array(v), float(v)):
+                got = q.closed_cell_index(scalar)
+                assert got.shape == () and got.dtype == np.intp
+                assert got == searchsorted_cell_index(q, scalar)
 
 
 class TestBoundaryRule:
