@@ -98,6 +98,12 @@ def _number(name: str, value, kind):
     return kind(value)
 
 
+def _string(name: str, value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def _agent(n: int, entry) -> AgentSpec:
     return AgentSpec(id=_number("id", entry.get("id", n), int),
                      physical=BetaDensity(_number("alpha", entry["alpha"], float),
@@ -109,7 +115,7 @@ def _stochastic_row(n: int, row) -> np.ndarray:
     """One comm_matrix row; a sum off 1 by at most 1e-6 is renormalized."""
     if len(row) != n:
         raise ValueError(f"has {len(row)} entries, expected {n}")
-    vals = np.asarray([float(v) for v in row])
+    vals = np.asarray([_number(f"entry {c}", v, float) for c, v in enumerate(row)])
     s = float(vals.sum())
     if not abs(s - 1.0) <= 1e-6:
         raise ValueError(f"sums to {s!r}, expected 1")
@@ -139,10 +145,10 @@ _LEAST = {"tol": 0.0, "max_sweeps": 1, "n_starts": 1, "n_samples": 1, "seed": 0}
 
 
 def _settings(cls, doc):
-    """`cls` from its config section: each given field is cast to the type
-    of its default (a number by `_number`) and checked against `_LEAST`,
-    absent fields keep the default, other keys are ignored."""
-    values = {f.name: str(doc[f.name]) if isinstance(f.default, str)
+    """`cls` from its config section: each given field takes the type of
+    its default (a string as is, a number by `_number`) and is checked
+    against `_LEAST`, absent fields keep the default, other keys are ignored."""
+    values = {f.name: _string(f.name, doc[f.name]) if isinstance(f.default, str)
               else _number(f.name, doc[f.name], type(f.default))
               for f in fields(cls) if f.name in doc}
     for name, value in values.items():

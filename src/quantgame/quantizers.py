@@ -32,9 +32,10 @@ from .densities import (
 # minimal gap used to keep words strictly interior / strictly increasing
 _SEP = 1e-14
 
-# the game's best response runs on these multi-start defaults: the inner
-# tolerance sits well below the sweep tolerance, and the jitter seed
-# (`seed`, 0) is fixed, so solving is deterministic
+# iteration cap of a single `lloyd_max` design
+_MAX_ITERS = 10_000
+# every multi-start design (the game's best responses) runs to this inner
+# tolerance, well below the sweep tolerance, or this iteration cap
 _MULTI_TOL = 1e-11
 _MULTI_MAX_ITERS = 20_000
 
@@ -166,47 +167,39 @@ def _resolve_empty_cells(
 
 
 def _separate(words: np.ndarray) -> np.ndarray:
-    """Nudge coincident or boundary-touching words apart along the last axis."""
+    """Nudge coincident or boundary-touching words apart along the last
+    axis: the result is strictly increasing inside [_SEP, 1 - _SEP]. A
+    forward pass lifts each tie or inversion above the word before it,
+    then a backward pass lowers each word that rose onto the next one
+    (words stacked at 1) below it; where the forward pass alone ends
+    strictly increasing, the backward pass changes no bit."""
     w = np.minimum(np.maximum(words, _SEP), 1.0 - _SEP)
     if np.logical_and.reduce(w[..., 1:] > w[..., :-1], axis=None):
-        return w  # the loop below would change nothing
+        return w  # the passes below would change nothing
     for k in range(1, w.shape[-1]):
         w[..., k] = np.where(w[..., k] <= w[..., k - 1], w[..., k - 1] + _SEP, w[..., k])
-    return np.minimum(w, 1.0 - _SEP)
+    w[..., -1] = np.minimum(w[..., -1], 1.0 - _SEP)
+    for k in range(w.shape[-1] - 2, -1, -1):
+        w[..., k] = np.where(w[..., k] >= w[..., k + 1], w[..., k + 1] - _SEP, w[..., k])
+    return w
 
 
-def lloyd_max(
-    d: Density,
-    levels: Optional[int] = None,
-    init: Optional[Sequence[float]] = None,
-    max_iters: int = 10_000,
-    tol: float = 1e-10,
-) -> LloydMaxResult:
-    """Alternate midpoint boundaries and centroid words until words settle.
+def lloyd_max(d: Density, levels: int, tol: float = 1e-10) -> LloydMaxResult:
+    """Alternate midpoint boundaries and centroid words until words settle,
+    from the quantile start of `multi_start_lloyd_max` (words at the
+    source quantiles (2k-1)/(2M)), for at most `_MAX_ITERS` iterations.
 
-    `init` defaults to the source quantiles at levels (2k-1)/(2M). Words
-    of starved cells are relocated into the cell with the largest error
-    and the event counted; a cell still starved after `levels`
+    Words of starved cells are relocated into the cell with the largest
+    error and the event counted; a cell still starved after `levels`
     relocations (e.g. fewer atoms than levels and no continuous part to
     feed it) raises EmptyCellError.
 
     Each iteration makes one moment-kernel call for (m0, m1) at the
     current words, which gives the empty-cell check and the centroids;
-    one more call prices the final quantizer as `loss`. This is the loop
-    of `multi_start_lloyd_max` run with a single start.
+    one more call prices the final quantizer as `loss`.
     """
     mix = as_mixture(d)
-    if init is None:
-        if levels is None:
-            raise ValueError("need levels or an explicit init")
-        init = _quantile_init(mix, levels)
-    words = np.asarray(init, dtype=float)
-    if words.ndim != 1:
-        raise ValueError("init must be a 1-D sequence of words")
-    words = _separate(words)
-    if levels is not None and words.size != levels:
-        raise ValueError(f"init has {words.size} words, expected {levels}")
-    return _run_starts(mix, words[None, :], max_iters, tol)[0]
+    return _run_starts(mix, _multi_start_inits(mix, levels, 1, None), _MAX_ITERS, tol)[0]
 
 
 def _run_starts(mix: MixtureDensity, words: np.ndarray, max_iters: int,
@@ -218,15 +211,12 @@ def _run_starts(mix: MixtureDensity, words: np.ndarray, max_iters: int,
     with a starved cell, then the centroid step on the whole array. A
     row leaves once its move is below `tol`, or stops unconverged after
     `max_iters`. One last kernel call prices every row's final iterate.
+    Rows must be strictly increasing inside (0, 1), as `_separate` leaves
+    them, and `max_iters` at least 1; `words` is overwritten with the
+    final iterates.
     """
-    if words.shape[1] < 1:
-        raise ValueError("levels must be at least 1")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if np.any(words[:, 1:] <= words[:, :-1]):
-        raise ValueError("init words must be strictly increasing")
     n = words.shape[0]
     events = [0] * n
     iterations = np.full(n, max_iters)
@@ -272,29 +262,28 @@ def multi_start_lloyd_max(
     d: Density,
     levels: int,
     n_starts: int = 8,
-    seed: int = 0,
     warm_start: Optional[RegularQuantizer] = None,
-    max_iters: int = _MULTI_MAX_ITERS,
-    tol: float = _MULTI_TOL,
 ) -> LloydMaxResult:
     """Best of several Lloyd-Max runs: the optional warm start, the
     quantile start, and jittered quantile starts, `n_starts` cold starts
-    in all. The starts run as one batch, each exactly as `lloyd_max` would
-    run it alone. Returns the minimum-loss result; on a tie the first
-    start in that order wins, so a warm start keeps its place unless a
-    cold start is strictly better."""
+    in all, each run to `_MULTI_TOL` or `_MULTI_MAX_ITERS` iterations.
+    The starts run as one batch, each exactly as it would run alone.
+    Returns the minimum-loss result; on a tie the first start in that
+    order wins, so a warm start keeps its place unless a cold start is
+    strictly better."""
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
     mix = as_mixture(d)
-    inits = _multi_start_inits(mix, levels, n_starts, seed, warm_start)
-    return min(_run_starts(mix, inits, max_iters, tol), key=lambda res: res.loss)
+    inits = _multi_start_inits(mix, levels, n_starts, warm_start)
+    return min(_run_starts(mix, inits, _MULTI_MAX_ITERS, _MULTI_TOL),
+               key=lambda res: res.loss)
 
 
-def _multi_start_inits(mix: MixtureDensity, levels: int, n_starts: int, seed: int,
+def _multi_start_inits(mix: MixtureDensity, levels: int, n_starts: int,
                        warm_start: Optional[RegularQuantizer]) -> np.ndarray:
-    """(starts, levels) initial words: the warm start if given, the
-    quantile start, then jittered quantile starts up to `n_starts` cold
-    starts."""
+    """(starts, levels) initial words, each row strictly increasing: the
+    warm start if given, the quantile start, then jittered quantile starts
+    up to `n_starts` cold starts."""
     quant = _quantile_init(mix, levels)
     inits = []
     if warm_start is not None:
@@ -302,7 +291,9 @@ def _multi_start_inits(mix: MixtureDensity, levels: int, n_starts: int, seed: in
             raise ValueError("warm start has wrong number of levels")
         inits.append(warm_start.words)
     inits.append(quant)
-    rng = np.random.default_rng(seed)
+    # the jitter seed is a constant, so a design, and with it a solve, is
+    # deterministic: the same source always gets the same starts
+    rng = np.random.default_rng(0)
     while len(inits) < n_starts + (warm_start is not None):
         jitter = rng.uniform(-0.5, 0.5, levels) / (2.0 * levels)
         cand = np.sort(np.clip(quant + jitter, 1e-6, 1.0 - 1e-6))

@@ -245,19 +245,31 @@ def masked_sample_paths(i, state, game, n, rng):
     return x, value, lengths, int(truncated.sum()), n_clamped
 
 
-def sequential_multi_start(mix, levels, n_starts, seed, warm_start=None,
-                           max_iters=10_000, tol=1e-10):
+def forward_separate(words):
+    """`quantizers._separate` before its backward pass, kept as its
+    reference: ties and inversions are lifted above the word before them,
+    then every word is clipped to 1 - 1e-14, which ties words stacked at 1
+    again."""
+    w = np.minimum(np.maximum(words, 1e-14), 1.0 - 1e-14)
+    if np.logical_and.reduce(w[..., 1:] > w[..., :-1], axis=None):
+        return w
+    for k in range(1, w.shape[-1]):
+        w[..., k] = np.where(w[..., k] <= w[..., k - 1], w[..., k - 1] + 1e-14, w[..., k])
+    return np.minimum(w, 1.0 - 1e-14)
+
+
+def sequential_multi_start(mix, levels, n_starts, warm_start, max_iters, tol):
     """The multi-start Lloyd-Max that the batched (starts, levels) loop
-    replaced, kept as its reference: the same starts from the same draws,
-    each run to its end on its own by the per-start loop. Returns every
-    start's LloydMaxResult and the index of the first start with the
-    lowest loss."""
+    replaced, kept as its reference: the same starts from the same draws
+    (jitter seed 0), each run to its end on its own by the per-start loop.
+    Returns every start's LloydMaxResult and the index of the first start
+    with the lowest loss."""
     quant = _quantile_init(mix, levels)
     inits = []
     if warm_start is not None:
         inits.append(warm_start.words.copy())
     inits.append(quant)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     while len(inits) < n_starts + (warm_start is not None):
         jitter = rng.uniform(-0.5, 0.5, levels) / (2.0 * levels)
         cand = np.sort(np.clip(quant + jitter, 1e-6, 1.0 - 1e-6))

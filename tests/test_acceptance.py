@@ -8,6 +8,7 @@ import pytest
 from quantgame import (
     BetaDensity,
     CommMatrix,
+    MixtureDensity,
     QuantizationGame,
     chain_translate,
     check_social_stability,
@@ -23,6 +24,7 @@ from quantgame.calibrate import design_words, recover_beta_params
 from quantgame.cli import EXIT_OK, main
 from quantgame.montecarlo import path_dependence_probe, sample_paths
 from quantgame.networks import AgentSpec, detect_acyclic
+from quantgame.quantizers import _MAX_ITERS, _run_starts
 
 from conftest import (
     AGENT5_TARGET_WORDS,
@@ -53,11 +55,11 @@ def test_criterion_02_log_concave_uniqueness():
     ok = True
     for a, b in ((2.0, 5.0), (5.0, 2.0)):
         ref = lloyd_max(BetaDensity(a, b), levels=6, tol=1e-11).quantizer.words
+        mix = MixtureDensity.from_beta(BetaDensity(a, b))
         for _ in range(20):
             init = np.sort(rng.uniform(0.02, 0.98, 6))
             init = init + np.arange(6) * 1e-5  # strictly increasing
-            got = lloyd_max(BetaDensity(a, b), levels=6, init=init,
-                            tol=1e-11).quantizer.words
+            got = _run_starts(mix, init[None, :], _MAX_ITERS, 1e-11)[0].quantizer.words
             if np.max(np.abs(got - ref)) >= 1e-6:
                 ok = False
     _verdict(2, "20 random initializations agree word-wise within 1e-6 "

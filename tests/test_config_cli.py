@@ -145,6 +145,16 @@ class TestLoadConfig:
         assert cfg.agents[0].levels == 4 and type(cfg.agents[0].levels) is int
         assert cfg.solver.max_sweeps == 60 and type(cfg.solver.max_sweeps) is int
 
+    def test_numeric_strings_accepted(self, tmp_path):
+        # a quoted number reads as that number in every float field,
+        # comm_matrix entries included
+        p = tmp_path / "quoted.cfg"
+        p.write_text(SMALL_CONFIG.replace("[0.85, 0.15]", "['0.85', 0.15]", 1)
+                     .replace("tol: 1.0e-9", "tol: '1.0e-9'"))
+        cfg = load_config(p)
+        assert cfg.comm.entries[0].tolist() == [0.85, 0.15]
+        assert cfg.solver.tol == 1e-9
+
     def test_bad_beta_params(self, tmp_path):
         bad = SMALL_CONFIG.replace("alpha: 8.0", "alpha: -1.0", 1)
         p = tmp_path / "beta.cfg"
@@ -259,6 +269,8 @@ class TestCliSolve:
         ("alpha: 8.0", "alpha: true"),
         ("shape: point, halfwidth: 0.0", "shape: uniform, halfwidth: true"),
         ("tol: 1.0e-9", "tol: true"),
+        ("[0.85, 0.15]", "[true, false]"),
+        ("directory: out", "directory: null"),
     ], ids=["alpha-text", "levels-text", "tol-text", "no-starts", "entry-text", "entry-nan",
             "uniform-zero-width", "negative-width", "point-with-width",
             "agent-not-mapping", "solver-scalar", "noise-scalar", "montecarlo-list",
@@ -266,7 +278,7 @@ class TestCliSolve:
             "alpha-inf", "width-nan", "no-agents", "levels-fraction", "levels-bool",
             "id-fraction", "sweeps-fraction", "no-sweeps", "starts-bool",
             "samples-fraction", "seed-bool", "tol-negative", "tol-nan", "tol-inf",
-            "alpha-bool", "width-bool", "tol-bool"])
+            "alpha-bool", "width-bool", "tol-bool", "entry-bool", "directory-null"])
     def test_malformed_config_exit_code(self, tmp_path, capsys, old, new):
         assert old in SMALL_CONFIG
         p = tmp_path / "bad.cfg"
@@ -314,6 +326,16 @@ class TestCliSolve:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "carries mass" in err and err.count("\n") == 1
+
+    def test_extreme_beta_source(self, tmp_path, capsys):
+        # Beta(1, 0.001) piles its mass against 1, where the quantile start
+        # stacks all four words
+        p = tmp_path / "extreme.cfg"
+        p.write_text(SMALL_CONFIG.replace("alpha: 8.0, beta: 2.0", "alpha: 1.0, beta: 0.001", 1))
+        code = main(["solve", "--config", str(p), "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code in (EXIT_OK, EXIT_CONFIG)
+        assert (captured.out + captured.err).count("\n") == 1
 
     def test_noise_too_wide_exit_code(self, tmp_path, capsys):
         # a valid uniform kernel whose support around the outer words

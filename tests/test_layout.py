@@ -9,6 +9,9 @@
 - Every name the package exports, and every public function, class and
   method it defines, has a reader in the library or the benchmark, so
   no helper survives that only tests use.
+- Every defaulted parameter of a public function or method is passed by
+  some call in the library or the benchmark, so no knob survives that
+  only tests turn.
 - No module of the package imports another inside a function, and the
   graph of module-level imports (imports under `if TYPE_CHECKING:` left
   out) has no cycle.
@@ -235,12 +238,14 @@ def test_detector_flags_unread_methods():
     assert unread_names(definitions(source), [source], "Mixture") == {"pdf", "depth"}
 
 
+def _bench_sources():
+    return [p.read_text() for p in sorted((PACKAGE.parents[1] / "perfbench").glob("*.py"))]
+
+
 def _library_and_benchmark():
     modules = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))
                if p.name != "__init__.py"]
-    bench = "\n".join(p.read_text()
-                      for p in sorted((PACKAGE.parents[1] / "perfbench").glob("*.py")))
-    return modules, bench
+    return modules, "\n".join(_bench_sources())
 
 
 def test_every_export_has_a_library_reader():
@@ -254,3 +259,84 @@ def test_every_definition_has_a_library_reader():
     modules, bench = _library_and_benchmark()
     defined = set().union(*(definitions(src) for src in modules))
     assert unread_names(defined, modules, bench) - READERLESS_EXPORTS == set()
+
+
+def defaulted_parameters(source: str):
+    """{(function, parameter): position} for each defaulted parameter of
+    the public functions and methods `source` defines. The position is the
+    one a call passes it at (None for keyword-only): a method's first
+    parameter (self or cls) is not counted, a staticmethod's is."""
+    found = {}
+
+    def visit(node, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not child.name.startswith("_"):
+                    args = child.args
+                    positional = args.posonlyargs + args.args
+                    bound = in_class and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                                 for d in child.decorator_list)
+                    first = len(positional) - len(args.defaults)
+                    for pos, arg in enumerate(positional[first:], first):
+                        found[(child.name, arg.arg)] = pos - bound
+                    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                        if default is not None:
+                            found[(child.name, arg.arg)] = None
+                visit(child, False)
+            else:
+                visit(child, isinstance(child, ast.ClassDef))
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def unpassed_parameters(defaulted, call_sources):
+    """Those (function, parameter) keys of `defaulted` that no call in
+    `call_sources` passes, by position or keyword; callees are matched by
+    name, and a `*` or `**` argument passes every parameter it can."""
+    passed = set()
+    for source in call_sources:
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            for (function, parameter), pos in defaulted.items():
+                if function == name and (
+                        pos is not None and (starred or pos < len(call.args))
+                        or any(k.arg in (parameter, None) for k in call.keywords)):
+                    passed.add((function, parameter))
+    return set(defaulted) - passed
+
+
+def test_detector_flags_unpassed_parameters():
+    source = ("def design(d, levels=None, tol=1e-10, *, cap=5):\n"
+              "    return d\n"
+              "class Q:\n"
+              "    def scale(self, x, by=2.0):\n"
+              "        return x\n"
+              "    @staticmethod\n"
+              "    def make(n=1):\n"
+              "        return Q()\n"
+              "def _private(k=0):\n"
+              "    return k\n"
+              "design(1, 4)\n"
+              "Q.make(3)\n"
+              "Q().scale(1.0)\n")
+    defaulted = defaulted_parameters(source)
+    assert defaulted == {("design", "levels"): 1, ("design", "tol"): 2,
+                         ("design", "cap"): None, ("scale", "by"): 1, ("make", "n"): 0}
+    assert unpassed_parameters(defaulted, [source, "design(2, cap=1)\n"]) == {
+        ("design", "tol"), ("scale", "by")}
+    assert unpassed_parameters(defaulted, [source, "design(*a, **k)\nQ().scale(*xs)\n"]) == set()
+
+
+def test_every_defaulted_parameter_is_passed():
+    # the command line's entry point and the analysis API serve callers
+    # outside the library
+    modules, _bench = _library_and_benchmark()
+    knobs = {key: pos for source in modules
+             for key, pos in defaulted_parameters(source).items()
+             if key[0] not in READERLESS_EXPORTS and key != ("main", "argv")}
+    assert unpassed_parameters(knobs, modules + _bench_sources()) == set()

@@ -8,7 +8,7 @@ arguments."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quantgame import (
@@ -23,12 +23,22 @@ from quantgame import (
     quantizer_from_words,
 )
 
-from quantgame.quantizers import _multi_start_inits, _quantile_init, _run_starts
+from quantgame.quantizers import (
+    _MAX_ITERS,
+    _MULTI_MAX_ITERS,
+    _MULTI_TOL,
+    _SEP,
+    _multi_start_inits,
+    _quantile_init,
+    _run_starts,
+    _separate,
+)
 
 from conftest import AGENT5_TARGET_WORDS
 from oracles import (
     beta_pdf,
     dp_optimal_quantizer,
+    forward_separate,
     riemann_quantizer_loss,
     searchsorted_cell_index,
     sequential_lloyd_max,
@@ -188,7 +198,7 @@ class TestLloydMax:
     def test_loss_history_non_increasing(self):
         mix = MixtureDensity.from_beta(BetaDensity(5, 2))
         res = lloyd_max(mix, levels=5, tol=1e-12)
-        _ref, hist = sequential_lloyd_max(mix, _quantile_init(mix, 5), 10_000, 1e-12)
+        _ref, hist = sequential_lloyd_max(mix, _quantile_init(mix, 5), _MAX_ITERS, 1e-12)
         assert np.all(np.diff(hist) <= 1e-14)
         assert res.loss == hist[-1]
 
@@ -198,17 +208,11 @@ class TestLloydMax:
             res = lloyd_max(BetaDensity(a, b), levels=6, tol=tol)
             assert centroid_residual(res.quantizer, BetaDensity(a, b)) <= 10 * tol
 
-    def test_explicit_init_validation(self):
-        with pytest.raises(ValueError):
-            lloyd_max(BetaDensity(2, 2))  # neither levels nor init
-        with pytest.raises(ValueError):
-            lloyd_max(BetaDensity(2, 2), levels=3, init=[0.2, 0.8])
-
     def test_starved_cells_recovered(self):
         # all words packed into the vanishing right tail of a left-heavy
         # source, so the initial cells carry essentially no mass
-        res = lloyd_max(BetaDensity(2, 9), levels=4,
-                        init=[0.9990, 0.9992, 0.9994, 0.9996], tol=1e-11)
+        res = _run_starts(MixtureDensity.from_beta(BetaDensity(2, 9)),
+                          np.array([[0.9990, 0.9992, 0.9994, 0.9996]]), _MAX_ITERS, 1e-11)[0]
         assert res.converged
         assert res.empty_cell_events > 0
         ref = lloyd_max(BetaDensity(2, 9), levels=4, tol=1e-11)
@@ -227,24 +231,76 @@ class TestLloydMax:
         # unique local optimum: random inits all land on the same design
         rng = np.random.default_rng(7)
         ref = lloyd_max(BetaDensity(2, 5), levels=6, tol=1e-11).quantizer.words
-        for _ in range(5):
-            init = np.sort(rng.uniform(0.02, 0.98, 6))
-            init += np.arange(6) * 1e-4  # enforce strict increase
-            got = lloyd_max(BetaDensity(2, 5), levels=6, init=init,
-                            tol=1e-11).quantizer.words
-            assert got == pytest.approx(ref, abs=1e-7)
+        inits = np.sort(rng.uniform(0.02, 0.98, (5, 6)), axis=1)
+        inits += np.arange(6) * 1e-4  # enforce strict increase
+        mix = MixtureDensity.from_beta(BetaDensity(2, 5))
+        for got in _run_starts(mix, inits, _MAX_ITERS, 1e-11):
+            assert got.quantizer.words == pytest.approx(ref, abs=1e-7)
+
+
+class TestSeparate:
+    """`_separate` leaves every row strictly increasing inside
+    [_SEP, 1 - _SEP], and bit for bit where the forward-only version it
+    replaced (`oracles.forward_separate`) already did."""
+
+    # ties, the clip edges and neighbours of 1 make stacked words likely
+    WORD = st.one_of(st.floats(0.0, 1.0), st.sampled_from(
+        [0.0, _SEP, 0.5, np.nextafter(1.0 - _SEP, 0.0), 1.0 - _SEP, np.nextafter(1.0, 0.0), 1.0]))
+
+    @PROPERTY_SETTINGS
+    @given(st.integers(1, 8), st.integers(1, 4), st.booleans(), st.data())
+    def test_strictly_increasing_and_old_bits_kept(self, levels, n_rows, ordered, data):
+        rows = np.array([data.draw(st.lists(self.WORD, min_size=levels, max_size=levels))
+                         for _ in range(n_rows)])
+        if ordered:
+            rows.sort(axis=1)
+        got = _separate(rows.copy())
+        assert np.all(got[:, 1:] > got[:, :-1])
+        assert np.all(got[:, 0] >= _SEP) and np.all(got[:, -1] <= 1.0 - _SEP)
+        for row, g in zip(rows, got):
+            assert np.array_equal(_separate(row.copy()), g)  # rows are independent
+            old = forward_separate(row.copy())
+            if np.all(old[1:] > old[:-1]):
+                assert np.array_equal(old, g)
+
+    def test_words_stacked_at_one(self):
+        # the quantile start of Beta(1, 0.001) puts every word at 1
+        got = _separate(np.ones(4))
+        assert np.all(np.diff(got) > 0) and got[-1] == 1.0 - _SEP
+        assert not np.all(np.diff(forward_separate(np.ones(4))) > 0)
+
+
+class TestExtremeSources:
+    """Beta sources with shape parameters from 1e-3 to 1e3 pile their mass
+    against 0 or 1, where the quantile start stacks words: each design
+    ends in a result or in EmptyCellError, never in another error."""
+
+    LOG_SHAPE = st.floats(-3.0, 3.0)
+
+    @PROPERTY_SETTINGS
+    @given(LOG_SHAPE, LOG_SHAPE, st.integers(1, 6))
+    @example(0.0, -3.0, 4)  # Beta(1, 0.001): every quantile start word is 1
+    def test_design_returns_or_reports_starved_cell(self, log_a, log_b, levels):
+        d = BetaDensity(10.0 ** log_a, 10.0 ** log_b)
+        for design in (lloyd_max, multi_start_lloyd_max):
+            try:
+                res = design(d, levels)
+            except EmptyCellError:
+                continue
+            assert res.quantizer.levels == levels
+            assert np.isfinite(res.loss)
 
 
 class TestMultiStart:
     def test_matches_single_start_on_log_concave(self):
         d = BetaDensity(3, 4)
         a = lloyd_max(d, levels=5, tol=1e-11)
-        b = multi_start_lloyd_max(d, levels=5, n_starts=6, seed=1, tol=1e-11)
+        b = multi_start_lloyd_max(d, levels=5, n_starts=6)
         assert b.quantizer.words == pytest.approx(a.quantizer.words, abs=1e-8)
 
     def test_bimodal_two_level_grid_oracle(self):
         mix = MixtureDensity(((0.5, BetaDensity(2, 8)), (0.5, BetaDensity(8, 2))))
-        res = multi_start_lloyd_max(mix, levels=2, n_starts=8, seed=0, tol=1e-12)
+        res = multi_start_lloyd_max(mix, levels=2, n_starts=8)
         b, w, dp_loss = dp_optimal_quantizer(
             lambda x: 0.5 * beta_pdf(x, 2, 8) + 0.5 * beta_pdf(x, 8, 2), 2)
         assert res.quantizer.words == pytest.approx(w, abs=2e-3)
@@ -262,31 +318,23 @@ class TestMultiStart:
 
 
 class TestArgumentValidation:
-    """Bad level counts, iteration caps and tolerances fail with one line
-    instead of a NumPy error or a silent 10,000-iteration run."""
+    """Bad level counts and tolerances fail with one line instead of a
+    NumPy error or a silent 10,000-iteration run."""
 
     @pytest.mark.parametrize("call", [
         lambda d: lloyd_max(d, levels=0),
-        lambda d: lloyd_max(d, init=[]),
         lambda d: multi_start_lloyd_max(d, 0),
         lambda d: multi_start_lloyd_max(d, -2),
-    ], ids=["lloyd_max-levels-0", "lloyd_max-empty-init", "multi_start-0", "multi_start-minus-2"])
+    ], ids=["lloyd_max-levels-0", "multi_start-0", "multi_start-minus-2"])
     def test_levels_must_be_positive(self, call):
         with pytest.raises(ValueError, match="^levels must be at least 1$"):
             call(BetaDensity(2, 2))
 
-    @pytest.mark.parametrize("max_iters", [0, -5])
-    def test_multi_start_max_iters_must_be_positive(self, max_iters):
-        # lloyd_max's own case is TestLossHistory::test_max_iters_validation
-        with pytest.raises(ValueError, match="^max_iters must be at least 1$"):
-            multi_start_lloyd_max(BetaDensity(2, 2), 3, max_iters=max_iters)
-
     @pytest.mark.parametrize("tol", [np.nan, 0.0, -1e-10, np.inf])
     def test_tol_must_be_positive_and_finite(self, tol):
+        # reached from the public `calibrate.design_words(tol)`
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             lloyd_max(BetaDensity(2, 2), levels=3, tol=tol)
-        with pytest.raises(ValueError, match="tol must be positive and finite"):
-            multi_start_lloyd_max(BetaDensity(2, 2), 3, tol=tol)
 
 
 def _assert_same_run(got, want):
@@ -312,27 +360,27 @@ class TestBatchedStarts:
 
     @PROPERTY_SETTINGS
     @given(mixtures(max_atoms=8), st.integers(1, 6), st.integers(1, 8),
-           st.sampled_from([1, 5, 3000]), st.data())
+           st.sampled_from([1, 5, _MULTI_MAX_ITERS]), st.data())
     def test_matches_sequential_starts(self, mix, levels, n_starts, max_iters, data):
         warm = None
         if data.draw(st.booleans(), label="warm"):
             words = data.draw(st.lists(st.floats(0.02, 0.98), min_size=levels,
                                        max_size=levels, unique=True), label="warm words")
             warm = quantizer_from_words(np.sort(words))
-        args = dict(n_starts=n_starts, seed=3, warm_start=warm, max_iters=max_iters,
-                    tol=1e-10)
+        inits = _multi_start_inits(mix, levels, n_starts, warm)
         try:
-            want, best = sequential_multi_start(mix, levels, **args)
+            want, best = sequential_multi_start(mix, levels, n_starts, warm, max_iters,
+                                                _MULTI_TOL)
         except EmptyCellError:
             with pytest.raises(EmptyCellError):
-                multi_start_lloyd_max(mix, levels, **args)
+                _run_starts(mix, inits, max_iters, _MULTI_TOL)
             return
-        got = _run_starts(mix, _multi_start_inits(mix, levels, n_starts, 3, warm),
-                          max_iters, 1e-10)
+        got = _run_starts(mix, inits, max_iters, _MULTI_TOL)
         assert len(got) == len(want) == n_starts + (warm is not None)
         for g, w in zip(got, want):
             _assert_same_run(g, w)
-        _assert_same_run(multi_start_lloyd_max(mix, levels, **args), want[best])
+        if max_iters == _MULTI_MAX_ITERS:  # the cap multi_start_lloyd_max runs to
+            _assert_same_run(multi_start_lloyd_max(mix, levels, n_starts, warm), want[best])
 
     def test_relocating_row_beside_settled_rows(self):
         # the first row relocates a word and needs one more iteration than
@@ -367,7 +415,7 @@ class TestLoopWork:
     MIX = MixtureDensity(((0.7, BetaDensity(2, 5)),), [0.2, 0.1], [0.3, 0.6])
 
     def test_one_kernel_call_per_iteration(self, kernel_calls):
-        res = lloyd_max(self.MIX, init=[0.1, 0.4, 0.6, 0.9])
+        res = _run_starts(self.MIX, np.array([[0.1, 0.4, 0.6, 0.9]]), _MAX_ITERS, 1e-10)[0]
         assert res.converged and res.empty_cell_events == 0
         assert len(kernel_calls) == res.iterations + 1
 
@@ -387,8 +435,8 @@ class TestLossHistory:
     @PROPERTY_SETTINGS
     @given(mixtures(max_atoms=8), st.integers(1, 6))
     def test_history_complete_and_non_increasing(self, mix, levels):
-        res = lloyd_max(mix, levels=levels, tol=1e-10, max_iters=3000)
-        _ref, hist = sequential_lloyd_max(mix, _quantile_init(mix, levels), 3000, 1e-10)
+        res = lloyd_max(mix, levels=levels, tol=1e-10)
+        _ref, hist = sequential_lloyd_max(mix, _quantile_init(mix, levels), _MAX_ITERS, 1e-10)
         assert np.all(np.diff(hist) <= 1e-14)
         assert len(hist) == res.iterations
         assert res.loss == hist[-1] == quantization_loss(res.quantizer, mix)
@@ -399,12 +447,11 @@ class TestLossHistory:
         # relocates its word; the loss must still not rise across it.
         mix = MixtureDensity((), [w for w, _c in RELOCATION_ATOMS],
                              [c for _w, c in RELOCATION_ATOMS])
-        init = RELOCATION_INIT
-        res = lloyd_max(mix, levels=3, init=init, tol=1e-11)
+        res = _run_starts(mix, np.array([RELOCATION_INIT]), _MAX_ITERS, 1e-11)[0]
         assert res.converged
         losses, events = [], []
         for n in range(1, res.iterations + 1):
-            part = lloyd_max(mix, levels=3, init=init, tol=1e-11, max_iters=n)
+            part = _run_starts(mix, np.array([RELOCATION_INIT]), n, 1e-11)[0]
             assert part.loss == quantization_loss(part.quantizer, mix)
             losses.append(part.loss)
             events.append(part.empty_cell_events)
@@ -413,8 +460,8 @@ class TestLossHistory:
         assert events[:2] == [0, 1]
 
     def test_max_iters_validation(self):
-        with pytest.raises(ValueError):
-            lloyd_max(BetaDensity(2, 2), levels=3, max_iters=0)
-        res = lloyd_max(BetaDensity(2, 2), levels=3, max_iters=1)
-        assert res.iterations == 1
-        assert res.loss == quantization_loss(res.quantizer, BetaDensity(2, 2))
+        # a cap of one iteration stops there and prices that iterate
+        mix = MixtureDensity.from_beta(BetaDensity(2, 2))
+        res = _run_starts(mix, _multi_start_inits(mix, 3, 1, None), 1, 1e-10)[0]
+        assert res.iterations == 1 and not res.converged
+        assert res.loss == quantization_loss(res.quantizer, mix)
