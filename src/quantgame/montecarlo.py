@@ -4,8 +4,12 @@ decomposition, and translation-chain / shared-vocabulary analysis.
 Signals originate at some agent's physical source and hop through the
 network, being re-quantized (and noised) at every transmission. Sampling
 follows per-hop index arrays of the samples still in flight, grouped per
-agent, and reads the generator in a fixed order, so million-sample
-estimates stay cheap and a seed fixes every sample.
+agent, draws one routing uniform per hop for each sample in flight only,
+and reads the generator in a fixed order, so a seed fixes every sample.
+The estimators sample in blocks of at most BLOCK signals, read one after
+another from one generator, and merge per-block counts, means and sums of
+squared deviations (Chan, Golub & LeVeque 1979), so their memory does not
+grow with the sample count.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ if TYPE_CHECKING:  # game imports this module
     from .game import GameState, QuantizationGame
 
 DEPTH_CAP = 64
+
+# most signals an estimator samples at once
+BLOCK = 2 ** 16
 
 # keep clamped samples strictly inside the open interval
 _CLAMP = 1e-12
@@ -46,7 +53,7 @@ def sample_paths(i: int, state: GameState, game: QuantizationGame, n: int,
     The forward walk follows only the samples in flight, by ascending
     index, and keeps per hop the (indices, agents) of those that moved;
     back-propagation replays these hops in reverse. The generator is read
-    in a fixed order: n uniforms per hop while any sample is in flight,
+    in a fixed order: per hop, one uniform for each sample in flight,
     beta draws per terminal agent in agent order, then noise per hop from
     the last, each over samples in index order. Hops never follow a
     zero-weight edge, even where a row sums to slightly less than 1.
@@ -67,12 +74,11 @@ def sample_paths(i: int, state: GameState, game: QuantizationGame, n: int,
     for hop in range(DEPTH_CAP):
         if idx.size == 0:
             break
-        u = rng.random(n)
+        u = rng.random(idx.size)
         nxt = np.empty_like(cur)
         if hop == 0:  # every sample is at agent i
             nxt[:] = _route(cum[i, :last_edge[i]], u)
         else:
-            u = u[idx]
             for a in np.flatnonzero(np.bincount(cur, minlength=n_agents)):
                 m = cur == a
                 nxt[m] = _route(cum[a, :last_edge[a]], u[m])
@@ -134,43 +140,75 @@ class LossReport:
 
 
 def _observed(i: int, state: GameState, game: QuantizationGame, n: int, seed: int):
-    """n signals sampled at agent i less the truncated ones: (x_true, x_obs,
-    agent i's cell of each x_obs, n_truncated, n_clamped)."""
+    """n signals sampled at agent i in blocks of at most BLOCK, read one
+    block after another from one generator. Yields per block, less its
+    truncated samples: (x_true, x_obs, agent i's cell of each x_obs,
+    n_truncated, n_clamped)."""
     if n < 1:
         raise ValueError("sample count must be positive")
     rng = np.random.default_rng(seed)
-    x, xhat, _lengths, n_trunc, n_clamp = sample_paths(i, state, game, n, rng)
-    if n_trunc:
-        ok = ~np.isnan(x)
-        x, xhat = x[ok], xhat[ok]
-    return x, xhat, state.quantizers[i].closed_cell_index(xhat), n_trunc, n_clamp
+    q = state.quantizers[i]
+    for start in range(0, n, BLOCK):
+        x, xhat, _lengths, n_trunc, n_clamp = sample_paths(
+            i, state, game, min(BLOCK, n - start), rng)
+        if n_trunc:
+            ok = ~np.isnan(x)
+            x, xhat = x[ok], xhat[ok]
+        yield x, xhat, q.closed_cell_index(xhat), n_trunc, n_clamp
+
+
+def _running(size: int):
+    """Empty running (count, mean, M2) arrays of `size` entries for `_merge`."""
+    return [np.zeros(size, dtype=np.int64), np.zeros(size), np.zeros(size)]
+
+
+def _merge(acc, count, mean, m2):
+    """Fold one block's per-entry count, mean and sum of squared deviations
+    (M2) into the running arrays `acc`, in place, by the pairwise update of
+    Chan, Golub & LeVeque (1979). An entry the block leaves empty keeps its
+    values; an empty entry of `acc` takes the block's."""
+    n = acc[0] + count
+    w = np.divide(count, n, out=np.zeros(n.shape), where=n > 0)
+    delta = mean - acc[1]
+    acc[2] += m2 + delta * delta * acc[0] * w
+    acc[1] += delta * w
+    acc[0] = n
+
+
+def _group_moments(values, groups, n_groups: int):
+    """Per group 0..n_groups-1: count, mean and M2 of `values`; an empty
+    group reads 0, 0.0, 0.0."""
+    count = np.bincount(groups, minlength=n_groups)
+    mean = np.divide(np.bincount(groups, values, n_groups), count,
+                     out=np.zeros(n_groups), where=count > 0)
+    return count, mean, np.bincount(groups, (values - mean[groups]) ** 2, n_groups)
 
 
 def estimate_losses(i: int, state: GameState, game: QuantizationGame,
                     n: int, seed: int = 0) -> LossReport:
-    x, xhat, idx, n_trunc, n_clamp = _observed(i, state, game, n, seed)
-    word = state.quantizers[i].words[idx]
-    total = (x - word) ** 2
-    quant = (xhat - word) ** 2
-    comm = (x - xhat) ** 2
-    cross = total - quant - comm
-    m = x.size
-
-    def mean(v):  # NaN, with no warning, when every sample was truncated
-        return float(v.mean()) if m else float("nan")
-
-    def se(v):
-        return float(np.std(v, ddof=1) / np.sqrt(m)) if m > 1 else float("nan")
-
+    words = state.quantizers[i].words
+    acc = _running(4)  # total, quantization, communication, cross
+    n_trunc = n_clamp = 0
+    for x, xhat, idx, t, c in _observed(i, state, game, n, seed):
+        n_trunc += t
+        n_clamp += c
+        if x.size == 0:
+            continue
+        word = words[idx]
+        total = (x - word) ** 2
+        quant = (xhat - word) ** 2
+        comm = (x - xhat) ** 2
+        terms = np.stack([total, quant, comm, total - quant - comm])
+        mean = terms.mean(axis=1)
+        m2 = np.sum((terms - mean[:, None]) ** 2, axis=1)
+        _merge(acc, np.full(4, x.size), mean, m2)
+    m = int(acc[0][0])
+    # NaN, with no warning, when every sample was truncated
+    mean = acc[1] if m else np.full(4, np.nan)
+    se = np.sqrt(acc[2] / (m - 1)) / np.sqrt(m) if m > 1 else np.full(4, np.nan)
     return LossReport(
-        total=mean(total),
-        quantization=mean(quant),
-        communication=mean(comm),
-        cross=mean(cross),
-        total_se=se(total),
-        quantization_se=se(quant),
-        communication_se=se(comm),
-        cross_se=se(cross),
+        *mean.tolist(),
+        *se.tolist(),
         n_samples=m,
         n_truncated=n_trunc,
         n_clamped=n_clamp,
@@ -184,17 +222,16 @@ def true_env_residuals(i: int, state: GameState, game: QuantizationGame,
     Zero residuals (within noise) certify the centroid condition against
     the true environment.
     """
-    x, _xhat, idx, _t, _c = _observed(i, state, game, n_samples, seed)
     q = state.quantizers[i]
+    acc = _running(q.levels)
+    for x, _xhat, idx, _t, _c in _observed(i, state, game, n_samples, seed):
+        _merge(acc, *_group_moments(x, idx, q.levels))
+    counts, mean, m2 = acc
     resid = np.full(q.levels, np.nan)
     se = np.full(q.levels, np.nan)
-    counts = np.zeros(q.levels, dtype=int)
-    for k in range(q.levels):
-        xk = x[idx == k]
-        counts[k] = xk.size
-        if counts[k] > 1:
-            resid[k] = float(xk.mean() - q.words[k])
-            se[k] = float(np.std(xk, ddof=1) / np.sqrt(counts[k]))
+    ok = counts > 1
+    resid[ok] = mean[ok] - q.words[ok]
+    se[ok] = np.sqrt(m2[ok] / (counts[ok] - 1)) / np.sqrt(counts[ok])
     return resid, se, counts
 
 
@@ -202,13 +239,14 @@ def shared_vocabulary(quantizers: Sequence[RegularQuantizer],
                       agents: Optional[Sequence[int]] = None):
     """Whether the agent set shares a vocabulary: every index-k cell
     intersection is a nonempty open interval containing every member's
-    k-th word. Returns (ok, witness intervals)."""
+    k-th word. Returns (ok, witness intervals); agents with different
+    numbers of words share none, and get (False, [])."""
     if agents is None:
         agents = range(len(quantizers))
     qs = [quantizers[a] for a in agents]
     levels = {q.levels for q in qs}
     if len(levels) != 1:
-        raise ValueError("agents must share the number of levels")
+        return False, []
     M = levels.pop()
     witnesses = []
     ok = True

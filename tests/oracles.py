@@ -186,8 +186,9 @@ def masked_sample_paths(i, state, game, n, rng):
     """The path sampler that the in-flight index walk replaced, kept as its
     reference: every hop runs full-width masks over all n samples and the
     routes are stacked into an (n, depth) matrix. It consumes the generator
-    in the same order as `montecarlo.sample_paths`, so on rows whose
-    cumulative sums end at 1 the two agree bit for bit."""
+    in the same order as `montecarlo.sample_paths` (per hop, one uniform for
+    each active sample, in index order), so on rows whose cumulative sums
+    end at 1 the two agree bit for bit."""
     P = game.comm.entries
     cum = np.cumsum(P, axis=1)
     n_agents = game.n_agents
@@ -198,7 +199,8 @@ def masked_sample_paths(i, state, game, n, rng):
     for _ in range(DEPTH_CAP):
         if not active.any():
             break
-        u = rng.random(n)
+        u = np.zeros(n)
+        u[active] = rng.random(int(active.sum()))
         nxt = cur.copy()
         for a in np.unique(cur[active]):
             m = active & (cur == a)

@@ -48,6 +48,22 @@ montecarlo: {n_samples: 20000, seed: 5}
 outputs: {directory: out}
 """
 
+# three agents with 4, 5 and 4 words under triangular noise
+MIXED_LEVELS_CONFIG = """\
+agents:
+  - {id: 1, alpha: 2.0, beta: 5.0, levels: 4}
+  - {id: 2, alpha: 3.0, beta: 3.0, levels: 5}
+  - {id: 3, alpha: 5.0, beta: 2.0, levels: 4}
+comm_matrix:
+  - [0.8, 0.1, 0.1]
+  - [0.15, 0.7, 0.15]
+  - [0.1, 0.2, 0.7]
+noise: {shape: triangular, halfwidth: 0.02}
+solver: {tol: 1.0e-9, max_sweeps: 60, schedule_policy: cyclic, n_starts: 2}
+montecarlo: {n_samples: 20000, seed: 5}
+outputs: {directory: out}
+"""
+
 # two agents that only hear each other: no path reaches a physical source
 CYCLE_CONFIG = """\
 agents:
@@ -459,6 +475,19 @@ class TestCliChains:
             assert code == EXIT_OK
             tables[seed] = (out / "chain.csv").read_text()
         assert tables[None] == tables["7"] != tables["0"]
+
+    def test_mixed_level_counts(self, tmp_path):
+        # agents with different numbers of words share no vocabulary
+        cfg = tmp_path / "mixed.cfg"
+        cfg.write_text(MIXED_LEVELS_CONFIG)
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        code = main(["chains", "--config", str(cfg), "--out", str(tmp_path),
+                     "--chain", "1,2,3", "--seed", "3"])
+        assert code == EXIT_OK
+        doc = json.loads((tmp_path / "chains.json").read_text())
+        assert doc["shared_vocabulary"] is False and doc["witness_intervals"] == []
+        _header, rows = _read_csv(tmp_path / "chain.csv")
+        assert len(rows) == 101 and all(row[-1] == "" for row in rows)
 
     @pytest.mark.parametrize("args", [
         ["--chain", "1,9"],  # unknown agent id

@@ -3,6 +3,7 @@ for bit, shared-vocabulary detection, translation chains, and
 path-dependence probes."""
 
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -28,8 +29,13 @@ from quantgame import (
     solve_equilibrium,
     true_env_residuals,
 )
+from quantgame import montecarlo
 from quantgame.montecarlo import (
+    BLOCK,
     DEPTH_CAP,
+    _group_moments,
+    _merge,
+    _running,
     path_dependence_probe,
     sample_paths,
 )
@@ -285,6 +291,141 @@ class TestEstimatorsPinned:
         assert _estimator_record(game, state) == want
 
 
+class _RecordingRng:
+    """A generator that records the size of every `random` call."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.sizes = []
+
+    def random(self, size):
+        self.sizes.append(size)
+        return self._rng.random(size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def _record_blocks(monkeypatch):
+    """Record every generator the estimators make, and the block size and
+    path lengths of every `sample_paths` call they make."""
+    rngs, calls = [], []
+    make_rng, sample = np.random.default_rng, montecarlo.sample_paths
+
+    def recording_rng(seed):
+        rngs.append(_RecordingRng(make_rng(seed)))
+        return rngs[-1]
+
+    def recording_sample(i, state, game, n, rng):
+        out = sample(i, state, game, n, rng)
+        calls.append((n, out[2]))
+        return out
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    monkeypatch.setattr(montecarlo, "sample_paths", recording_sample)
+    return rngs, calls
+
+
+def _one_shot(i, state, game, n, seed):
+    """The estimators' samples drawn at once: sample_paths over blocks of
+    BLOCK from one generator, concatenated, less the truncated samples."""
+    rng = np.random.default_rng(seed)
+    blocks = [sample_paths(i, state, game, min(BLOCK, n - s), rng)[:2]
+              for s in range(0, n, BLOCK)]
+    x, xhat = (np.concatenate(a) for a in zip(*blocks))
+    ok = ~np.isnan(x)
+    return x[ok], xhat[ok]
+
+
+def _assert_close(got, want):
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+class TestBlocks:
+    """The estimators sample in blocks of BLOCK from one generator and merge
+    the blocks' moments; memory stays flat as the sample count grows."""
+
+    def test_merge_matches_one_shot(self):
+        rng = np.random.default_rng(70)
+        n, levels = 50_000, 4
+        values = rng.beta(2.0, 3.0, n)
+        groups = rng.integers(0, levels, n)
+        cuts = np.sort(np.concatenate([rng.integers(0, n, 9), [17_000, 17_000]]))
+        acc = _running(levels)
+        sizes = []
+        for b, part in enumerate(np.split(np.arange(n), cuts)):
+            if b % 2:  # the last word gets no sample in every other block
+                groups[part] = np.minimum(groups[part], levels - 2)
+            sizes.append(part.size)
+            _merge(acc, *_group_moments(values[part], groups[part], levels))
+        assert 0 in sizes and len(set(sizes)) > 3  # an empty block, random sizes
+        counts, mean, m2 = acc
+        for k in range(levels):
+            v = values[groups == k]
+            assert counts[k] == v.size
+            _assert_close(mean[k], v.mean())
+            _assert_close(np.sqrt(m2[k] / (v.size - 1)), np.std(v, ddof=1))
+
+    def test_estimators_match_one_shot(self):
+        game, state = _loop_game(NoiseKernel("triangular", 0.08))
+        n, seed = BLOCK + 3_000, 71
+        x, xhat = _one_shot(2, state, game, n, seed)
+        q = state.quantizers[2]
+        idx = q.closed_cell_index(xhat)
+        w = q.words[idx]
+        total, quant, comm = (x - w) ** 2, (xhat - w) ** 2, (x - xhat) ** 2
+        rep = estimate_losses(2, state, game, n, seed=seed)
+        assert rep.n_truncated > 0 and rep.n_samples == x.size
+        for name, v in [("total", total), ("quantization", quant),
+                        ("communication", comm), ("cross", total - quant - comm)]:
+            _assert_close(getattr(rep, name), v.mean())
+            _assert_close(getattr(rep, name + "_se"),
+                          np.std(v, ddof=1) / np.sqrt(v.size))
+        resid, se, counts = true_env_residuals(2, state, game, n_samples=n, seed=seed)
+        for k in range(q.levels):
+            xk = x[idx == k]
+            assert counts[k] == xk.size
+            _assert_close(resid[k], xk.mean() - q.words[k])
+            _assert_close(se[k], np.std(xk, ddof=1) / np.sqrt(xk.size))
+
+    @pytest.mark.parametrize("estimator", [
+        lambda state, game, n: estimate_losses(0, state, game, n, seed=72),
+        lambda state, game, n: true_env_residuals(0, state, game, n_samples=n, seed=72),
+    ], ids=["estimate_losses", "true_env_residuals"])
+    def test_memory_does_not_grow_with_samples(self, estimator):
+        game = _pair_game()
+        state = bootstrap(game)
+        peaks = []
+        for n in (4 * BLOCK, 16 * BLOCK):
+            tracemalloc.start()
+            try:
+                estimator(state, game, n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+
+    def test_reference_draws_only_uniforms_in_flight(self, monkeypatch, ref_game,
+                                                     ref_solved):
+        self._check_draws(monkeypatch, ref_game, ref_solved[0], 2 * BLOCK + 5_000)
+
+    def test_truncating_loop_draws_only_uniforms_in_flight(self, monkeypatch):
+        game, state = _loop_game(POINT_KERNEL)
+        calls = self._check_draws(monkeypatch, game, state, BLOCK + 20_000)
+        assert any(np.any(lengths > DEPTH_CAP) for _n, lengths in calls)
+
+    @staticmethod
+    def _check_draws(monkeypatch, game, state, n):
+        rngs, calls = _record_blocks(monkeypatch)
+        rep = estimate_losses(0, state, game, n, seed=73)
+        assert len(rngs) == 1  # one generator, read block after block
+        assert [size for size, _lengths in calls] == [BLOCK] * (n // BLOCK) + [n % BLOCK]
+        lengths = np.concatenate([lengths for _n, lengths in calls])
+        assert sum(rngs[0].sizes) == np.minimum(lengths, DEPTH_CAP).sum()
+        assert rep.n_truncated == np.sum(lengths > DEPTH_CAP)
+        return calls
+
+
 class TestTrueEnvResiduals:
     def test_identity_residuals_near_zero(self):
         game = _identity_game()
@@ -361,8 +502,9 @@ class TestSharedVocabulary:
 
     def test_level_mismatch(self, shared_quantizers):
         from quantgame import quantizer_from_words
-        with pytest.raises(ValueError):
-            shared_vocabulary(shared_quantizers + [quantizer_from_words([0.5])])
+        # agents with different numbers of words cannot share a vocabulary
+        assert shared_vocabulary(shared_quantizers + [quantizer_from_words([0.5])]) \
+            == (False, [])
 
 
 class TestChains:
@@ -392,6 +534,12 @@ class TestChains:
                 rep = chain_translate(shared_quantizers, chain, float(x))
                 assert rep.bound is not None
                 assert rep.word_drift <= rep.bound + 1e-12
+
+    def test_mixed_level_chain_has_no_bound(self, shared_quantizers):
+        qs = shared_quantizers[:2] + [quantizer_from_words([0.3, 0.7])]
+        rep = chain_translate(qs, [0, 1, 2], 0.4)
+        assert rep.bound is None
+        assert rep.final_word in qs[2].words
 
     def test_chain_validation(self, shared_quantizers):
         with pytest.raises(ValueError):
