@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from .densities import BetaDensity
 from .quantizers import lloyd_max
@@ -60,6 +59,9 @@ def recover_beta_params(
             if best is None or v < best[1]:
                 best = (np.log([a0, b0]), v)
 
+    # imported here: scipy.optimize (with scipy.sparse and scipy.linalg)
+    # is about a quarter of every process's memory, and only this step uses it
+    from scipy import optimize
     res = optimize.minimize(
         objective, best[0], method="Nelder-Mead",
         options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},

@@ -15,12 +15,19 @@
 - No module of the package imports another inside a function, and the
   graph of module-level imports (imports under `if TYPE_CHECKING:` left
   out) has no cycle.
+- Importing the package and its command line loads none of
+  `scipy.optimize`, `scipy.sparse` or `scipy.linalg`: only beta
+  parameter recovery needs them, and they cost every process about a
+  quarter of its memory.
 """
 
 import ast
 import graphlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -147,6 +154,19 @@ def test_no_module_imports_the_package_inside_a_function():
 
 def test_module_import_graph_is_acyclic():
     assert import_cycle(_package_sources()) is None
+
+
+HEAVY_MODULES = ("scipy.optimize", "scipy.sparse", "scipy.linalg")
+
+
+def test_import_loads_no_heavy_scipy_module():
+    # a fresh interpreter: this one has loaded them through other tests
+    script = ("import sys, quantgame, quantgame.cli\n"
+              f"print(sorted(m for m in {HEAVY_MODULES!r} if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_benchmark_binding_sites_exist():
