@@ -157,14 +157,35 @@ def _settings(cls, doc):
     return cls(**values)
 
 
+# libyaml's parser where PyYAML was built with it: the same safe resolver
+# and constructors as yaml.SafeLoader, so the same documents, parsed
+# several times faster
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
+def _yaml_problem(exc: yaml.YAMLError) -> str:
+    """One line for a YAML error, in the same form under both loaders;
+    PyYAML's own text spans several lines and differs between them."""
+    if isinstance(exc, yaml.reader.ReaderError):
+        return f"position {exc.position}: {exc.reason}"
+    if isinstance(exc, yaml.MarkedYAMLError) and exc.problem_mark is not None:
+        mark = exc.problem_mark
+        what = ", ".join(filter(None, (exc.context, exc.problem)))
+        return f"line {mark.line + 1}, column {mark.column + 1}: {what}"
+    return " ".join(str(exc).split())
+
+
 def load_config(path) -> ExperimentConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        doc = yaml.safe_load(path.read_text())
+        # bytes, so that the parser detects the encoding (UTF-8 or a
+        # UTF-16 byte-order mark), not the locale
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    try:
+        doc = yaml.load(data, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from exc
+        raise ConfigError(f"cannot parse {path}: {_yaml_problem(exc)}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config root must be a mapping, got {type(doc).__name__}")
 

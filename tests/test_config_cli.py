@@ -7,8 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from quantgame import ConfigError, bootstrap, load_config, load_state, save_state
+from quantgame import ConfigError, bootstrap, config, load_config, load_state, save_state
 from quantgame.cli import (
     EXIT_CONFIG,
     EXIT_MISSING_STATE,
@@ -31,6 +32,76 @@ solver: {tol: 1.0e-9, max_sweeps: 60, schedule_policy: cyclic, n_starts: 4, seed
 montecarlo: {n_samples: 20000, seed: 5}
 outputs: {directory: out, formats: [csv, json]}
 """
+
+# (old, new): SMALL_CONFIG with `old` replaced by `new` parses as YAML but
+# describes no valid experiment
+MALFORMED = [
+    ("alpha: 8.0", "alpha: abc"),
+    ("levels: 4", "levels: x"),
+    ("tol: 1.0e-9", "tol: abc"),
+    ("n_starts: 4", "n_starts: 0"),
+    ("[0.85, 0.15]", "[0.85, abc]"),
+    ("[0.85, 0.15]", "[.nan, 0.15]"),
+    ("shape: point, halfwidth: 0.0", "shape: uniform, halfwidth: 0"),
+    ("shape: point, halfwidth: 0.0", "shape: uniform, halfwidth: -0.1"),
+    ("halfwidth: 0.0", "halfwidth: 0.1"),
+    ("{id: 1, alpha: 8.0, beta: 2.0, levels: 4}", "5"),
+    ("solver: {tol: 1.0e-9, max_sweeps: 60, schedule_policy: cyclic, "
+     "n_starts: 4, seed: 0}", "solver: 5"),
+    ("noise: {shape: point, halfwidth: 0.0}", "noise: 5"),
+    ("montecarlo: {n_samples: 20000, seed: 5}", "montecarlo: [1]"),
+    ("montecarlo: {n_samples: 20000, seed: 5}", "montecarlo: {seed: -1}"),
+    ("outputs: {directory: out, formats: [csv, json]}", "outputs: x"),
+    ("  - {id: 1, alpha: 8.0, beta: 2.0, levels: 4}\n"
+     "  - {id: 2, alpha: 2.0, beta: 8.0, levels: 4}\n", " 5\n"),
+    ("  - [0.85, 0.15]\n  - [0.15, 0.85]\n", " 5\n"),
+    ("alpha: 8.0", "alpha: .inf"),
+    ("shape: point, halfwidth: 0.0", "shape: uniform, halfwidth: .nan"),
+    ("  - {id: 1, alpha: 8.0, beta: 2.0, levels: 4}\n"
+     "  - {id: 2, alpha: 2.0, beta: 8.0, levels: 4}\n"
+     "comm_matrix:\n  - [0.85, 0.15]\n  - [0.15, 0.85]\n",
+     " []\ncomm_matrix: []\n"),
+    ("levels: 4", "levels: 6.7"),
+    ("levels: 4", "levels: true"),
+    ("id: 1", "id: 1.5"),
+    ("max_sweeps: 60", "max_sweeps: 2.9"),
+    ("max_sweeps: 60", "max_sweeps: 0"),
+    ("n_starts: 4", "n_starts: true"),
+    ("n_samples: 20000", "n_samples: 20000.5"),
+    ("seed: 5", "seed: true"),
+    ("tol: 1.0e-9", "tol: -1.0e-9"),
+    ("tol: 1.0e-9", "tol: .nan"),
+    ("tol: 1.0e-9", "tol: .inf"),
+    ("alpha: 8.0", "alpha: true"),
+    ("shape: point, halfwidth: 0.0", "shape: uniform, halfwidth: true"),
+    ("tol: 1.0e-9", "tol: true"),
+    ("[0.85, 0.15]", "[true, false]"),
+    ("directory: out", "directory: null"),
+]
+MALFORMED_IDS = ["alpha-text", "levels-text", "tol-text", "no-starts", "entry-text", "entry-nan",
+                 "uniform-zero-width", "negative-width", "point-with-width",
+                 "agent-not-mapping", "solver-scalar", "noise-scalar", "montecarlo-list",
+                 "negative-seed", "outputs-text", "agents-scalar", "matrix-scalar",
+                 "alpha-inf", "width-nan", "no-agents", "levels-fraction", "levels-bool",
+                 "id-fraction", "sweeps-fraction", "no-sweeps", "starts-bool",
+                 "samples-fraction", "seed-bool", "tol-negative", "tol-nan", "tol-inf",
+                 "alpha-bool", "width-bool", "tol-bool", "entry-bool", "directory-null"]
+
+# config bytes that no YAML loader accepts, with the start of the one-line
+# message after the file name; the problem text itself differs between
+# libyaml and PyYAML's own parser
+UNPARSABLE = {
+    "unclosed-flow": (SMALL_CONFIG.replace("agents:\n", "agents: [\n", 1).encode(),
+                      "line 2, column 3: "),
+    "tab-indent": (SMALL_CONFIG.replace("  - {id: 1", "\t- {id: 1", 1).encode(),
+                   "line 2, column 1: "),
+    "open-quote": (SMALL_CONFIG.replace("directory: out", "directory: 'out", 1).encode(),
+                   "line 11, column 1: "),
+    "two-documents": ((SMALL_CONFIG + "---\n" + SMALL_CONFIG).encode(), "line 11, column 1: "),
+    "latin-1": (b"# caf\xe9\n" + SMALL_CONFIG.encode(), "position "),
+}
+# PyYAML's own parser, and libyaml's where PyYAML was built with it
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
 
 # three agents that almost never listen to themselves (diagonals 0.01)
 LOOP_CONFIG = """\
@@ -124,6 +195,34 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.cfg")
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+    def test_parses_with_libyaml(self, monkeypatch):
+        parsed = []
+        single = yaml.CSafeLoader.get_single_data
+
+        def spy(loader):
+            parsed.append(type(loader))
+            return single(loader)
+
+        monkeypatch.setattr(yaml.CSafeLoader, "get_single_data", spy)
+        load_config(REFERENCE_CONFIG)
+        assert parsed == [yaml.CSafeLoader]
+
+    def test_loader_documents_match_safe_loader(self):
+        def typed(node):
+            if isinstance(node, dict):
+                return {key: typed(value) for key, value in node.items()}
+            if isinstance(node, list):
+                return [typed(value) for value in node]
+            return type(node), repr(node)  # repr, so that NaN equals NaN
+
+        texts = [Path(path).read_text() for path in (REFERENCE_CONFIG, IDENTITY_CONFIG)]
+        texts += [SMALL_CONFIG.replace(old, new, 1) for old, new in MALFORMED]
+        for text in texts:
+            data = text.encode()
+            assert (typed(yaml.load(data, Loader=config._YAML_LOADER))
+                    == typed(yaml.load(data, Loader=yaml.SafeLoader)))
 
     def test_bad_row_sum_names_row(self, tmp_path):
         bad = SMALL_CONFIG.replace("[0.85, 0.15]", "[0.85, 0.35]", 1)
@@ -245,56 +344,7 @@ class TestCliSolve:
                      "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
 
-    @pytest.mark.parametrize("old, new", [
-        ("alpha: 8.0", "alpha: abc"),
-        ("levels: 4", "levels: x"),
-        ("tol: 1.0e-9", "tol: abc"),
-        ("n_starts: 4", "n_starts: 0"),
-        ("[0.85, 0.15]", "[0.85, abc]"),
-        ("[0.85, 0.15]", "[.nan, 0.15]"),
-        ("shape: point, halfwidth: 0.0", "shape: uniform, halfwidth: 0"),
-        ("shape: point, halfwidth: 0.0", "shape: uniform, halfwidth: -0.1"),
-        ("halfwidth: 0.0", "halfwidth: 0.1"),
-        ("{id: 1, alpha: 8.0, beta: 2.0, levels: 4}", "5"),
-        ("solver: {tol: 1.0e-9, max_sweeps: 60, schedule_policy: cyclic, "
-         "n_starts: 4, seed: 0}", "solver: 5"),
-        ("noise: {shape: point, halfwidth: 0.0}", "noise: 5"),
-        ("montecarlo: {n_samples: 20000, seed: 5}", "montecarlo: [1]"),
-        ("montecarlo: {n_samples: 20000, seed: 5}", "montecarlo: {seed: -1}"),
-        ("outputs: {directory: out, formats: [csv, json]}", "outputs: x"),
-        ("  - {id: 1, alpha: 8.0, beta: 2.0, levels: 4}\n"
-         "  - {id: 2, alpha: 2.0, beta: 8.0, levels: 4}\n", " 5\n"),
-        ("  - [0.85, 0.15]\n  - [0.15, 0.85]\n", " 5\n"),
-        ("alpha: 8.0", "alpha: .inf"),
-        ("shape: point, halfwidth: 0.0", "shape: uniform, halfwidth: .nan"),
-        ("  - {id: 1, alpha: 8.0, beta: 2.0, levels: 4}\n"
-         "  - {id: 2, alpha: 2.0, beta: 8.0, levels: 4}\n"
-         "comm_matrix:\n  - [0.85, 0.15]\n  - [0.15, 0.85]\n",
-         " []\ncomm_matrix: []\n"),
-        ("levels: 4", "levels: 6.7"),
-        ("levels: 4", "levels: true"),
-        ("id: 1", "id: 1.5"),
-        ("max_sweeps: 60", "max_sweeps: 2.9"),
-        ("max_sweeps: 60", "max_sweeps: 0"),
-        ("n_starts: 4", "n_starts: true"),
-        ("n_samples: 20000", "n_samples: 20000.5"),
-        ("seed: 5", "seed: true"),
-        ("tol: 1.0e-9", "tol: -1.0e-9"),
-        ("tol: 1.0e-9", "tol: .nan"),
-        ("tol: 1.0e-9", "tol: .inf"),
-        ("alpha: 8.0", "alpha: true"),
-        ("shape: point, halfwidth: 0.0", "shape: uniform, halfwidth: true"),
-        ("tol: 1.0e-9", "tol: true"),
-        ("[0.85, 0.15]", "[true, false]"),
-        ("directory: out", "directory: null"),
-    ], ids=["alpha-text", "levels-text", "tol-text", "no-starts", "entry-text", "entry-nan",
-            "uniform-zero-width", "negative-width", "point-with-width",
-            "agent-not-mapping", "solver-scalar", "noise-scalar", "montecarlo-list",
-            "negative-seed", "outputs-text", "agents-scalar", "matrix-scalar",
-            "alpha-inf", "width-nan", "no-agents", "levels-fraction", "levels-bool",
-            "id-fraction", "sweeps-fraction", "no-sweeps", "starts-bool",
-            "samples-fraction", "seed-bool", "tol-negative", "tol-nan", "tol-inf",
-            "alpha-bool", "width-bool", "tol-bool", "entry-bool", "directory-null"])
+    @pytest.mark.parametrize("old, new", MALFORMED, ids=MALFORMED_IDS)
     def test_malformed_config_exit_code(self, tmp_path, capsys, old, new):
         assert old in SMALL_CONFIG
         p = tmp_path / "bad.cfg"
@@ -303,6 +353,22 @@ class TestCliSolve:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+    @pytest.mark.parametrize("case", [*UNPARSABLE, "directory"])
+    def test_unparsable_config_exit_code(self, tmp_path, capsys, monkeypatch, loader, case):
+        monkeypatch.setattr(config, "_YAML_LOADER", loader)
+        if case == "directory":
+            p, where = tmp_path, f"cannot read config file {tmp_path}: "
+        else:
+            p = tmp_path / "bad.cfg"
+            data, location = UNPARSABLE[case]
+            p.write_bytes(data)
+            where = f"cannot parse {p}: {location}"
+        code = main(["solve", "--config", str(p), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {where}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("args", [
         ["--max-sweeps", "0"], ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"],
