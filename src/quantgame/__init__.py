@@ -63,7 +63,7 @@ from .montecarlo import (
     shared_vocabulary,
     true_env_residuals,
 )
-from .calibrate import design_words, recover_beta_params
+from .calibrate import recover_beta_params
 from .config import (
     ConfigError,
     ExperimentConfig,

@@ -8,7 +8,7 @@ parameters from its target word list.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -16,16 +16,8 @@ from .densities import BetaDensity
 from .quantizers import lloyd_max
 
 
-def design_words(alpha: float, beta_param: float, levels: int,
-                 tol: float = 1e-11) -> np.ndarray:
-    """Lloyd-Max words for a Beta(alpha, beta_param) source."""
-    res = lloyd_max(BetaDensity(alpha, beta_param), levels=levels, tol=tol)
-    return res.quantizer.words
-
-
 def recover_beta_params(
     target_words: Sequence[float],
-    levels: Optional[int] = None,
     grid: Sequence[float] = (0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0),
 ) -> Tuple[float, float, float]:
     """Best-fitting (alpha, beta) and the achieved max word deviation.
@@ -37,17 +29,13 @@ def recover_beta_params(
     parameters are then only the best fit, so callers must check it.
     """
     target = np.asarray(target_words, dtype=float)
-    if levels is None:
-        levels = target.size
-    if target.size != levels:
-        raise ValueError("target word count does not match levels")
 
     def objective(logp):
         a, b = np.exp(logp)
         if not (1e-3 < a < 1e3 and 1e-3 < b < 1e3):
             return np.inf
         try:
-            words = design_words(a, b, levels, tol=1e-10)
+            words = lloyd_max(BetaDensity(a, b), target.size).quantizer.words
         except Exception:
             return np.inf
         return float(np.max(np.abs(words - target)))

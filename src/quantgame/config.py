@@ -17,7 +17,7 @@ import numpy as np
 import yaml
 
 from .densities import BetaDensity, KernelShape, NoiseKernel
-from .game import GameState, QuantizationGame, observed_mixture
+from .game import SCHEDULE_POLICIES, GameState, QuantizationGame, observed_mixture
 from .game import refresh_state  # noqa: F401  (bound here for perfbench's tracer)
 from .networks import AgentSpec, CommMatrix
 from .quantizers import RegularQuantizer
@@ -183,9 +183,21 @@ def load_config(path) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     try:
-        doc = yaml.load(data, Loader=_YAML_LOADER)
+        loader = _YAML_LOADER(data)  # PyYAML's own reader decodes here
+        try:
+            doc = loader.get_single_data()
+        finally:
+            loader.dispose()
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {_yaml_problem(exc)}") from exc
+    except (ValueError, LookupError, AttributeError) as exc:
+        # a value that its tag rejects (`!!float abc`, `!!bool maybe`, a
+        # timestamp such as 2001-13-45): PyYAML's safe constructors raise
+        # these from inside the last node they entered
+        node = next(reversed(loader.recursive_objects))
+        mark, tag = node.start_mark, node.tag.replace("tag:yaml.org,2002:", "!!")
+        raise ConfigError(f"cannot parse {path}: line {mark.line + 1}, column "
+                          f"{mark.column + 1}: {node.value!r} is not a valid {tag}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config root must be a mapping, got {type(doc).__name__}")
 
@@ -202,7 +214,7 @@ def load_config(path) -> ExperimentConfig:
 
     noise = _section("noise", doc.get("noise") or {}, _noise)
     solver = _section("solver", doc.get("solver") or {}, partial(_settings, SolverSettings))
-    if solver.schedule_policy not in ("cyclic", "topological_if_acyclic"):
+    if solver.schedule_policy not in SCHEDULE_POLICIES:
         raise ConfigError(f"solver.schedule_policy {solver.schedule_policy!r} unknown")
     mc = _section("montecarlo", doc.get("montecarlo") or {},
                   partial(_settings, MonteCarloSettings))

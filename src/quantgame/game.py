@@ -20,6 +20,9 @@ from .networks import (
 )
 from .quantizers import RegularQuantizer, centroid_residual, multi_start_lloyd_max
 
+# the sweep orders `solve_equilibrium` accepts
+SCHEDULE_POLICIES = ("cyclic", "topological_if_acyclic")
+
 
 @dataclass(frozen=True)
 class QuantizationGame:
@@ -110,7 +113,7 @@ def _physical_usage(game: QuantizationGame, quantizers) -> List[np.ndarray]:
             for a, q in zip(game.agents, quantizers)]
 
 
-def bootstrap(game: QuantizationGame, n_starts: int = 8) -> GameState:
+def bootstrap(game: QuantizationGame, n_starts: int) -> GameState:
     """Initial state: per-agent Lloyd-Max optimum on the physical source
     alone, with usage derived from the physical densities."""
     quantizers = [
@@ -121,7 +124,7 @@ def bootstrap(game: QuantizationGame, n_starts: int = 8) -> GameState:
 
 
 def best_response(i: int, state: GameState, game: QuantizationGame,
-                  n_starts: int = 8) -> RegularQuantizer:
+                  n_starts: int) -> RegularQuantizer:
     """Loss-minimizing quantizer for agent i against the current observed
     environment, warm-started from the agent's present strategy."""
     obs = observed_mixture(i, game, state.quantizers, state.usage)
@@ -130,7 +133,7 @@ def best_response(i: int, state: GameState, game: QuantizationGame,
 
 
 def sweep(state: GameState, game: QuantizationGame,
-          schedule: Sequence[int], n_starts: int = 8) -> Tuple[GameState, float]:
+          schedule: Sequence[int], n_starts: int) -> Tuple[GameState, float]:
     """One pass of best responses in schedule order. The responding agent's
     usage is refreshed after its move. Returns the new state and the max
     word/boundary displacement over the pass."""
@@ -155,10 +158,10 @@ def sweep(state: GameState, game: QuantizationGame,
 
 def solve_equilibrium(
     game: QuantizationGame,
-    schedule_policy: str = "cyclic",
-    tol: float = 1e-9,
-    max_sweeps: int = 200,
-    n_starts: int = 8,
+    schedule_policy: str,
+    tol: float,
+    max_sweeps: int,
+    n_starts: int,
 ) -> Tuple[GameState, EquilibriumReport]:
     """Distributed Lloyd-Max dynamics from the physical-only bootstrap.
 
@@ -167,7 +170,7 @@ def solve_equilibrium(
     single pass). The report's `history` holds the bootstrap state and the
     state after each sweep.
     """
-    if schedule_policy not in ("cyclic", "topological_if_acyclic"):
+    if schedule_policy not in SCHEDULE_POLICIES:
         raise ValueError(f"unknown schedule policy {schedule_policy!r}")
     schedule = list(range(game.n_agents))
     if schedule_policy == "topological_if_acyclic":
@@ -210,10 +213,10 @@ def _quick_report(state: GameState, game: QuantizationGame, converged: bool,
 def verify_nash(
     state: GameState,
     game: QuantizationGame,
-    tol: float = 1e-9,
-    n_samples: int = 1_000_000,
-    seed: int = 0,
-    n_starts: int = 8,
+    tol: float,
+    n_samples: int,
+    seed: int,
+    n_starts: int,
 ) -> EquilibriumReport:
     """Full equilibrium certificate: observed-environment centroid residuals,
     best-response distances, and Monte-Carlo estimates (with standard
@@ -258,7 +261,7 @@ class StabilityReport:
 
 
 def check_social_stability(state: GameState, game: QuantizationGame,
-                           n_starts: int = 8) -> StabilityReport:
+                           n_starts: int) -> StabilityReport:
     """Margin between agents' physically-optimal words and communicating
     peers' cell boundaries, checked against best-response drift and the
     noise support.

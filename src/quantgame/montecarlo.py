@@ -185,7 +185,7 @@ def _group_moments(values, groups, n_groups: int):
 
 
 def estimate_losses(i: int, state: GameState, game: QuantizationGame,
-                    n: int, seed: int = 0) -> LossReport:
+                    n: int, seed: int) -> LossReport:
     words = state.quantizers[i].words
     acc = _running(4)  # total, quantization, communication, cross
     n_trunc = n_clamp = 0
@@ -216,7 +216,7 @@ def estimate_losses(i: int, state: GameState, game: QuantizationGame,
 
 
 def true_env_residuals(i: int, state: GameState, game: QuantizationGame,
-                       n_samples: int = 1_000_000, seed: int = 0):
+                       n_samples: int, seed: int):
     """Per-word residual mean(x_true | word k) - y_k with standard errors.
 
     Zero residuals (within noise) certify the centroid condition against
@@ -265,7 +265,6 @@ def shared_vocabulary(quantizers: Sequence[RegularQuantizer],
 
 @dataclass
 class ChainReport:
-    chain: List[int]
     x: float
     hop_words: List[float]
     final_word: float
@@ -302,7 +301,6 @@ def chain_translate(quantizers: Sequence[RegularQuantizer], chain: Sequence[int]
     shared, witnesses = shared_vocabulary(quantizers, chain)
     bound = witnesses[k][1] - witnesses[k][0] if shared else None
     return ChainReport(
-        chain=chain,
         x=float(x),
         hop_words=hop_words,
         final_word=w,
@@ -337,16 +335,14 @@ def enumerate_chains(P, i: int, j: int, max_len: int) -> List[List[int]]:
 
 @dataclass
 class ProbeReport:
-    source: int
-    target: int
     n_chains: int
     spread: float
     worst_input: float
 
 
 def path_dependence_probe(quantizers: Sequence[RegularQuantizer], P,
-                          i: int, j: int, max_len: int = 5,
-                          n_inputs: int = 101) -> ProbeReport:
+                          i: int, j: int, max_len: int,
+                          n_inputs: int) -> ProbeReport:
     """Compare final words across every chain i -> j of bounded length on a
     grid of inputs (noiseless). Zero spread means path independence on the
     probe set."""
@@ -365,8 +361,6 @@ def path_dependence_probe(quantizers: Sequence[RegularQuantizer], P,
     spread = finals.max(axis=0) - finals.min(axis=0)
     worst = int(np.argmax(spread))
     return ProbeReport(
-        source=i,
-        target=j,
         n_chains=len(chains),
         spread=float(spread[worst]),
         worst_input=float(grid[worst]),

@@ -8,7 +8,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .densities import BetaDensity, MixtureDensity, NoiseKernel, POINT_KERNEL
+from .densities import BetaDensity, MixtureDensity, NoiseKernel
 
 _ROW_TOL = 1e-12
 
@@ -136,7 +136,7 @@ def observed_environment(
     quantizers: Sequence,
     usage: Sequence[np.ndarray],
     P: CommMatrix,
-    noise: NoiseKernel = POINT_KERNEL,
+    noise: NoiseKernel,
 ) -> MixtureDensity:
     """Mixture actually seen by agent i: own physical source with weight
     P[i, i], plus one (possibly smeared) atom per peer word, weighted by

@@ -32,7 +32,8 @@ from .densities import (
 # minimal gap used to keep words strictly interior / strictly increasing
 _SEP = 1e-14
 
-# iteration cap of a single `lloyd_max` design
+# tolerance and iteration cap of a single `lloyd_max` design
+_TOL = 1e-10
 _MAX_ITERS = 10_000
 # every multi-start design (the game's best responses) runs to this inner
 # tolerance, well below the sweep tolerance, or this iteration cap
@@ -184,10 +185,10 @@ def _separate(words: np.ndarray) -> np.ndarray:
     return w
 
 
-def lloyd_max(d: Density, levels: int, tol: float = 1e-10) -> LloydMaxResult:
-    """Alternate midpoint boundaries and centroid words until words settle,
-    from the quantile start of `multi_start_lloyd_max` (words at the
-    source quantiles (2k-1)/(2M)), for at most `_MAX_ITERS` iterations.
+def lloyd_max(d: Density, levels: int) -> LloydMaxResult:
+    """Alternate midpoint boundaries and centroid words until they move less
+    than `_TOL`, from the quantile start of `multi_start_lloyd_max` (words
+    at the source quantiles (2k-1)/(2M)), for at most `_MAX_ITERS` iterations.
 
     Words of starved cells are relocated into the cell with the largest
     error and the event counted; a cell still starved after `levels`
@@ -199,7 +200,7 @@ def lloyd_max(d: Density, levels: int, tol: float = 1e-10) -> LloydMaxResult:
     one more call prices the final quantizer as `loss`.
     """
     mix = as_mixture(d)
-    return _run_starts(mix, _multi_start_inits(mix, levels, 1, None), _MAX_ITERS, tol)[0]
+    return _run_starts(mix, _multi_start_inits(mix, levels, 1, None), _MAX_ITERS, _TOL)[0]
 
 
 def _run_starts(mix: MixtureDensity, words: np.ndarray, max_iters: int,
@@ -212,11 +213,9 @@ def _run_starts(mix: MixtureDensity, words: np.ndarray, max_iters: int,
     row leaves once its move is below `tol`, or stops unconverged after
     `max_iters`. One last kernel call prices every row's final iterate.
     Rows must be strictly increasing inside (0, 1), as `_separate` leaves
-    them, and `max_iters` at least 1; `words` is overwritten with the
-    final iterates.
+    them, `max_iters` at least 1 and `tol` positive and finite; `words` is
+    overwritten with the final iterates.
     """
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
     n = words.shape[0]
     events = [0] * n
     iterations = np.full(n, max_iters)
@@ -261,7 +260,7 @@ def _quantile_init(mix: MixtureDensity, levels: int) -> np.ndarray:
 def multi_start_lloyd_max(
     d: Density,
     levels: int,
-    n_starts: int = 8,
+    n_starts: int,
     warm_start: Optional[RegularQuantizer] = None,
 ) -> LloydMaxResult:
     """Best of several Lloyd-Max runs: the optional warm start, the

@@ -19,7 +19,9 @@ from quantgame import (
     load_config,
     solve_equilibrium,
 )
+from quantgame.densities import as_mixture
 from quantgame.networks import AgentSpec
+from quantgame.quantizers import _MAX_ITERS, _multi_start_inits, _run_starts
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE_CONFIG = ROOT / "configs" / "reference.cfg"
@@ -35,6 +37,14 @@ AGENT5_TARGET_WORDS = np.array(
     [0.1982, 0.3243, 0.4387, 0.5574, 0.6902, 0.8626]
 )
 RECOVERED_AGENT5_PARAMS = (2.6722600899, 2.4596656541)
+
+
+def lloyd_max_to(d, levels, tol):
+    """`lloyd_max` run to `tol` in place of its fixed 1e-10: the same
+    quantile start through the same loop, for tests that need a tighter
+    design."""
+    mix = as_mixture(d)
+    return _run_starts(mix, _multi_start_inits(mix, levels, 1, None), _MAX_ITERS, tol)[0]
 
 
 @pytest.fixture(scope="session")
@@ -62,7 +72,7 @@ def ref_solved(ref_cfg, ref_game):
 @pytest.fixture(scope="session")
 def ref_bootstrap(ref_game):
     """Physical-only optimal quantizers for the reference experiment."""
-    return bootstrap(ref_game)
+    return bootstrap(ref_game, n_starts=8)
 
 
 def triangular_noise_game():
@@ -128,5 +138,5 @@ def stable_pair():
     )
     game = QuantizationGame(agents, CommMatrix(np.array([[0.98, 0.02],
                                                          [0.02, 0.98]])))
-    state, report = solve_equilibrium(game, tol=1e-10, max_sweeps=100)
+    state, report = solve_equilibrium(game, "cyclic", tol=1e-10, max_sweeps=100, n_starts=8)
     return game, state, report

@@ -99,6 +99,17 @@ UNPARSABLE = {
                    "line 11, column 1: "),
     "two-documents": ((SMALL_CONFIG + "---\n" + SMALL_CONFIG).encode(), "line 11, column 1: "),
     "latin-1": (b"# caf\xe9\n" + SMALL_CONFIG.encode(), "position "),
+    # values that their tag rejects: PyYAML's constructors raise plain
+    # ValueError, KeyError or AttributeError on these, not a YAML error
+    "float-tag": (SMALL_CONFIG.replace("alpha: 8.0", "alpha: !!float abc", 1).encode(),
+                  "line 2, column 20: 'abc' is not a valid !!float"),
+    "int-tag": (SMALL_CONFIG.replace("id: 1", "id: !!int x", 1).encode(),
+                "line 2, column 10: 'x' is not a valid !!int"),
+    "bool-tag": (SMALL_CONFIG.replace("seed: 5", "seed: !!bool maybe", 1).encode(),
+                 "line 9, column 38: 'maybe' is not a valid !!bool"),
+    "timestamp-tag": (SMALL_CONFIG.replace("directory: out",
+                                           "directory: !!timestamp 2001-13-45", 1).encode(),
+                      "line 10, column 22: '2001-13-45' is not a valid !!timestamp"),
 }
 # PyYAML's own parser, and libyaml's where PyYAML was built with it
 LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
@@ -625,7 +636,7 @@ class TestCliVerify:
         cfg_path = tmp_path / "loop.cfg"
         cfg_path.write_text(LOOP_CONFIG)
         cfg = load_config(cfg_path)
-        save_state(bootstrap(cfg.game()), cfg.agent_ids, tmp_path / "state.json")
+        save_state(bootstrap(cfg.game(), n_starts=8), cfg.agent_ids, tmp_path / "state.json")
         for cmd in ("verify", "simulate"):
             assert main([cmd, "--config", str(cfg_path), "--out", str(tmp_path),
                          "--samples", "20000", "--seed", "5"]) == EXIT_OK

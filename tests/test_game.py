@@ -13,7 +13,6 @@ from quantgame import (
     bootstrap,
     centroid_residual,
     check_social_stability,
-    lloyd_max,
     load_state,
     refresh_state,
     solve_equilibrium,
@@ -23,7 +22,7 @@ from quantgame import (
 from quantgame.game import observed_mixture
 from quantgame.networks import AgentSpec
 
-from conftest import ROOT, TRIANGULAR_NOISE_FIXTURE, triangular_noise_game
+from conftest import ROOT, TRIANGULAR_NOISE_FIXTURE, lloyd_max_to, triangular_noise_game
 
 # the benchmark's committed reference equilibrium, read here and never written
 REFERENCE_FIXTURE = ROOT / "perfbench" / "fixtures" / "reference_state.json"
@@ -58,14 +57,14 @@ class TestGameConstruction:
 class TestBootstrap:
     def test_matches_physical_optima(self):
         game = _coupled_game()
-        state = bootstrap(game)
+        state = bootstrap(game, n_starts=8)
         for i, agent in enumerate(game.agents):
-            ref = lloyd_max(agent.physical, levels=agent.levels, tol=1e-11)
+            ref = lloyd_max_to(agent.physical, agent.levels, 1e-11)
             assert state.quantizers[i].words == pytest.approx(
                 ref.quantizer.words, abs=1e-8)
 
     def test_usage_sums_to_one(self):
-        state = bootstrap(_coupled_game())
+        state = bootstrap(_coupled_game(), n_starts=8)
         for u in state.usage:
             assert u.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(u >= 0)
@@ -74,30 +73,30 @@ class TestBootstrap:
 class TestBestResponseAndSweep:
     def test_best_response_optimizes_observed(self):
         game = _coupled_game()
-        state = bootstrap(game)
-        br = best_response(0, state, game)
+        state = bootstrap(game, n_starts=8)
+        br = best_response(0, state, game, n_starts=8)
         obs = observed_mixture(0, game, state.quantizers, state.usage)
         assert centroid_residual(br, obs) < 1e-9
 
     def test_isolated_agents_do_not_move(self):
         game = _isolated_game()
-        state = bootstrap(game)
-        new_state, move = sweep(state, game, [0, 1])
+        state = bootstrap(game, n_starts=8)
+        new_state, move = sweep(state, game, [0, 1], n_starts=8)
         assert move < 1e-9
 
     def test_schedule_validation(self):
         game = _coupled_game()
-        state = bootstrap(game)
+        state = bootstrap(game, n_starts=8)
         with pytest.raises(ValueError):
-            sweep(state, game, [0, 0])
+            sweep(state, game, [0, 0], n_starts=8)
         with pytest.raises(ValueError):
-            sweep(state, game, [0])
+            sweep(state, game, [0], n_starts=8)
 
     def test_sweep_does_not_mutate_input(self):
         game = _coupled_game()
-        state = bootstrap(game)
+        state = bootstrap(game, n_starts=8)
         words_before = [q.words.copy() for q in state.quantizers]
-        sweep(state, game, [0, 1])
+        sweep(state, game, [0, 1], n_starts=8)
         for q, w in zip(state.quantizers, words_before):
             assert np.array_equal(q.words, w)
 
@@ -105,45 +104,46 @@ class TestBestResponseAndSweep:
 class TestSolveEquilibrium:
     def test_identity_network_converges_immediately(self):
         game = _isolated_game()
-        state, report = solve_equilibrium(game, tol=1e-9, max_sweeps=10)
+        state, report = solve_equilibrium(game, "cyclic", tol=1e-9, max_sweeps=10, n_starts=8)
         assert report.converged
         assert report.sweeps <= 2
-        ref = bootstrap(game)
+        ref = bootstrap(game, n_starts=8)
         for i in range(2):
             assert state.quantizers[i].words == pytest.approx(
                 ref.quantizers[i].words, abs=1e-9)
 
     def test_coupled_pair_equilibrium(self):
         game = _coupled_game()
-        state, report = solve_equilibrium(game, tol=1e-10, max_sweeps=100)
+        state, report = solve_equilibrium(game, "cyclic", tol=1e-10, max_sweeps=100, n_starts=8)
         assert report.converged
         assert np.max(report.observed_residuals) < 1e-9
         assert np.max(report.br_distances) < 1e-8
 
     def test_repeat_solves_are_identical(self):
         game = _coupled_game()
-        s1, _ = solve_equilibrium(game, tol=1e-10, max_sweeps=100)
-        s2, _ = solve_equilibrium(game, tol=1e-10, max_sweeps=100)
+        s1, _ = solve_equilibrium(game, "cyclic", tol=1e-10, max_sweeps=100, n_starts=8)
+        s2, _ = solve_equilibrium(game, "cyclic", tol=1e-10, max_sweeps=100, n_starts=8)
         for q1, q2 in zip(s1.quantizers, s2.quantizers):
             assert np.array_equal(q1.words, q2.words)
             assert np.array_equal(q1.boundaries, q2.boundaries)
 
     def test_history_holds_bootstrap_and_every_sweep(self):
         game = _coupled_game()
-        state, report = solve_equilibrium(game, tol=1e-10, max_sweeps=100)
+        state, report = solve_equilibrium(game, "cyclic", tol=1e-10, max_sweeps=100, n_starts=8)
         assert len(report.history) == report.sweeps + 1
         assert [s.iteration for s in report.history] == list(range(report.sweeps + 1))
         assert report.history[-1] is state
-        for q, b in zip(report.history[0].quantizers, bootstrap(game).quantizers):
+        for q, b in zip(report.history[0].quantizers, bootstrap(game, n_starts=8).quantizers):
             assert np.array_equal(q.words, b.words)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
-            solve_equilibrium(_coupled_game(), schedule_policy="random")
+            solve_equilibrium(_coupled_game(), schedule_policy="random", tol=1e-9,
+                              max_sweeps=200, n_starts=8)
 
     def test_non_convergence_reported(self):
         game = _coupled_game()
-        _state, report = solve_equilibrium(game, tol=0.0, max_sweeps=3)
+        _state, report = solve_equilibrium(game, "cyclic", tol=0.0, max_sweeps=3, n_starts=8)
         assert not report.converged
         assert report.sweeps == 3
 
@@ -170,7 +170,7 @@ class TestSolveEquilibrium:
         # the reference fixture has point atoms only; smeared atoms take the
         # noise kernel's polynomial branch, pinned here bit for bit too
         game = triangular_noise_game()
-        state, report = solve_equilibrium(game)
+        state, report = solve_equilibrium(game, "cyclic", tol=1e-9, max_sweeps=200, n_starts=8)
         fixture = load_state(TRIANGULAR_NOISE_FIXTURE, game)
         assert report.converged
         assert report.sweeps == state.iteration == fixture.iteration == 24
@@ -192,7 +192,7 @@ class TestRefreshState:
 class TestVerifyNash:
     def test_true_residuals_consistent_with_zero(self, stable_pair):
         game, state, _ = stable_pair
-        report = verify_nash(state, game, n_samples=200_000, seed=5)
+        report = verify_nash(state, game, tol=1e-9, n_samples=200_000, seed=5, n_starts=8)
         assert report.converged
         for r, se in zip(report.true_residuals, report.true_residual_ses):
             assert r < 3.0 * se + 1e-4
@@ -200,14 +200,14 @@ class TestVerifyNash:
     def test_sample_count_validation(self, stable_pair):
         game, state, _ = stable_pair
         with pytest.raises(ValueError, match="sample count"):
-            verify_nash(state, game, n_samples=0)
+            verify_nash(state, game, tol=1e-9, n_samples=0, seed=0, n_starts=8)
 
 
 class TestSocialStability:
     def test_identity_network_is_stable(self):
         game = _isolated_game()
-        state, _ = solve_equilibrium(game, tol=1e-10, max_sweeps=10)
-        rep = check_social_stability(state, game)
+        state, _ = solve_equilibrium(game, "cyclic", tol=1e-10, max_sweeps=10, n_starts=8)
+        rep = check_social_stability(state, game, n_starts=8)
         # only the diagonal pairs apply: margin is each agent's own
         # word-to-boundary separation, and the drift is zero
         assert rep.satisfied
@@ -216,9 +216,9 @@ class TestSocialStability:
 
     def test_identical_pair_margin(self, stable_pair):
         game, state, _ = stable_pair
-        rep = check_social_stability(state, game)
+        rep = check_social_stability(state, game, n_starts=8)
         assert rep.satisfied
-        base = bootstrap(game).quantizers[0]
+        base = bootstrap(game, n_starts=8).quantizers[0]
         want = float(np.min(np.abs(base.words[:, None] -
                                    base.boundaries[None, 1:])))
         assert rep.epsilon == pytest.approx(want, abs=1e-9)
@@ -227,5 +227,5 @@ class TestSocialStability:
         game, state, _ = stable_pair
         noisy = QuantizationGame(game.agents, game.comm,
                                  NoiseKernel("uniform", 0.2))
-        rep = check_social_stability(state, noisy)
+        rep = check_social_stability(state, noisy, n_starts=8)
         assert not rep.satisfied

@@ -11,7 +11,9 @@
   no helper survives that only tests use.
 - Every defaulted parameter of a public function or method is passed by
   some call in the library or the benchmark, so no knob survives that
-  only tests turn.
+  only tests turn, and omitted by some such call, so no default survives
+  that only tests read: run settings have one home, the config
+  dataclasses and the command-line flags.
 - No module of the package imports another inside a function, and the
   graph of module-level imports (imports under `if TYPE_CHECKING:` left
   out) has no cycle.
@@ -310,11 +312,11 @@ def defaulted_parameters(source: str):
     return found
 
 
-def unpassed_parameters(defaulted, call_sources):
-    """Those (function, parameter) keys of `defaulted` that no call in
-    `call_sources` passes, by position or keyword; callees are matched by
-    name, and a `*` or `**` argument passes every parameter it can."""
-    passed = set()
+def _calls(defaulted, call_sources):
+    """For each call in `call_sources` to a function of `defaulted` (callees
+    matched by name): the set of its defaulted parameters that the call
+    passes, by position or keyword; a `*` or `**` argument passes every
+    parameter it can."""
     for source in call_sources:
         for call in ast.walk(ast.parse(source)):
             if not isinstance(call, ast.Call):
@@ -322,12 +324,26 @@ def unpassed_parameters(defaulted, call_sources):
             func = call.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             starred = any(isinstance(a, ast.Starred) for a in call.args)
-            for (function, parameter), pos in defaulted.items():
-                if function == name and (
-                        pos is not None and (starred or pos < len(call.args))
-                        or any(k.arg in (parameter, None) for k in call.keywords)):
-                    passed.add((function, parameter))
+            keys = [key for key in defaulted if key[0] == name]
+            if keys:
+                yield keys, {
+                    key for key in keys
+                    if defaulted[key] is not None and (starred or defaulted[key] < len(call.args))
+                    or any(k.arg in (key[1], None) for k in call.keywords)}
+
+
+def unpassed_parameters(defaulted, call_sources):
+    """Those (function, parameter) keys of `defaulted` that no call in
+    `call_sources` passes."""
+    passed = set().union(*(p for _keys, p in _calls(defaulted, call_sources)))
     return set(defaulted) - passed
+
+
+def unomitted_parameters(defaulted, call_sources):
+    """Those (function, parameter) keys of `defaulted` that every call in
+    `call_sources` passes, so that no call reads the default."""
+    omitted = set().union(*(set(keys) - p for keys, p in _calls(defaulted, call_sources)))
+    return set(defaulted) - omitted
 
 
 def test_detector_flags_unpassed_parameters():
@@ -352,11 +368,47 @@ def test_detector_flags_unpassed_parameters():
     assert unpassed_parameters(defaulted, [source, "design(*a, **k)\nQ().scale(*xs)\n"]) == set()
 
 
-def test_every_defaulted_parameter_is_passed():
+def test_detector_flags_unomitted_parameters():
+    # `design` always gets its tol, `scale` its by, and `make` is never
+    # called; `cap` and `levels` are omitted somewhere, a `*` or `**`
+    # argument omits nothing it can fill
+    source = ("def design(d, levels=None, tol=1e-10, *, cap=5):\n"
+              "    return d\n"
+              "class Q:\n"
+              "    def scale(self, x, by=2.0):\n"
+              "        return x\n"
+              "    @staticmethod\n"
+              "    def make(n=1):\n"
+              "        return Q()\n"
+              "design(1, 4, 1e-9)\n"
+              "design(1, tol=1e-9, cap=2)\n"
+              "Q().scale(1.0, 3.0)\n")
+    defaulted = defaulted_parameters(source)
+    assert unomitted_parameters(defaulted, [source]) == {
+        ("design", "tol"), ("scale", "by"), ("make", "n")}
+    assert unomitted_parameters(defaulted, [source, "Q().scale(*xs)\ndesign(**k)\n"]) == {
+        ("design", "tol"), ("scale", "by"), ("make", "n")}
+    assert unomitted_parameters(defaulted, [source, "Q.make()\nQ().scale(2.0)\n"]) == {
+        ("design", "tol")}
+
+
+def _library_knobs():
     # the command line's entry point and the analysis API serve callers
     # outside the library
     modules, _bench = _library_and_benchmark()
     knobs = {key: pos for source in modules
              for key, pos in defaulted_parameters(source).items()
              if key[0] not in READERLESS_EXPORTS and key != ("main", "argv")}
-    assert unpassed_parameters(knobs, modules + _bench_sources()) == set()
+    return knobs, modules + _bench_sources()
+
+
+def test_every_defaulted_parameter_is_passed():
+    knobs, call_sources = _library_knobs()
+    assert unpassed_parameters(knobs, call_sources) == set()
+
+
+def test_every_default_is_relied_on():
+    # a default that every library and benchmark call overrides is read
+    # only by tests: the setting belongs to the caller
+    knobs, call_sources = _library_knobs()
+    assert unomitted_parameters(knobs, call_sources) == set()

@@ -114,7 +114,7 @@ class TestObservedEnvironment:
 
     def test_structure_and_mass(self):
         P, quantizers, usage = self._setup()
-        obs = observed_environment(0, BetaDensity(2, 2), quantizers, usage, P)
+        obs = observed_environment(0, BetaDensity(2, 2), quantizers, usage, P, POINT_KERNEL)
         assert obs.continuous_parts[0][0] == pytest.approx(0.7)
         assert obs.atom_centers.tolist() == [0.25, 0.75]
         assert obs.atom_weights.tolist() == [0.3 * 0.4, 0.3 * 0.6]
@@ -125,13 +125,13 @@ class TestObservedEnvironment:
         P, quantizers, usage = self._setup()
         with pytest.raises(StateConsistencyError):
             observed_environment(0, BetaDensity(2, 2), quantizers,
-                                 [usage[0], np.array([0.4, 0.4])], P)
+                                 [usage[0], np.array([0.4, 0.4])], P, POINT_KERNEL)
         with pytest.raises(StateConsistencyError):
             observed_environment(0, BetaDensity(2, 2), quantizers,
-                                 [usage[0], np.array([0.2, 0.3, 0.5])], P)
+                                 [usage[0], np.array([0.2, 0.3, 0.5])], P, POINT_KERNEL)
         with pytest.raises(StateConsistencyError, match="nan"):
             observed_environment(0, BetaDensity(2, 2), quantizers,
-                                 [usage[0], np.array([np.nan, 0.6])], P)
+                                 [usage[0], np.array([np.nan, 0.6])], P, POINT_KERNEL)
 
     def test_word_usage_uniform(self):
         q = quantizer_from_words([(2 * k + 1) / 12.0 for k in range(6)])

@@ -6,6 +6,8 @@ reference loop on random mixtures, the batched multi-start loop against
 the per-start loop it replaced, and one-line rejection of bad design
 arguments."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -28,13 +30,14 @@ from quantgame.quantizers import (
     _MULTI_MAX_ITERS,
     _MULTI_TOL,
     _SEP,
+    _TOL,
     _multi_start_inits,
     _quantile_init,
     _run_starts,
     _separate,
 )
 
-from conftest import AGENT5_TARGET_WORDS
+from conftest import AGENT5_TARGET_WORDS, lloyd_max_to
 from oracles import (
     beta_pdf,
     dp_optimal_quantizer,
@@ -153,7 +156,7 @@ class TestLoss:
 
     def test_centroid_residual_zero_iff_centroids(self):
         d = BetaDensity(2, 2)
-        res = lloyd_max(d, levels=3, tol=1e-12)
+        res = lloyd_max_to(d, 3, 1e-12)
         assert centroid_residual(res.quantizer, d) < 1e-10
         shifted = RegularQuantizer(res.quantizer.boundaries,
                                    res.quantizer.words + 1e-3)
@@ -162,7 +165,7 @@ class TestLoss:
 
 class TestLloydMax:
     def test_uniform_source_optimum(self):
-        res = lloyd_max(BetaDensity(1, 1), levels=6, tol=1e-12)
+        res = lloyd_max_to(BetaDensity(1, 1), 6, 1e-12)
         assert res.converged
         assert res.quantizer.words == pytest.approx(
             [(2 * k + 1) / 12.0 for k in range(6)], abs=1e-10)
@@ -171,7 +174,7 @@ class TestLloydMax:
         assert res.loss == pytest.approx(1.0 / 432.0, abs=1e-10)
 
     def test_two_level_golden_section_oracle(self):
-        res = lloyd_max(BetaDensity(2, 2), levels=2, tol=1e-12)
+        res = lloyd_max_to(BetaDensity(2, 2), 2, 1e-12)
         assert res.quantizer.boundaries[1] == pytest.approx(
             BETA22_M2_BOUNDARY, abs=1e-7)
         assert res.quantizer.words == pytest.approx(BETA22_M2_WORDS, abs=1e-7)
@@ -179,7 +182,7 @@ class TestLloydMax:
 
     def test_against_dp_oracle(self):
         d = BetaDensity(2, 5)
-        res = lloyd_max(d, levels=4, tol=1e-12)
+        res = lloyd_max_to(d, 4, 1e-12)
         b, w, dp_loss = dp_optimal_quantizer(lambda x: beta_pdf(x, 2, 5), 4)
         # the DP solves a 1/2000-discretized source; agree to grid resolution
         assert res.quantizer.words == pytest.approx(w, abs=2e-3)
@@ -189,7 +192,7 @@ class TestLloydMax:
     @given(st.floats(1.0, 8.0), st.floats(1.0, 8.0), st.integers(2, 6))
     def test_against_dp_oracle_on_log_concave_betas(self, alpha, beta_param, levels):
         # alpha, beta >= 1: log-concave, so the optimum is unique
-        res = lloyd_max(BetaDensity(alpha, beta_param), levels=levels, tol=1e-12)
+        res = lloyd_max_to(BetaDensity(alpha, beta_param), levels, 1e-12)
         _b, w, dp_loss = dp_optimal_quantizer(
             lambda x: beta_pdf(x, alpha, beta_param), levels)
         assert res.quantizer.words == pytest.approx(w, abs=2e-3)
@@ -197,16 +200,15 @@ class TestLloydMax:
 
     def test_loss_history_non_increasing(self):
         mix = MixtureDensity.from_beta(BetaDensity(5, 2))
-        res = lloyd_max(mix, levels=5, tol=1e-12)
+        res = lloyd_max_to(mix, 5, 1e-12)
         _ref, hist = sequential_lloyd_max(mix, _quantile_init(mix, 5), _MAX_ITERS, 1e-12)
         assert np.all(np.diff(hist) <= 1e-14)
         assert res.loss == hist[-1]
 
     def test_postcondition_residual(self):
-        tol = 1e-10
         for a, b in ((2, 5), (5, 2), (1.3, 1.3)):
-            res = lloyd_max(BetaDensity(a, b), levels=6, tol=tol)
-            assert centroid_residual(res.quantizer, BetaDensity(a, b)) <= 10 * tol
+            res = lloyd_max(BetaDensity(a, b), levels=6)
+            assert centroid_residual(res.quantizer, BetaDensity(a, b)) <= 10 * _TOL
 
     def test_starved_cells_recovered(self):
         # all words packed into the vanishing right tail of a left-heavy
@@ -215,7 +217,7 @@ class TestLloydMax:
                           np.array([[0.9990, 0.9992, 0.9994, 0.9996]]), _MAX_ITERS, 1e-11)[0]
         assert res.converged
         assert res.empty_cell_events > 0
-        ref = lloyd_max(BetaDensity(2, 9), levels=4, tol=1e-11)
+        ref = lloyd_max_to(BetaDensity(2, 9), 4, 1e-11)
         assert res.quantizer.words == pytest.approx(ref.quantizer.words, abs=1e-6)
 
     def test_starved_words_leave_a_heavy_atom(self):
@@ -223,14 +225,14 @@ class TestLloydMax:
         # whose cell is the heaviest but holds a single point: relocated
         # words must go where the uniform part can feed them
         mix = MixtureDensity(((1 / 3, BetaDensity(1, 1)),), [2 / 3], [0.1])
-        res = lloyd_max(mix, levels=5, tol=1e-11)
+        res = lloyd_max_to(mix, 5, 1e-11)
         assert res.converged and res.empty_cell_events > 0
         assert centroid_residual(res.quantizer, mix) <= 1e-10
 
     def test_log_concave_init_independence(self):
         # unique local optimum: random inits all land on the same design
         rng = np.random.default_rng(7)
-        ref = lloyd_max(BetaDensity(2, 5), levels=6, tol=1e-11).quantizer.words
+        ref = lloyd_max_to(BetaDensity(2, 5), 6, 1e-11).quantizer.words
         inits = np.sort(rng.uniform(0.02, 0.98, (5, 6)), axis=1)
         inits += np.arange(6) * 1e-4  # enforce strict increase
         mix = MixtureDensity.from_beta(BetaDensity(2, 5))
@@ -282,7 +284,7 @@ class TestExtremeSources:
     @example(0.0, -3.0, 4)  # Beta(1, 0.001): every quantile start word is 1
     def test_design_returns_or_reports_starved_cell(self, log_a, log_b, levels):
         d = BetaDensity(10.0 ** log_a, 10.0 ** log_b)
-        for design in (lloyd_max, multi_start_lloyd_max):
+        for design in (lloyd_max, partial(multi_start_lloyd_max, n_starts=8)):
             try:
                 res = design(d, levels)
             except EmptyCellError:
@@ -294,7 +296,7 @@ class TestExtremeSources:
 class TestMultiStart:
     def test_matches_single_start_on_log_concave(self):
         d = BetaDensity(3, 4)
-        a = lloyd_max(d, levels=5, tol=1e-11)
+        a = lloyd_max_to(d, 5, 1e-11)
         b = multi_start_lloyd_max(d, levels=5, n_starts=6)
         assert b.quantizer.words == pytest.approx(a.quantizer.words, abs=1e-8)
 
@@ -308,33 +310,26 @@ class TestMultiStart:
 
     def test_warm_start_and_validation(self):
         d = BetaDensity(2, 2)
-        warm = lloyd_max(d, levels=3, tol=1e-11).quantizer
+        warm = lloyd_max_to(d, 3, 1e-11).quantizer
         res = multi_start_lloyd_max(d, levels=3, n_starts=2, warm_start=warm)
         assert res.quantizer.words == pytest.approx(warm.words, abs=1e-9)
         with pytest.raises(ValueError):
-            multi_start_lloyd_max(d, levels=4, warm_start=warm)
+            multi_start_lloyd_max(d, levels=4, n_starts=8, warm_start=warm)
         with pytest.raises(ValueError):
             multi_start_lloyd_max(d, levels=3, n_starts=0)
 
 
 class TestArgumentValidation:
-    """Bad level counts and tolerances fail with one line instead of a
-    NumPy error or a silent 10,000-iteration run."""
+    """Bad level counts fail with one line instead of a NumPy error."""
 
     @pytest.mark.parametrize("call", [
         lambda d: lloyd_max(d, levels=0),
-        lambda d: multi_start_lloyd_max(d, 0),
-        lambda d: multi_start_lloyd_max(d, -2),
+        lambda d: multi_start_lloyd_max(d, 0, 8),
+        lambda d: multi_start_lloyd_max(d, -2, 8),
     ], ids=["lloyd_max-levels-0", "multi_start-0", "multi_start-minus-2"])
     def test_levels_must_be_positive(self, call):
         with pytest.raises(ValueError, match="^levels must be at least 1$"):
             call(BetaDensity(2, 2))
-
-    @pytest.mark.parametrize("tol", [np.nan, 0.0, -1e-10, np.inf])
-    def test_tol_must_be_positive_and_finite(self, tol):
-        # reached from the public `calibrate.design_words(tol)`
-        with pytest.raises(ValueError, match="tol must be positive and finite"):
-            lloyd_max(BetaDensity(2, 2), levels=3, tol=tol)
 
 
 def _assert_same_run(got, want):
@@ -435,8 +430,8 @@ class TestLossHistory:
     @PROPERTY_SETTINGS
     @given(mixtures(max_atoms=8), st.integers(1, 6))
     def test_history_complete_and_non_increasing(self, mix, levels):
-        res = lloyd_max(mix, levels=levels, tol=1e-10)
-        _ref, hist = sequential_lloyd_max(mix, _quantile_init(mix, levels), _MAX_ITERS, 1e-10)
+        res = lloyd_max(mix, levels=levels)
+        _ref, hist = sequential_lloyd_max(mix, _quantile_init(mix, levels), _MAX_ITERS, _TOL)
         assert np.all(np.diff(hist) <= 1e-14)
         assert len(hist) == res.iterations
         assert res.loss == hist[-1] == quantization_loss(res.quantizer, mix)
