@@ -175,6 +175,56 @@ def _yaml_problem(exc: yaml.YAMLError) -> str:
     return " ".join(str(exc).split())
 
 
+# deepest nesting of collections that a config may have: PyYAML's own
+# composer recurses once per level and fails near 500 levels, libyaml's
+# crashes the process some ten thousand levels further in
+_MAX_DEPTH = 200
+
+
+def _check_depth(data: bytes) -> None:
+    """Raise a YAML error at the first collection nested deeper than
+    _MAX_DEPTH, found by a scan of the event stream, which neither parser
+    runs by recursion. Every collection opens at one of the bytes
+    [ { - : ?, so a document with few of them, as every ordinary config
+    is, is not scanned."""
+    if sum(data.count(c) for c in b"[{-:?") <= _MAX_DEPTH:
+        return
+    depth = 0
+    for event in yaml.parse(data, _YAML_LOADER):
+        depth += (isinstance(event, yaml.CollectionStartEvent)
+                  - isinstance(event, yaml.CollectionEndEvent))
+        if depth > _MAX_DEPTH:
+            raise yaml.parser.ParserError(
+                None, None, f"collections nested deeper than {_MAX_DEPTH} levels",
+                event.start_mark)
+
+
+def _check_keys(root: yaml.Node) -> None:
+    """Raise a YAML error at the first key, in document order, that some
+    mapping of the node graph repeats; PyYAML would keep its last value
+    and drop the others. Keys compare as resolved scalars: (tag, text)."""
+    repeated, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, yaml.ScalarNode) or id(node) in seen:
+            continue
+        seen.add(id(node))  # an alias may close a cycle
+        if isinstance(node, yaml.MappingNode):
+            keys = set()
+            for key, value in node.value:
+                if isinstance(key, yaml.ScalarNode):
+                    if (key.tag, key.value) in keys:
+                        repeated.append(key)
+                    keys.add((key.tag, key.value))
+                stack += key, value
+        else:
+            stack += node.value
+    if repeated:
+        key = min(repeated, key=lambda k: k.start_mark.index)
+        raise yaml.constructor.ConstructorError(
+            None, None, f"duplicate key {key.value!r}", key.start_mark)
+
+
 def load_config(path) -> ExperimentConfig:
     try:
         # bytes, so that the parser detects the encoding (UTF-8 or a
@@ -183,9 +233,13 @@ def load_config(path) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     try:
+        _check_depth(data)
         loader = _YAML_LOADER(data)  # PyYAML's own reader decodes here
         try:
-            doc = loader.get_single_data()
+            node = loader.get_single_node()
+            if node is not None:
+                _check_keys(node)
+            doc = None if node is None else loader.construct_document(node)
         finally:
             loader.dispose()
     except yaml.YAMLError as exc:

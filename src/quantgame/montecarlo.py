@@ -3,9 +3,13 @@ decomposition, and translation-chain / shared-vocabulary analysis.
 
 Signals originate at some agent's physical source and hop through the
 network, being re-quantized (and noised) at every transmission. Sampling
-follows per-hop index arrays of the samples still in flight, grouped per
-agent, draws one routing uniform per hop for each sample in flight only,
-and reads the generator in a fixed order, so a seed fixes every sample.
+follows per-hop index arrays of the samples still in flight, draws one
+routing uniform per hop for each sample in flight only, and reads the
+generator in a fixed order, so a seed fixes every sample. It is
+table-driven: per call, every agent's routing thresholds, interior cell
+boundaries and words are laid out in tables padded with +inf, so that a
+hop routes, and a reverse hop re-quantizes, all its samples at once by
+lookups into these tables and comparisons, with no loop over agents.
 The estimators sample in blocks of at most BLOCK signals, read one after
 another from one generator, and merge per-block counts, means and sums of
 squared deviations (Chan, Golub & LeVeque 1979), so their memory does not
@@ -38,14 +42,6 @@ class NoChainError(LookupError):
     """No communication chain exists between the requested agents."""
 
 
-def _route(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per uniform, how many of the ascending `edges` are <= it, by counting."""
-    k = np.zeros(u.shape, np.min_scalar_type(edges.size))
-    for e in edges.tolist():
-        k += u >= e
-    return k
-
-
 def sample_paths(i: int, state: GameState, game: QuantizationGame, n: int,
                  rng: np.random.Generator):
     """Vectorized batch of n signals observed at agent i.
@@ -62,26 +58,34 @@ def sample_paths(i: int, state: GameState, game: QuantizationGame, n: int,
     Truncated samples carry NaN values and must be masked by callers.
     """
     P = game.comm.entries
-    cum = np.cumsum(P, axis=1)
     n_agents = game.n_agents
+    # thr[e, a]: a sample at agent a routes past edge e where u >= thr[e, a];
+    # +inf from a's last positive edge on, so no hop follows a zero weight
     last_edge = n_agents - 1 - np.argmax(P[:, ::-1] > 0.0, axis=1)
+    thr = np.where(np.arange(n_agents)[:, None] < last_edge, np.cumsum(P, axis=1).T,
+                   np.inf)[:last_edge.max()]
+    # per agent its interior boundaries (bounds[r, a]) and words
+    # (words[a, k]), padded with +inf to the largest level count
+    width = max(q.levels for q in state.quantizers)
+    bounds = np.full((width - 1, n_agents), np.inf)
+    words = np.full((n_agents, width), np.inf)
+    for a, q in enumerate(state.quantizers):
+        bounds[:q.levels - 1, a] = q.boundaries[1:-1]
+        words[a, :q.levels] = q.words
 
     idx = np.arange(n)  # samples in flight, ascending
-    cur = np.full(n, i, dtype=np.int64)  # their current agents
-    terminal_agent = cur.copy()  # latest agent of every sample
+    cur = i  # their current agents
+    terminal_agent = np.full(n, i)  # latest agent of every sample
     lengths = np.ones(n, dtype=np.int64)
     hops = []  # per hop: (indices, new agents) of the samples that moved
     for hop in range(DEPTH_CAP):
         if idx.size == 0:
             break
         u = rng.random(idx.size)
-        nxt = np.empty_like(cur)
-        if hop == 0:  # every sample is at agent i
-            nxt[:] = _route(cum[i, :last_edge[i]], u)
-        else:
-            for a in np.flatnonzero(np.bincount(cur, minlength=n_agents)):
-                m = cur == a
-                nxt[m] = _route(cum[a, :last_edge[a]], u[m])
+        nxt = np.zeros(idx.size, np.intp)
+        # hop 0 compares against agent i's thresholds as scalars
+        for t in (thr[:last_edge[i], i] if hop == 0 else thr.take(cur, axis=1)):
+            nxt += u >= t
         moved = np.flatnonzero(nxt != cur)
         idx, cur = idx[moved], nxt[moved]
         terminal_agent[idx] = cur
@@ -108,10 +112,10 @@ def sample_paths(i: int, state: GameState, game: QuantizationGame, n: int,
         if moved.size == 0:
             continue
         v = value[moved]
-        for a in np.flatnonzero(np.bincount(transmitter, minlength=n_agents)):
-            ma = transmitter == a
-            q = state.quantizers[a]
-            v[ma] = q.words[q.closed_cell_index(v[ma])]
+        k = transmitter * width  # flat index of the transmitter's first word
+        for b in bounds.take(transmitter, axis=1):
+            k += v > b
+        v = words.take(k)
         if game.noise.shape is not KernelShape.POINT:
             noised = v + game.noise.sample(rng, moved.size)
             v = np.clip(noised, _CLAMP, 1.0 - _CLAMP)
@@ -188,20 +192,23 @@ def estimate_losses(i: int, state: GameState, game: QuantizationGame,
                     n: int, seed: int) -> LossReport:
     words = state.quantizers[i].words
     acc = _running(4)  # total, quantization, communication, cross
+    buf = np.empty(4 * min(n, BLOCK))  # one block's terms, row by row
     n_trunc = n_clamp = 0
     for x, xhat, idx, t, c in _observed(i, state, game, n, seed):
         n_trunc += t
         n_clamp += c
         if x.size == 0:
             continue
+        terms = buf[:4 * x.size].reshape(4, x.size)
+        total, quant, comm, cross = terms
         word = words[idx]
-        total = (x - word) ** 2
-        quant = (xhat - word) ** 2
-        comm = (x - xhat) ** 2
-        terms = np.stack([total, quant, comm, total - quant - comm])
+        np.square(np.subtract(x, word, out=total), out=total)
+        np.square(np.subtract(xhat, word, out=quant), out=quant)
+        np.square(np.subtract(x, xhat, out=comm), out=comm)
+        np.subtract(np.subtract(total, quant, out=cross), comm, out=cross)
         mean = terms.mean(axis=1)
-        m2 = np.sum((terms - mean[:, None]) ** 2, axis=1)
-        _merge(acc, np.full(4, x.size), mean, m2)
+        np.square(np.subtract(terms, mean[:, None], out=terms), out=terms)
+        _merge(acc, np.full(4, x.size), mean, terms.sum(axis=1))
     m = int(acc[0][0])
     # NaN, with no warning, when every sample was truncated
     mean = acc[1] if m else np.full(4, np.nan)
@@ -244,23 +251,14 @@ def shared_vocabulary(quantizers: Sequence[RegularQuantizer],
     if agents is None:
         agents = range(len(quantizers))
     qs = [quantizers[a] for a in agents]
-    levels = {q.levels for q in qs}
-    if len(levels) != 1:
+    if len({q.levels for q in qs}) != 1:
         return False, []
-    M = levels.pop()
-    witnesses = []
-    ok = True
-    for k in range(M):
-        lo = max(q.boundaries[k] for q in qs)
-        hi = min(q.boundaries[k + 1] for q in qs)
-        witnesses.append((float(lo), float(hi)))
-        if lo >= hi:
-            ok = False
-            continue
-        for q in qs:
-            if not lo < q.words[k] < hi:
-                ok = False
-    return ok, witnesses
+    # (lo[k], hi[k]): the intersection of every member's cell k
+    lo, hi = qs[0].boundaries[:-1], qs[0].boundaries[1:]
+    for q in qs[1:]:
+        lo, hi = np.maximum(lo, q.boundaries[:-1]), np.minimum(hi, q.boundaries[1:])
+    ok = all(np.all((lo < q.words) & (q.words < hi)) for q in qs)
+    return ok, list(zip(lo.tolist(), hi.tolist()))
 
 
 @dataclass

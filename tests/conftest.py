@@ -2,12 +2,14 @@
 once per session), the constructed shared-vocabulary and shifted-ladder
 quantizer sets, a weakly coupled two-agent pair used for the loss
 decomposition checks, and a three-agent game with triangular noise whose
-solved state is committed."""
+solved state is committed. Also the hypothesis profiles."""
 
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from quantgame import (
     BetaDensity,
@@ -22,6 +24,16 @@ from quantgame import (
 from quantgame.densities import as_mixture
 from quantgame.networks import AgentSpec
 from quantgame.quantizers import _MAX_ITERS, _multi_start_inits, _run_starts
+
+# Hypothesis profiles, for the property tests that take their example
+# count from the loaded profile (the sampler against its masked oracle on
+# random games): "tier1", the default, tries a few examples; "ci", chosen
+# by HYPOTHESIS_PROFILE=ci, many more. Both are derandomized, so a run is
+# reproducible, and keep no example database on disk.
+settings.register_profile("tier1", max_examples=10, derandomize=True, database=None,
+                          deadline=None, suppress_health_check=[HealthCheck.too_slow])
+settings.register_profile("ci", settings.get_profile("tier1"), max_examples=200)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE_CONFIG = ROOT / "configs" / "reference.cfg"

@@ -1,12 +1,23 @@
 """Hypothesis strategies for the property tests: random beta mixtures with
-word atoms under one point, uniform or triangular kernel, and cell edges
-that include 0, 1 and atoms placed exactly on an edge."""
+word atoms under one point, uniform or triangular kernel, cell edges
+that include 0, 1 and atoms placed exactly on an edge, and random games
+for the path sampler."""
 
 import numpy as np
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from quantgame import BetaDensity, MixtureDensity, NoiseKernel, POINT_KERNEL
+from quantgame import (
+    BetaDensity,
+    CommMatrix,
+    GameState,
+    MixtureDensity,
+    NoiseKernel,
+    POINT_KERNEL,
+    QuantizationGame,
+    quantizer_from_words,
+)
+from quantgame.networks import AgentSpec
 
 # derandomized so a tier-1 run is reproducible; no example database on disk
 PROPERTY_SETTINGS = settings(
@@ -51,3 +62,29 @@ def mixtures_with_edges(draw):
         interior += draw(st.lists(st.sampled_from(centers), max_size=3))
     edges = np.unique(np.concatenate(([0.0, 1.0], interior)))
     return mix, edges
+
+
+@st.composite
+def games(draw):
+    """(game, state, receiver, sample count, seed) for `sample_paths`: 2-5
+    agents with 1-6 words each on the 1/32 grid, so that a word often sits
+    exactly on a boundary of another agent, any kernel, and comm rows in
+    multiples of 1/16, so that every cumulative sum ends exactly at 1.
+    A row deals its 16 sixteenths at cut points drawn in [0, 16], so zero
+    weights fall anywhere: before the first positive edge, on the
+    diagonal, in the last column."""
+    n_agents = draw(st.integers(2, 5))
+    agents, quantizers = [], []
+    for k in range(n_agents):
+        levels = draw(st.integers(1, 6))
+        agents.append(AgentSpec(k, BetaDensity(draw(_shape), draw(_shape)), levels))
+        grid = draw(st.lists(st.integers(1, 31), min_size=levels, max_size=levels,
+                             unique=True))
+        quantizers.append(quantizer_from_words(np.sort(grid) / 32.0))
+    rows = [np.diff([0, *sorted(draw(st.lists(st.integers(0, 16), min_size=n_agents - 1,
+                                              max_size=n_agents - 1))), 16]) / 16.0
+            for _ in range(n_agents)]
+    game = QuantizationGame(tuple(agents), CommMatrix(np.array(rows)), draw(kernels()))
+    state = GameState(quantizers, [np.full(q.levels, 1.0 / q.levels) for q in quantizers])
+    return (game, state, draw(st.integers(0, n_agents - 1)), draw(st.integers(1, 2000)),
+            draw(st.integers(0, 2**32 - 1)))

@@ -3,6 +3,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +21,7 @@ from quantgame.cli import (
     main,
 )
 
-from conftest import IDENTITY_CONFIG, REFERENCE_CONFIG
+from conftest import IDENTITY_CONFIG, REFERENCE_CONFIG, ROOT
 
 SMALL_CONFIG = """\
 agents:
@@ -110,6 +113,9 @@ UNPARSABLE = {
     "timestamp-tag": (SMALL_CONFIG.replace("directory: out",
                                            "directory: !!timestamp 2001-13-45", 1).encode(),
                       "line 10, column 22: '2001-13-45' is not a valid !!timestamp"),
+    # PyYAML itself would keep the last value, levels: 4
+    "duplicate-key": (SMALL_CONFIG.replace("levels: 4}", "levels: 3, levels: 4}", 1).encode(),
+                      "line 2, column 47: duplicate key 'levels'"),
 }
 # PyYAML's own parser, and libyaml's where PyYAML was built with it
 LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
@@ -210,13 +216,13 @@ class TestLoadConfig:
     @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
     def test_parses_with_libyaml(self, monkeypatch):
         parsed = []
-        single = yaml.CSafeLoader.get_single_data
+        single = yaml.CSafeLoader.get_single_node
 
         def spy(loader):
             parsed.append(type(loader))
             return single(loader)
 
-        monkeypatch.setattr(yaml.CSafeLoader, "get_single_data", spy)
+        monkeypatch.setattr(yaml.CSafeLoader, "get_single_node", spy)
         load_config(REFERENCE_CONFIG)
         assert parsed == [yaml.CSafeLoader]
 
@@ -380,6 +386,27 @@ class TestCliSolve:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {where}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+    def test_deep_nesting_exit_code(self, tmp_path, loader):
+        # 50,000 nested lists would crash libyaml's composer and exhaust
+        # the recursion limit of PyYAML's own; run in a subprocess, so that
+        # a crash fails this test and not the whole run
+        p = tmp_path / "deep.cfg"
+        p.write_text("a: " + "[" * 50_000 + "]" * 50_000)
+        script = ("import sys, yaml\n"
+                  "from quantgame import config\n"
+                  "from quantgame.cli import main\n"
+                  f"config._YAML_LOADER = yaml.{loader.__name__}\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "solve", "--config", str(p),
+             "--out", str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr == (f"config error: cannot parse {p}: line 1, column 203: "
+                               "collections nested deeper than 200 levels\n")
 
     @pytest.mark.parametrize("args", [
         ["--max-sweeps", "0"], ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"],

@@ -8,6 +8,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from quantgame import (
     BetaDensity,
@@ -43,6 +44,7 @@ from quantgame.networks import AgentSpec
 
 from conftest import ROOT, TRIANGULAR_NOISE_FIXTURE, triangular_noise_game
 from oracles import masked_sample_paths
+from strategies import games
 
 # _estimator_record of the reference equilibrium and of the committed
 # triangular-noise state, as json.dumps writes it (floats in full)
@@ -97,6 +99,13 @@ class _StubRng:
         return np.full(size, 1.0 - 1e-13)
 
     def beta(self, a, b, size):
+        return np.full(size, 0.5)
+
+
+class _HalfRng(_StubRng):
+    """Every uniform exactly 0.5 and every physical draw at 0.5."""
+
+    def random(self, size):
         return np.full(size, 0.5)
 
 
@@ -155,6 +164,29 @@ class TestSampling:
                 i, state, game, 20_000, seed=40 + i)
             assert n_trunc > 0
             assert (n_clamp > 0) == (noise is not POINT_KERNEL)
+
+    @given(games())
+    def test_random_games_match_masked_oracle(self, case):
+        # example count from the hypothesis profile (conftest.py)
+        game, state, i, n, seed = case
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_paths(i, state, game, n, rng)
+        want = masked_sample_paths(i, state, game, n, oracle_rng)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w, equal_nan=True)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_uniform_on_an_edge_weight_routes_past_it(self):
+        # agent 0 hears itself on [0, 0.5) and agent 1 on [0.5, 1): a
+        # uniform of exactly 0.5 hops to agent 1, as in the oracle
+        agents = tuple(AgentSpec(k, BetaDensity(2, 2), 2) for k in range(2))
+        game = QuantizationGame(agents, CommMatrix(np.array([[0.5, 0.5], [0.0, 1.0]])))
+        state = bootstrap(game, n_starts=8)
+        got = sample_paths(0, state, game, 4, _HalfRng())
+        want = masked_sample_paths(0, state, game, 4, _HalfRng())
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        assert np.all(got[2] == 2)
 
     def test_no_hop_along_zero_weight_edge(self):
         # row 0 sums to 1 - 5e-13, so a uniform above its last cumsum must
