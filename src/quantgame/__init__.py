@@ -63,7 +63,6 @@ from .montecarlo import (
     shared_vocabulary,
     true_env_residuals,
 )
-from .calibrate import recover_beta_params
 from .config import (
     ConfigError,
     ExperimentConfig,

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import montecarlo
-from .config import ConfigError, load_config, load_state, save_state
+from .config import LEAST, ConfigError, load_config, load_state, save_state
 from .densities import DomainError, EmptyCellError, hellinger_beta
 from .game import bootstrap, check_social_stability, solve_equilibrium, verify_nash
 
@@ -30,8 +30,10 @@ EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_MISSING_STATE = 4
 
-# smallest accepted (finite) value of each numeric option, checked before dispatch
-_MINIMUM = {"samples": 1, "inputs": 1, "max_len": 2, "seed": 0, "max_sweeps": 1, "tol": 0}
+# smallest accepted (finite) value of each command-line-only option; every
+# other numeric option shares the config.LEAST of the setting it overrides
+_MINIMUM = {"inputs": 1, "max_len": 2}
+_SETTING = {"samples": "n_samples", "seed": "seed", "max_sweeps": "max_sweeps", "tol": "tol"}
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -315,10 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        for name, least in _MINIMUM.items():
+        minimum = {**_MINIMUM, **{name: LEAST[setting] for name, setting in _SETTING.items()}}
+        for name, least in minimum.items():
             value = getattr(args, name, None)
             if value is not None and not least <= value < np.inf:
-                print(f"--{name.replace('_', '-')} must be finite and at least {least}, "
+                print(f"--{name.replace('_', '-')} must be finite and at least {least:g}, "
                       f"got {value}", file=sys.stderr)
                 return EXIT_CONFIG
         return args.func(args)

@@ -90,12 +90,16 @@ def _section(where, value, build, kind=dict):
 
 
 def _number(name: str, value, kind):
-    """`value` as a `kind`, int or float: never from a boolean, nor an int from a fraction."""
+    """`value` as a `kind`, int or float: never from a boolean, nor an int
+    from a fraction, nor above the bound that `_MOST` may set for `name`."""
     if isinstance(value, bool) or kind is int and (
             not isinstance(value, (int, float)) or value % 1 != 0):
         raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
                          f"got {value!r}")
-    return kind(value)
+    number = kind(value)
+    if name in _MOST and number > _MOST[name]:
+        raise ValueError(f"{name} must be at most {_MOST[name]}, got {value!r}")
+    return number
 
 
 def _string(name: str, value) -> str:
@@ -141,19 +145,22 @@ def _noise(doc) -> NoiseKernel:
 
 
 # smallest accepted (finite) value of each numeric setting
-_LEAST = {"tol": 0.0, "max_sweeps": 1, "n_starts": 1, "n_samples": 1, "seed": 0}
+LEAST = {"tol": 0.0, "max_sweeps": 1, "n_starts": 1, "n_samples": 1, "seed": 0}
+# largest accepted word and start counts, which size every design's (starts,
+# levels) arrays: far above the paper's games, so that only a typo fails here
+_MOST = {"levels": 1000, "n_starts": 1000}
 
 
 def _settings(cls, doc):
     """`cls` from its config section: each given field takes the type of
     its default (a string as is, a number by `_number`) and is checked
-    against `_LEAST`, absent fields keep the default, other keys are ignored."""
+    against `LEAST`, absent fields keep the default, other keys are ignored."""
     values = {f.name: _string(f.name, doc[f.name]) if isinstance(f.default, str)
               else _number(f.name, doc[f.name], type(f.default))
               for f in fields(cls) if f.name in doc}
     for name, value in values.items():
-        if name in _LEAST and not _LEAST[name] <= value < np.inf:
-            raise ValueError(f"{name} must be finite and at least {_LEAST[name]}, got {value}")
+        if name in LEAST and not LEAST[name] <= value < np.inf:
+            raise ValueError(f"{name} must be finite and at least {LEAST[name]}, got {value}")
     return cls(**values)
 
 

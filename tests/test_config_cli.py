@@ -80,6 +80,10 @@ MALFORMED = [
     ("tol: 1.0e-9", "tol: true"),
     ("[0.85, 0.15]", "[true, false]"),
     ("directory: out", "directory: null"),
+    ("levels: 4", "levels: 100000000000000000000000"),
+    ("levels: 4", f"levels: {config._MOST['levels'] + 1}"),
+    ("n_starts: 4", "n_starts: 100000000000000000000000"),
+    ("n_starts: 4", f"n_starts: {config._MOST['n_starts'] + 1}"),
 ]
 MALFORMED_IDS = ["alpha-text", "levels-text", "tol-text", "no-starts", "entry-text", "entry-nan",
                  "uniform-zero-width", "negative-width", "point-with-width",
@@ -88,7 +92,8 @@ MALFORMED_IDS = ["alpha-text", "levels-text", "tol-text", "no-starts", "entry-te
                  "alpha-inf", "width-nan", "no-agents", "levels-fraction", "levels-bool",
                  "id-fraction", "sweeps-fraction", "no-sweeps", "starts-bool",
                  "samples-fraction", "seed-bool", "tol-negative", "tol-nan", "tol-inf",
-                 "alpha-bool", "width-bool", "tol-bool", "entry-bool", "directory-null"]
+                 "alpha-bool", "width-bool", "tol-bool", "entry-bool", "directory-null",
+                 "levels-1e23", "levels-over-bound", "starts-1e23", "starts-over-bound"]
 
 # config bytes that no YAML loader accepts, with the start of the one-line
 # message after the file name; the problem text itself differs between
@@ -287,6 +292,14 @@ class TestLoadConfig:
         assert cfg.comm.entries[0].tolist() == [0.85, 0.15]
         assert cfg.solver.tol == 1e-9
 
+    def test_size_bounds_accepted(self, tmp_path):
+        p = tmp_path / "large.cfg"
+        p.write_text(SMALL_CONFIG.replace("levels: 4", f"levels: {config._MOST['levels']}", 1)
+                     .replace("n_starts: 4", f"n_starts: {config._MOST['n_starts']}"))
+        cfg = load_config(p)
+        assert cfg.agents[0].levels == config._MOST["levels"]
+        assert cfg.solver.n_starts == config._MOST["n_starts"]
+
     def test_bad_beta_params(self, tmp_path):
         bad = SMALL_CONFIG.replace("alpha: 8.0", "alpha: -1.0", 1)
         p = tmp_path / "beta.cfg"
@@ -417,6 +430,16 @@ class TestCliSolve:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.count("\n") == 1
         assert not (tmp_path / "state.json").exists()  # rejected before any work
+
+    @pytest.mark.parametrize("args, message", [
+        (["--tol", "-1"], "--tol must be finite and at least 0, got -1.0"),
+        (["--max-sweeps", "0"], "--max-sweeps must be finite and at least 1, got 0"),
+    ])
+    def test_bad_solve_flag_message(self, tmp_path, capsys, args, message):
+        # flags that override a config setting share its minimum, config.LEAST
+        code = main(["solve", "--config", str(IDENTITY_CONFIG), "--out", str(tmp_path)] + args)
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == message + "\n"
 
     @pytest.mark.parametrize("args", [
         ["solve", "--config", str(IDENTITY_CONFIG), "--max-sweeps", "2.5"],

@@ -17,10 +17,11 @@
 - No module of the package imports another inside a function, and the
   graph of module-level imports (imports under `if TYPE_CHECKING:` left
   out) has no cycle.
-- Importing the package and its command line loads none of
-  `scipy.optimize`, `scipy.sparse` or `scipy.linalg`: only beta
-  parameter recovery needs them, and they cost every process about a
-  quarter of its memory.
+- No module of the package imports `scipy.optimize`, `scipy.sparse` or
+  `scipy.linalg`, at module level or inside a function, and importing the
+  package and its command line loads none of them: the package needs
+  none of them, and they cost every process about a quarter of its
+  memory.
 """
 
 import ast
@@ -161,6 +162,57 @@ def test_module_import_graph_is_acyclic():
 HEAVY_MODULES = ("scipy.optimize", "scipy.sparse", "scipy.linalg")
 
 
+def heavy_imports(source: str):
+    """(line, module) for each import of a module of HEAVY_MODULES, or of
+    one inside it, anywhere in `source`, inside functions too; reaching
+    one as an attribute of an imported `scipy` (which SciPy loads on
+    first access) counts as importing it."""
+    tree = ast.parse(source)
+    # names bound to `scipy` itself: `import scipy [as sp]`, `import scipy.special`
+    scipy_names = {alias.asname or "scipy" for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names
+                   if alias.name == "scipy" or alias.name.startswith("scipy.")
+                   and alias.asname is None}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in scipy_names):
+            names = [f"scipy.{node.attr}"]
+        else:
+            continue
+        found.extend((node.lineno, heavy) for heavy in HEAVY_MODULES
+                     if any(n == heavy or n.startswith(heavy + ".") for n in names))
+    return found
+
+
+@pytest.mark.parametrize("source", [
+    "import scipy.optimize\n",
+    "from scipy import special, optimize as opt\n",
+    "def f():\n    from scipy.sparse.linalg import spsolve\n",
+    "class A:\n    def g(self):\n        import scipy.linalg as la\n",
+    "import scipy as sp\ndef h(f, x):\n    return sp.optimize.minimize(f, x)\n",
+    "import scipy.special\nscipy.linalg.solve\n",
+])
+def test_detector_flags_heavy_scipy_imports(source):
+    assert heavy_imports(source)
+
+
+def test_detector_allows_light_scipy_imports():
+    assert heavy_imports("from scipy import special\nimport scipy.special\n"
+                         "from .optimize import x\nimport linalg\n"
+                         "import numpy as np\nnp.linalg.norm\n"
+                         "import scipy.special as sps\nsps.linalg\n") == []
+
+
+def test_no_module_imports_a_heavy_scipy_module():
+    found = {name: heavy_imports(src) for name, src in _package_sources().items()}
+    assert {name: f for name, f in found.items() if f} == {}
+
+
 def test_import_loads_no_heavy_scipy_module():
     # a fresh interpreter: this one has loaded them through other tests
     script = ("import sys, quantgame, quantgame.cli\n"
@@ -184,9 +236,9 @@ def test_benchmark_binding_sites_exist():
 
 
 # the paper's analysis API, kept for callers outside the library: the
-# exact loss of a quantizer against a source, the true environment of an
-# agent, and beta parameter recovery from a design
-READERLESS_EXPORTS = {"quantization_loss", "true_environment", "recover_beta_params"}
+# exact loss of a quantizer against a source and the true environment of
+# an agent
+READERLESS_EXPORTS = {"quantization_loss", "true_environment"}
 
 
 def exports(init_source: str):
