@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import montecarlo
-from .config import LEAST, ConfigError, load_config, load_state, save_state
+from .config import LEAST, MOST, ConfigError, load_config, load_state, save_state
 from .densities import DomainError, EmptyCellError, hellinger_beta
 from .game import bootstrap, check_social_stability, solve_equilibrium, verify_nash
 
@@ -30,10 +30,12 @@ EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_MISSING_STATE = 4
 
-# smallest accepted (finite) value of each command-line-only option; every
-# other numeric option shares the config.LEAST of the setting it overrides
-_MINIMUM = {"inputs": 1, "max_len": 2}
-_SETTING = {"samples": "n_samples", "seed": "seed", "max_sweeps": "max_sweeps", "tol": "tol"}
+# accepted (finite) range of each command-line-only option; --inputs sizes each
+# probe's (chains, inputs) array: 15 MB for reference.cfg's largest, 19 chains
+_RANGE = {"inputs": (1, 100_000), "max_len": (2, np.inf)}
+# the setting (section, name) that each other option overrides, and shares bounds with
+_SETTING = {"samples": ("montecarlo", "n_samples"), "seed": ("montecarlo", "seed"),
+            "max_sweeps": ("solver", "max_sweeps"), "tol": ("solver", "tol")}
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -88,15 +90,9 @@ def _all_truncated(aid, n) -> int:
     return EXIT_CONFIG
 
 
-def cmd_solve(args) -> int:
-    cfg = load_config(args.config)
+def cmd_solve(args, cfg) -> int:
     out = _outdir(args, cfg)
-    game = cfg.game()
-    tol = args.tol if args.tol is not None else cfg.solver.tol
-    max_sweeps = args.max_sweeps if args.max_sweeps is not None else cfg.solver.max_sweeps
-    state, report = solve_equilibrium(game, cfg.solver.schedule_policy, tol,
-                                      max_sweeps, cfg.solver.n_starts)
-
+    state, report = solve_equilibrium(cfg.game(), **asdict(cfg.solver))
     save_state(state, cfg.agent_ids, out / "state.json")
     rows = [row for n, st in enumerate(report.history)
             for row in _snapshot_rows(n, cfg, st)]
@@ -113,18 +109,16 @@ def cmd_solve(args) -> int:
     _write_csv(out / "report.csv", ["agent", "observed_residual", "br_distance"],
                zip(cfg.agent_ids, report.observed_residuals, report.br_distances))
     if not report.converged:
-        print(f"did not converge within {max_sweeps} sweeps "
+        print(f"did not converge within {cfg.solver.max_sweeps} sweeps "
               f"(last move {state.last_max_move:.3g})", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     print(f"converged in {report.sweeps} sweeps; state written to {out / 'state.json'}")
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
+def cmd_simulate(args, cfg) -> int:
     out, game, state = _solved(args, cfg)
-    n = args.samples if args.samples is not None else cfg.montecarlo.n_samples
-    seed = args.seed if args.seed is not None else cfg.montecarlo.seed
+    n, seed = cfg.montecarlo.n_samples, cfg.montecarlo.seed
     reports = [
         montecarlo.estimate_losses(i, state, game, n, seed=seed + i)
         for i in range(game.n_agents)
@@ -141,8 +135,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_chains(args) -> int:
-    cfg = load_config(args.config)
+def cmd_chains(args, cfg) -> int:
     chain = None
     if args.chain:
         idx = {aid: i for i, aid in enumerate(cfg.agent_ids)}
@@ -179,7 +172,7 @@ def cmd_chains(args) -> int:
     }
     if chain:
         grid = np.linspace(0.0, 1.0, args.inputs + 2)[1:-1]
-        rng = np.random.default_rng(args.seed if args.seed is not None else cfg.montecarlo.seed)
+        rng = np.random.default_rng(cfg.montecarlo.seed)
         chain_rows = []
         for x in grid:
             rep = montecarlo.chain_translate(state.quantizers, chain, float(x),
@@ -196,8 +189,7 @@ def cmd_chains(args) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(args) -> int:
-    cfg = load_config(args.config)
+def cmd_analyze(args, cfg) -> int:
     out, game, state = _solved(args, cfg)
     base = bootstrap(game, n_starts=cfg.solver.n_starts)
     rows = []
@@ -222,14 +214,11 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    cfg = load_config(args.config)
+def cmd_verify(args, cfg) -> int:
     out, game, state = _solved(args, cfg)
-    n = args.samples if args.samples is not None else cfg.montecarlo.n_samples
-    seed = args.seed if args.seed is not None else cfg.montecarlo.seed
-    tol = args.tol if args.tol is not None else cfg.solver.tol
-    report = verify_nash(state, game, tol=tol, n_samples=n, seed=seed,
-                         n_starts=cfg.solver.n_starts)
+    n = cfg.montecarlo.n_samples
+    report = verify_nash(state, game, tol=cfg.solver.tol, n_samples=n,
+                         seed=cfg.montecarlo.seed, n_starts=cfg.solver.n_starts)
     for aid, resid, truncated in zip(cfg.agent_ids, report.true_residuals,
                                      report.true_residual_truncated):
         if truncated == n:
@@ -317,14 +306,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        minimum = {**_MINIMUM, **{name: LEAST[setting] for name, setting in _SETTING.items()}}
-        for name, least in minimum.items():
+        bounds = {**_RANGE, **{name: (LEAST[setting], MOST.get(setting, np.inf))
+                               for name, (_, setting) in _SETTING.items()}}
+        for name, (least, most) in bounds.items():
             value = getattr(args, name, None)
-            if value is not None and not least <= value < np.inf:
-                print(f"--{name.replace('_', '-')} must be finite and at least {least:g}, "
-                      f"got {value}", file=sys.stderr)
+            if value is not None and not (least <= value <= most and value < np.inf):
+                problem = (f"at most {most}" if least <= value < np.inf
+                           else f"finite and at least {least:g}")
+                print(f"--{name.replace('_', '-')} must be {problem}, got {value}",
+                      file=sys.stderr)
                 return EXIT_CONFIG
-        return args.func(args)
+        cfg = load_config(args.config)
+        for name, (section, setting) in _SETTING.items():
+            if getattr(args, name, None) is not None:
+                setattr(getattr(cfg, section), setting, getattr(args, name))
+        return args.func(args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -19,7 +19,7 @@ import yaml
 from .densities import BetaDensity, KernelShape, NoiseKernel
 from .game import SCHEDULE_POLICIES, GameState, QuantizationGame, observed_mixture
 from .game import refresh_state  # noqa: F401  (bound here for perfbench's tracer)
-from .networks import AgentSpec, CommMatrix
+from .networks import AgentSpec, CommMatrix, check_usage
 from .quantizers import RegularQuantizer
 
 
@@ -91,14 +91,14 @@ def _section(where, value, build, kind=dict):
 
 def _number(name: str, value, kind):
     """`value` as a `kind`, int or float: never from a boolean, nor an int
-    from a fraction, nor above the bound that `_MOST` may set for `name`."""
+    from a fraction, nor above the bound that `MOST` may set for `name`."""
     if isinstance(value, bool) or kind is int and (
             not isinstance(value, (int, float)) or value % 1 != 0):
         raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
                          f"got {value!r}")
     number = kind(value)
-    if name in _MOST and number > _MOST[name]:
-        raise ValueError(f"{name} must be at most {_MOST[name]}, got {value!r}")
+    if name in MOST and number > MOST[name]:
+        raise ValueError(f"{name} must be at most {MOST[name]}, got {value!r}")
     return number
 
 
@@ -147,8 +147,9 @@ def _noise(doc) -> NoiseKernel:
 # smallest accepted (finite) value of each numeric setting
 LEAST = {"tol": 0.0, "max_sweeps": 1, "n_starts": 1, "n_samples": 1, "seed": 0}
 # largest accepted word and start counts, which size every design's (starts,
-# levels) arrays: far above the paper's games, so that only a typo fails here
-_MOST = {"levels": 1000, "n_starts": 1000}
+# levels) arrays, and sample count (reference.cfg's 5 x 10^9 paths take 12 min):
+# far above the paper's runs, so that only a typo fails here
+MOST = {"levels": 1000, "n_starts": 1000, "n_samples": 10**9}
 
 
 def _settings(cls, doc):
@@ -323,13 +324,12 @@ def load_state(path, game: QuantizationGame) -> GameState:
     if len(quantizers) != len(ids) or len(usage) != len(ids):
         raise ConfigError(f"state file {path} does not hold one quantizer and "
                           f"one usage vector per agent")
-    for q, u, agent in zip(quantizers, usage, game.agents):
-        if q.levels != agent.levels or u.shape != (agent.levels,):
-            raise ConfigError(f"state file {path}: agent {agent.id} needs "
-                              f"{agent.levels} words and usage entries")
     try:
-        # building each observed mixture checks that usage vectors are
-        # probability vectors and that every word fits the noise kernel
+        for q, u, agent in zip(quantizers, usage, game.agents):
+            if q.levels != agent.levels or u.shape != (agent.levels,):
+                raise ValueError(f"agent {agent.id} needs {agent.levels} words and usage entries")
+            check_usage(agent.id, u)
+        # building each observed mixture checks that every word fits the noise kernel
         for i in range(game.n_agents):
             observed_mixture(i, game, quantizers, usage)
     except ValueError as exc:

@@ -130,6 +130,13 @@ def true_environment(P: CommMatrix, physicals: Sequence[BetaDensity]) -> List[Mi
     return out
 
 
+def check_usage(agent, u: np.ndarray) -> None:
+    """Raise StateConsistencyError unless `u`, `agent`'s word usage, is a probability vector."""
+    if not abs(u.sum() - 1.0) <= 1e-9 or u.min() < 0.0:
+        raise StateConsistencyError(
+            f"usage vector of agent {agent} sums to {float(u.sum())!r}, expected 1")
+
+
 def observed_environment(
     i: int,
     physical: BetaDensity,
@@ -145,10 +152,7 @@ def observed_environment(
     weights, centers = [np.empty(0)], [np.empty(0)]
     for j in P.peers_of(i):
         u = np.asarray(usage[j], dtype=float)
-        if not abs(u.sum() - 1.0) <= 1e-9 or np.any(u < 0.0):
-            raise StateConsistencyError(
-                f"usage vector of agent {j} sums to {float(u.sum())!r}, expected 1"
-            )
+        check_usage(j, u)
         words = quantizers[j].words
         if u.size != words.size:
             raise StateConsistencyError(

@@ -81,9 +81,18 @@ MALFORMED = [
     ("[0.85, 0.15]", "[true, false]"),
     ("directory: out", "directory: null"),
     ("levels: 4", "levels: 100000000000000000000000"),
-    ("levels: 4", f"levels: {config._MOST['levels'] + 1}"),
+    ("levels: 4", f"levels: {config.MOST['levels'] + 1}"),
     ("n_starts: 4", "n_starts: 100000000000000000000000"),
-    ("n_starts: 4", f"n_starts: {config._MOST['n_starts'] + 1}"),
+    ("n_starts: 4", f"n_starts: {config.MOST['n_starts'] + 1}"),
+    ("n_samples: 20000", "n_samples: 100000000000000000000000"),
+    ("n_samples: 20000", f"n_samples: {config.MOST['n_samples'] + 1}"),
+    ("agents:\n", "agent:\n"),
+    ("comm_matrix:", "comm_matrx:"),
+    (SMALL_CONFIG, "[1, 2]\n"),
+    ("id: 2", "id: 1"),
+    ("schedule_policy: cyclic", "schedule_policy: random"),
+    ("[0.85, 0.15]", "[0.85, 0.15, 0.0]"),
+    ("  - [0.15, 0.85]\n", ""),
 ]
 MALFORMED_IDS = ["alpha-text", "levels-text", "tol-text", "no-starts", "entry-text", "entry-nan",
                  "uniform-zero-width", "negative-width", "point-with-width",
@@ -93,7 +102,9 @@ MALFORMED_IDS = ["alpha-text", "levels-text", "tol-text", "no-starts", "entry-te
                  "id-fraction", "sweeps-fraction", "no-sweeps", "starts-bool",
                  "samples-fraction", "seed-bool", "tol-negative", "tol-nan", "tol-inf",
                  "alpha-bool", "width-bool", "tol-bool", "entry-bool", "directory-null",
-                 "levels-1e23", "levels-over-bound", "starts-1e23", "starts-over-bound"]
+                 "levels-1e23", "levels-over-bound", "starts-1e23", "starts-over-bound",
+                 "samples-1e23", "samples-over-bound", "no-agents-field", "no-matrix-field",
+                 "root-list", "duplicate-ids", "unknown-policy", "row-length", "row-count"]
 
 # config bytes that no YAML loader accepts, with the start of the one-line
 # message after the file name; the problem text itself differs between
@@ -294,11 +305,13 @@ class TestLoadConfig:
 
     def test_size_bounds_accepted(self, tmp_path):
         p = tmp_path / "large.cfg"
-        p.write_text(SMALL_CONFIG.replace("levels: 4", f"levels: {config._MOST['levels']}", 1)
-                     .replace("n_starts: 4", f"n_starts: {config._MOST['n_starts']}"))
+        p.write_text(SMALL_CONFIG.replace("levels: 4", f"levels: {config.MOST['levels']}", 1)
+                     .replace("n_starts: 4", f"n_starts: {config.MOST['n_starts']}")
+                     .replace("n_samples: 20000", f"n_samples: {config.MOST['n_samples']}"))
         cfg = load_config(p)
-        assert cfg.agents[0].levels == config._MOST["levels"]
-        assert cfg.solver.n_starts == config._MOST["n_starts"]
+        assert cfg.agents[0].levels == config.MOST["levels"]
+        assert cfg.solver.n_starts == config.MOST["n_starts"]
+        assert cfg.montecarlo.n_samples == config.MOST["n_samples"]
 
     def test_bad_beta_params(self, tmp_path):
         bad = SMALL_CONFIG.replace("alpha: 8.0", "alpha: -1.0", 1)
@@ -552,6 +565,47 @@ class TestCliSimulate:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert not (tmp_path / "losses.csv").exists()
 
+    @pytest.mark.parametrize("key, k, entry, message", [
+        # agent 2 of identity.cfg is heard by no one, so no observed
+        # mixture holds its usage
+        ("usage", 1, [0.5] * 6, "usage vector of agent 2 sums to 3.0, expected 1"),
+        ("usage", 1, [1.5, -0.5, 0, 0, 0, 0], "usage vector of agent 2 sums to 1.0, expected 1"),
+        ("usage", 2, None, "does not hold one quantizer and one usage vector per agent"),
+        ("quantizers", 2, None, "does not hold one quantizer and one usage vector per agent"),
+        ("usage", 0, [0.2] * 5, "agent 1 needs 6 words and usage entries"),
+    ], ids=["usage-sums-3", "usage-negative", "usage-missing", "quantizer-missing",
+            "usage-short"])
+    def test_malformed_state_file(self, identity_state, tmp_path, capsys, key, k, entry,
+                                  message):
+        # entry None deletes doc[key][k]
+        doc = json.loads(identity_state.read_text())
+        if entry is None:
+            del doc[key][k]
+        else:
+            doc[key][k] = entry
+        broken = tmp_path / "state.json"
+        broken.write_text(json.dumps(doc))
+        code = main(["simulate", "--config", str(IDENTITY_CONFIG), "--out", str(tmp_path),
+                     "--state", str(broken), "--samples", "1000"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: state file {broken}") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "losses.csv").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_sample_count_bound(self, tmp_path, capsys, command):
+        # --samples shares montecarlo.n_samples' bound, config.MOST; a count
+        # at the bound passes the check and stops at the missing state file
+        most = config.MOST["n_samples"]
+        for samples, code in ((10**23, EXIT_CONFIG), (most + 1, EXIT_CONFIG),
+                              (most, EXIT_MISSING_STATE)):
+            assert main([command, "--config", str(IDENTITY_CONFIG), "--out", str(tmp_path),
+                         "--samples", str(samples)]) == code
+            if code == EXIT_CONFIG:
+                assert capsys.readouterr().err == (f"--samples must be at most {most}, "
+                                                   f"got {samples}\n")
+
     def test_negative_seed(self, cli_ws, tmp_path, capsys):
         cfg, out = cli_ws
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path),
@@ -623,8 +677,10 @@ class TestCliChains:
         ["--inputs", "0"],  # empty input grid
         ["--max-len", "1"],  # no chain is that short
         ["--chain", "1,2", "--seed", "-3"],  # the generator needs a seed >= 0
+        ["--chain", "1,2", "--inputs", "100000000000000000000000"],  # no such grid
+        ["--inputs", "100001"],  # one above the bound
     ], ids=["unknown-id", "not-an-id", "one-agent", "no-inputs", "max-len-1",
-            "negative-seed"])
+            "negative-seed", "inputs-1e23", "inputs-over-bound"])
     def test_bad_arguments_exit_code(self, cli_ws, tmp_path, capsys, args):
         cfg, out = cli_ws
         code = main(["chains", "--config", str(cfg), "--out", str(tmp_path),
