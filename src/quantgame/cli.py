@@ -109,7 +109,11 @@ def cmd_solve(args, cfg) -> int:
     _write_csv(out / "report.csv", ["agent", "observed_residual", "br_distance"],
                zip(cfg.agent_ids, report.observed_residuals, report.br_distances))
     if not report.converged:
-        print(f"did not converge within {cfg.solver.max_sweeps} sweeps "
+        ids = ", ".join(str(cfg.agent_ids[i]) for i in state.unsettled)
+        print(f"did not converge in sweep {report.sweeps}: the best response of agent"
+              f"{'s' * (len(state.unsettled) > 1)} {ids} stopped at the Lloyd-Max iteration "
+              "cap without settling" if state.unsettled else
+              f"did not converge within {cfg.solver.max_sweeps} sweeps "
               f"(last move {state.last_max_move:.3g})", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     print(f"converged in {report.sweeps} sweeps; state written to {out / 'state.json'}")

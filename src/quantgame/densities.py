@@ -8,9 +8,11 @@ for the noise kernels), which keeps errors near machine precision.
 
 The moment kernel `partial_moments(boundaries, orders)` takes cell
 boundaries along the last axis and returns the first `orders` of
-(m0, m1, m2), stacked, for every cell of one quantizer or a batch. Each
-beta part prices all orders at every boundary in one `betainc` call; all
-word atoms, which share one noise kernel, form one cells x atoms array.
+(m0, m1, m2), stacked, for every cell of one quantizer or a batch. It is
+an input check before `MixtureDensity._core`, which Lloyd-Max and
+`quantile` enter directly with a terms buffer they keep. Each beta part
+prices all orders at every boundary in one `betainc` call; all word
+atoms, which share one noise kernel, form one atoms x cells array.
 """
 
 from __future__ import annotations
@@ -93,10 +95,7 @@ class BetaDensity:
         b = np.asarray(boundaries, dtype=float)
         if b.ndim == 0:
             raise ValueError("need boundaries along a last axis")
-        shapes, scales = self._moment_terms
-        col = (slice(orders),) + (None,) * b.ndim  # orders down a new first axis
-        cdf = special.betainc(shapes[col], self.beta_param, b)
-        return scales[col] * (cdf[..., 1:] - cdf[..., :-1])
+        return MixtureDensity.from_beta(self).partial_moments(b, orders)  # 1.0 * x is x
 
 
 class KernelShape(str, Enum):
@@ -226,16 +225,47 @@ class MixtureDensity:
                 and np.maximum.reduce(b, axis=None) <= 1.0):
             k = np.argmin((0.0 <= a) & (a < z) & (z <= 1.0))
             raise ValueError(f"need 0 <= a < b <= 1, got ({a.flat[k]}, {z.flat[k]})")
-        # the weighted moments of the parts, then of the atoms, along a last axis
-        n = len(self.continuous_parts)
-        terms = np.empty((orders,) + a.shape + (n + self.atom_weights.size,))
-        for r, (w, d) in enumerate(self.continuous_parts):
-            np.multiply(w, d.partial_moments(b, orders), out=terms[..., r])
-        if self.atom_weights.size:
-            m = self.noise.partial_moments(a[..., None], z[..., None], self.atom_centers, orders)
-            np.multiply(m, self.atom_weights, out=terms[..., n:])
+        rows = b.reshape(-1, b.shape[-1])
+        m = self._core(rows, orders, self._buffer(orders, rows.shape[0], a.shape[-1]), False)
+        return m.reshape((orders,) + a.shape)
+
+    @cached_property
+    def _parts(self):
+        """The core's constants: each beta part's (w, alpha + j, s_j, beta), the
+        atom centers, and their weights; point atoms weigh w, c w and (c c) w,
+        the point kernel's 1, c and c c times w bit for bit."""
+        betas = tuple((w, shapes[:, None, None], scales[:, None, None], d.beta_param)
+                      for w, d in self.continuous_parts for shapes, scales in [d._moment_terms])
+        c, w = self.atom_centers[:, None, None], self.atom_weights[:, None, None]
+        if self.noise.shape is KernelShape.POINT:
+            w = np.stack((w, c * w, (c * c) * w))
+        return betas, c, w
+
+    def _buffer(self, orders, rows, cells):
+        """An empty (orders, parts, rows, cells) array for `_core`'s terms."""
+        return np.empty((orders, len(self.continuous_parts) + self.atom_weights.size, rows, cells))
+
+    def _core(self, b, orders, terms, from_zero):
+        """`partial_moments` of valid 2-D (rows, boundaries) `b`, unchecked, in a
+        `_buffer` at least that large; with `from_zero`, of the cells (0, x]
+        for each x in `b`, as the boundary pair (0, x) gives them (I_0 is 0)."""
+        betas, centers, weights = self._parts
+        t = terms[:orders, :, :b.shape[0]]
+        a, z = (0.0, b) if from_zero else (b[:, :-1], b[:, 1:])
+        for r, (w, shapes, scales, beta) in enumerate(betas):
+            cdf = special.betainc(shapes[:orders], beta, b)
+            if not from_zero:
+                cdf = np.subtract(cdf[:, :, 1:], cdf[:, :, :-1], out=t[:, r])
+            np.multiply(w, np.multiply(scales[:orders], cdf, out=t[:, r]), out=t[:, r])
+        n = len(betas)
+        if n < t.shape[1]:  # the atoms, down the parts axis after the beta parts
+            if self.noise.shape is KernelShape.POINT:
+                np.multiply((a < centers) & (centers <= z), weights[:orders], out=t[:, n:])
+            else:
+                np.multiply(self.noise.partial_moments(a, z, centers, orders), weights,
+                            out=t[:, n:])
         # unlike sum, accumulate never switches to pairwise summation
-        return np.add.accumulate(terms, axis=-1)[..., -1]
+        return np.add.accumulate(t, axis=1)[:, -1]
 
     def mass_in(self, boundaries):
         return self.partial_moments(boundaries, orders=1)[0]
@@ -257,11 +287,10 @@ class MixtureDensity:
             raise ValueError("quantile level must be in [0, 1]")
         rows = np.arange(p.size)
         lo, hi = np.zeros(p.size), np.ones(p.size)
-        cells = np.zeros((p.size, 15, 2))
-        while np.any(hi - lo > 1e-13):
+        terms, level = self._buffer(1, p.size, 15), p.reshape(-1, 1)
+        for _ in range(11):  # 44 exact halvings: the bracket is 2^-44 < 1e-13
             grid = lo[:, None] + (hi - lo)[:, None] * (np.arange(17) / 16.0)
-            cells[..., 1] = grid[:, 1:-1]
-            up = self.mass_in(cells)[..., 0] >= p.reshape(-1, 1)
+            up = self._core(grid[:, 1:-1], 1, terms, True)[0] >= level
             # keep the lower half of [grid[j], grid[j + 2 half]] iff up at its midpoint
             j = np.zeros(p.size, dtype=int)
             for half in (8, 4, 2, 1):

@@ -18,7 +18,7 @@ from .networks import (
     observed_environment,
     word_usage,
 )
-from .quantizers import RegularQuantizer, centroid_residual, multi_start_lloyd_max
+from .quantizers import LloydMaxResult, RegularQuantizer, centroid_residual, multi_start_lloyd_max
 
 # the sweep orders `solve_equilibrium` accepts
 SCHEDULE_POLICIES = ("cyclic", "topological_if_acyclic")
@@ -53,14 +53,27 @@ class GameState:
     usage: List[np.ndarray]
     iteration: int = 0
     last_max_move: float = float("inf")
+    # agents whose response in the sweep that made this state stopped at the iteration cap
+    unsettled: Tuple[int, ...] = ()
+    # solve_equilibrium's ((game, n_starts, words+usage), (physical optima, closing responses))
+    solved: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def copy(self) -> "GameState":
-        return GameState(
-            list(self.quantizers),
-            [u.copy() for u in self.usage],
-            self.iteration,
-            self.last_max_move,
-        )
+        return GameState(list(self.quantizers), [u.copy() for u in self.usage],
+                         self.iteration, self.last_max_move)
+
+
+def _words_and_usage(state: GameState) -> np.ndarray:
+    return np.concatenate([q.words for q in state.quantizers] + list(state.usage))
+
+
+def _saved(state: GameState, game: QuantizationGame, n_starts: int):
+    """The (physical-only optima, closing best responses) saved on `state`
+    if they were computed for this `game` object and `n_starts` from the
+    words and usage the state holds now; otherwise None."""
+    (g, n, held), saved = state.solved or ((None, 0, None), None)
+    fits = g is game and n == n_starts and np.array_equal(held, _words_and_usage(state))
+    return saved if fits else None
 
 
 @dataclass
@@ -124,26 +137,27 @@ def bootstrap(game: QuantizationGame, n_starts: int) -> GameState:
 
 
 def best_response(i: int, state: GameState, game: QuantizationGame,
-                  n_starts: int) -> RegularQuantizer:
-    """Loss-minimizing quantizer for agent i against the current observed
+                  n_starts: int) -> LloydMaxResult:
+    """The winning Lloyd-Max run against agent i's current observed
     environment, warm-started from the agent's present strategy."""
     obs = observed_mixture(i, game, state.quantizers, state.usage)
     return multi_start_lloyd_max(obs, game.agents[i].levels, n_starts=n_starts,
-                                 warm_start=state.quantizers[i]).quantizer
+                                 warm_start=state.quantizers[i])
 
 
 def sweep(state: GameState, game: QuantizationGame,
           schedule: Sequence[int], n_starts: int) -> Tuple[GameState, float]:
     """One pass of best responses in schedule order. The responding agent's
-    usage is refreshed after its move. Returns the new state and the max
-    word/boundary displacement over the pass."""
+    usage is refreshed after its move. Returns the new state (`unsettled`
+    lists responses that hit the iteration cap) and the max move."""
     if sorted(schedule) != list(range(game.n_agents)):
         raise ValueError("schedule must be a permutation of all agents")
     st = state.copy()
     move = 0.0
     for i in schedule:
         old = st.quantizers[i]
-        new = best_response(i, st, game, n_starts=n_starts)
+        res = best_response(i, st, game, n_starts=n_starts)
+        new, st.unsettled = res.quantizer, st.unsettled + (i,) * (not res.converged)
         move = max(
             move,
             float(np.max(np.abs(new.words - old.words))),
@@ -168,7 +182,7 @@ def solve_equilibrium(
     schedule_policy: "cyclic" (agent-id order) or "topological_if_acyclic"
     (forest networks get a transmitters-first order, which converges in a
     single pass). The report's `history` holds the bootstrap state and the
-    state after each sweep.
+    state after each sweep. A solve whose last sweep left agents `unsettled` is not converged.
     """
     if schedule_policy not in SCHEDULE_POLICIES:
         raise ValueError(f"unknown schedule policy {schedule_policy!r}")
@@ -190,8 +204,10 @@ def solve_equilibrium(
         state, move = sweep(state, game, schedule, n_starts=starts)
         history.append(state)
         if move < tol:
-            converged = True
+            converged = not state.unsettled
             break
+    responses = [best_response(i, state, game, n_starts).quantizer for i in range(game.n_agents)]
+    state.solved = (game, n_starts, _words_and_usage(state)), (history[0].quantizers, responses)
     report = _quick_report(state, game, converged, sweeps, n_starts)
     report.history = history
     return state, report
@@ -199,13 +215,16 @@ def solve_equilibrium(
 
 def _quick_report(state: GameState, game: QuantizationGame, converged: bool,
                   sweeps: int, n_starts: int) -> EquilibriumReport:
+    """Observed residuals and distances to the closing best responses, which
+    are the ones solve_equilibrium saved on `state` if they fit."""
     n = game.n_agents
+    saved = _saved(state, game, n_starts)
     obs_res = np.empty(n)
     br_dist = np.empty(n)
     for i in range(n):
         obs = observed_mixture(i, game, state.quantizers, state.usage)
         obs_res[i] = centroid_residual(state.quantizers[i], obs)
-        br = best_response(i, state, game, n_starts=n_starts)
+        br = saved[1][i] if saved else best_response(i, state, game, n_starts).quantizer
         br_dist[i] = float(np.max(np.abs(br.words - state.quantizers[i].words)))
     return EquilibriumReport(obs_res, br_dist, converged, sweeps)
 
@@ -270,7 +289,8 @@ def check_social_stability(state: GameState, game: QuantizationGame,
     socially stable when both the drift from the physical optima and the
     noise halfwidth stay below epsilon/2.
     """
-    baseline = bootstrap(game, n_starts).quantizers
+    saved = _saved(state, game, n_starts)
+    baseline = saved[0] if saved else bootstrap(game, n_starts).quantizers
     n = game.n_agents
     margin = float("inf")
     for i in range(n):

@@ -6,8 +6,9 @@ boundary rule (midpoints of adjacent words, squared-error case) with
 the centroid rule against a MixtureDensity source.
 
 The design loop advances a (starts, levels) array of words: every start
-of a multi-start design takes its iteration in the same moment-kernel
-call, and a start leaves the batch once it settles. Each start's
+of a multi-start design takes its iteration in the same call of the
+moment kernel's core, past the input check that its boundaries pass by
+construction; a start leaves the batch once it settles. Each start's
 arithmetic is elementwise along its own row, so a start run in a batch
 gives bit for bit the result it gives alone.
 """
@@ -190,14 +191,8 @@ def lloyd_max(d: Density, levels: int) -> LloydMaxResult:
     than `_TOL`, from the quantile start of `multi_start_lloyd_max` (words
     at the source quantiles (2k-1)/(2M)), for at most `_MAX_ITERS` iterations.
 
-    Words of starved cells are relocated into the cell with the largest
-    error and the event counted; a cell still starved after `levels`
-    relocations (e.g. fewer atoms than levels and no continuous part to
-    feed it) raises EmptyCellError.
-
-    Each iteration makes one moment-kernel call for (m0, m1) at the
-    current words, which gives the empty-cell check and the centroids;
-    one more call prices the final quantizer as `loss`.
+    Words of starved cells are relocated as in `_run_starts`, which runs the
+    design; a cell still starved after `levels` relocations raises EmptyCellError.
     """
     mix = as_mixture(d)
     return _run_starts(mix, _multi_start_inits(mix, levels, 1, None), _MAX_ITERS, _TOL)[0]
@@ -207,11 +202,11 @@ def _run_starts(mix: MixtureDensity, words: np.ndarray, max_iters: int,
                 tol: float) -> List[LloydMaxResult]:
     """Lloyd-Max from each row of the (starts, levels) array `words`.
 
-    All unsettled rows take each iteration together: one kernel call for
+    All unsettled rows take each iteration together: one core call for
     (m0, m1) over their cells, relocation (pricing m2 too) only in rows
     with a starved cell, then the centroid step on the whole array. A
     row leaves once its move is below `tol`, or stops unconverged after
-    `max_iters`. One last kernel call prices every row's final iterate.
+    `max_iters`. One last core call prices every row's final iterate.
     Rows must be strictly increasing inside (0, 1), as `_separate` leaves
     them, `max_iters` at least 1 and `tol` positive and finite; `words` is
     overwritten with the final iterates.
@@ -222,8 +217,10 @@ def _run_starts(mix: MixtureDensity, words: np.ndarray, max_iters: int,
     moves = np.full(n, np.inf)
     rows = np.arange(n)  # the row of `words` that each unsettled start came from
     w, b = words.copy(), _midpoints(words)
+    # rows of 0 = b_0 < ... < b_M = 1 need no input check; unsettled rows come first
+    core, terms = mix._core, mix._buffer(3, n, words.shape[1])
     for it in range(1, max_iters + 1):
-        m0, m1 = mix.partial_moments(b, orders=2)
+        m0, m1 = core(b, 2, terms, False)
         if np.minimum.reduce(m0, axis=None) < EMPTY_CELL_MASS:
             for j in np.nonzero((m0 < EMPTY_CELL_MASS).any(axis=1))[0]:
                 w[j], b[j], (m0[j], m1[j], _m2), e = _resolve_empty_cells(w[j], mix)
@@ -242,7 +239,7 @@ def _run_starts(mix: MixtureDensity, words: np.ndarray, max_iters: int,
         _midpoints(w, out=b)
     words[rows], moves[rows] = new, move  # the rows stopped by max_iters
 
-    final = _loss(words, mix.partial_moments(_midpoints(words))).tolist()
+    final = _loss(words, core(_midpoints(words), 3, terms, False)).tolist()
     return [
         LloydMaxResult(quantizer_from_words(words[r]), bool(moves[r] < tol),
                        int(iterations[r]), float(moves[r]), final[r], events[r])

@@ -12,7 +12,15 @@ import numpy as np
 import pytest
 import yaml
 
-from quantgame import ConfigError, bootstrap, config, load_config, load_state, save_state
+from quantgame import (
+    ConfigError,
+    bootstrap,
+    config,
+    load_config,
+    load_state,
+    quantizers,
+    save_state,
+)
 from quantgame.cli import (
     EXIT_CONFIG,
     EXIT_MISSING_STATE,
@@ -381,6 +389,19 @@ class TestCliSolve:
         code = main(["solve", "--config", str(cfg), "--out", str(tmp_path),
                      "--tol", "0", "--max-sweeps", "2"])
         assert code == EXIT_NO_CONVERGENCE
+
+    def test_capped_response_exit_code(self, tmp_path, capsys, monkeypatch):
+        # two Lloyd steps per design: the sweeps settle below --tol while
+        # every agent's last response still stops at the cap
+        monkeypatch.setattr(quantizers, "_MULTI_MAX_ITERS", 2)
+        code = main(["solve", "--config", str(IDENTITY_CONFIG), "--out", str(tmp_path),
+                     "--tol", "1e-3"])
+        assert code == EXIT_NO_CONVERGENCE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("did not converge in sweep ")
+        assert err.endswith(": the best response of agents 1, 2, 3 stopped at the "
+                            "Lloyd-Max iteration cap without settling\n")
 
     def test_bad_config_exit_code(self, tmp_path):
         code = main(["solve", "--config", str(tmp_path / "absent.cfg"),

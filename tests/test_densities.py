@@ -3,8 +3,9 @@ oracles, atom and noise-kernel interval conventions, rejection of
 non-finite parameters and of words the noise pushes out of (0, 1), of
 malformed cells and orders, the beta-pair dissimilarity
 formula against a quadrature oracle, properties of the boundaries moment
-kernel on random mixtures, the grid quantile search against the one-point
-bisection it replaced, and the work counts of both."""
+kernel on random mixtures, the unchecked core that the design loop and the
+quantile search enter against the public kernel, the grid quantile search
+against the one-point bisection it replaced, and the work counts of both."""
 
 import numpy as np
 import pytest
@@ -305,6 +306,19 @@ class TestArrayKernel:
         assert np.array_equal(got, bisection_quantile(mix, np.array(levels)))
         assert mix.quantile(levels[0]) == bisection_quantile(mix, levels[0])
 
+    @PROPERTY_SETTINGS
+    @given(mixtures_with_edges(), st.data())
+    def test_quantile_matches_one_point_bisection_on_edge_masses(self, case, data):
+        # levels at the exact masses of (0, edge], atoms sitting on edges:
+        # a level equal to the mass below an atom's jump must stop there
+        mix, edges = case
+        masses = np.cumsum(mix.mass_in(edges))
+        levels = data.draw(st.lists(st.sampled_from(masses[masses <= 1.0].tolist() + [0.0]),
+                                    min_size=1, max_size=6), label="levels")
+        got = mix.quantile(np.array(levels))
+        assert np.array_equal(got, bisection_quantile(mix, np.array(levels)))
+        assert mix.quantile(levels[0]) == bisection_quantile(mix, levels[0])
+
     def test_invalid_cells_rejected(self):
         d = MixtureDensity.from_beta(BetaDensity(2, 2))
         with pytest.raises(ValueError, match="0.5, 0.5"):
@@ -322,6 +336,39 @@ class TestArrayKernel:
                 d.partial_moments(boundaries)
         with pytest.raises(ValueError, match="along a last axis"):
             BetaDensity(2, 2).partial_moments(0.5)
+
+
+class TestCore:
+    """The kernel's unchecked core, which the design loop and the quantile
+    search enter directly, against the public kernel around it."""
+
+    @PROPERTY_SETTINGS
+    @given(mixtures_with_edges(), st.integers(1, 3))
+    def test_core_matches_public_kernel(self, case, orders):
+        # one row and a batch of rows, both priced in one oversized buffer
+        # that holds another call's leftovers, as the loop's buffer does
+        mix, edges = case
+        batch = np.array([edges, 1.0 - edges[::-1], np.sqrt(edges)])
+        terms = mix._buffer(3, 4, edges.size - 1)
+        terms[...] = np.nan
+        for rows in (edges[None], batch, batch[1:], edges[None]):
+            got = mix._core(rows, orders, terms, False)
+            assert np.array_equal(got, mix.partial_moments(rows, orders))
+        if mix.noise is POINT_KERNEL:
+            # a single row, maybe a single cell, added part by part
+            want = np.array([scalar_loop_moments(mix, a, b)
+                             for a, b in zip(edges[:-1], edges[1:])]).T
+            assert np.array_equal(mix._core(edges[None], 3, terms, False)[:, 0], want)
+
+    @PROPERTY_SETTINGS
+    @given(mixtures_with_edges())
+    def test_from_zero_matches_cells_from_zero(self, case):
+        # the quantile search prices (0, x] without pricing 0
+        mix, edges = case
+        x = np.array([edges[1:], edges[1:] ** 2])
+        got = mix._core(x, 1, mix._buffer(1, 2, x.shape[1]), True)[0]
+        cells = np.stack((np.zeros_like(x), x), axis=-1)
+        assert np.array_equal(got, mix.mass_in(cells)[..., 0])
 
 
 class TestKernelWork:
@@ -364,14 +411,15 @@ class TestKernelWork:
 
     @pytest.mark.parametrize("levels", [1, 6])
     def test_quantile_makes_at_most_11_kernel_calls(self, monkeypatch, levels):
+        # the search enters the kernel's core directly, so it is counted there
         calls = []
-        kernel = MixtureDensity.partial_moments
+        core = MixtureDensity._core
 
-        def counting(self, *args, **kwargs):
+        def counting(self, *args):
             calls.append(args)
-            return kernel(self, *args, **kwargs)
+            return core(self, *args)
 
-        monkeypatch.setattr(MixtureDensity, "partial_moments", counting)
+        monkeypatch.setattr(MixtureDensity, "_core", counting)
         mix = MixtureDensity(((0.7, BetaDensity(2, 5)),), [0.3], [0.5],
                              NoiseKernel("triangular", 0.02))
         mix.quantile((2 * np.arange(levels) + 1) / (2.0 * levels))

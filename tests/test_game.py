@@ -1,5 +1,7 @@
 """Strategic layer: bootstrap, best responses, sweep dynamics, equilibrium
-solving and certification, and the social-stability margin check."""
+solving and certification, the social-stability margin check, the
+certificates' reuse of a solve's designs, and the report of best responses
+stopped at the Lloyd-Max iteration cap."""
 
 import numpy as np
 import pytest
@@ -14,11 +16,14 @@ from quantgame import (
     centroid_residual,
     check_social_stability,
     load_state,
+    quantizer_from_words,
     refresh_state,
+    save_state,
     solve_equilibrium,
     sweep,
     verify_nash,
 )
+from quantgame import quantizers
 from quantgame.game import observed_mixture
 from quantgame.networks import AgentSpec
 
@@ -74,9 +79,10 @@ class TestBestResponseAndSweep:
     def test_best_response_optimizes_observed(self):
         game = _coupled_game()
         state = bootstrap(game, n_starts=8)
-        br = best_response(0, state, game, n_starts=8)
+        res = best_response(0, state, game, n_starts=8)
         obs = observed_mixture(0, game, state.quantizers, state.usage)
-        assert centroid_residual(br, obs) < 1e-9
+        assert res.converged
+        assert centroid_residual(res.quantizer, obs) < 1e-9
 
     def test_isolated_agents_do_not_move(self):
         game = _isolated_game()
@@ -229,3 +235,100 @@ class TestSocialStability:
                                  NoiseKernel("uniform", 0.2))
         rep = check_social_stability(state, noisy, n_starts=8)
         assert not rep.satisfied
+
+
+@pytest.fixture
+def designs(monkeypatch):
+    """Counts the Lloyd-Max designs run: each multi-start design, and so
+    each best response and each physical-only optimum, is one call of
+    `quantizers._run_starts`."""
+    calls = []
+    run_starts = quantizers._run_starts
+
+    def counting(*args):
+        calls.append(args)
+        return run_starts(*args)
+
+    monkeypatch.setattr(quantizers, "_run_starts", counting)
+    return calls
+
+
+def _certificates(state, game, n_starts):
+    """verify_nash's and check_social_stability's numbers on `state`."""
+    report = verify_nash(state, game, tol=1e-9, n_samples=2_000, seed=3, n_starts=n_starts)
+    stability = check_social_stability(state, game, n_starts=n_starts)
+    return [report.observed_residuals, report.br_distances, report.true_residuals,
+            report.true_residual_ses, report.true_residual_truncated,
+            np.array([stability.epsilon, stability.response_drift])]
+
+
+class TestSolveRecord:
+    """solve_equilibrium's state carries the physical-only optima and the
+    closing best responses; the certificates reuse them for the same game
+    and n_starts on the unchanged state, and recompute in every other case."""
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        game = _coupled_game()
+        state, _report = solve_equilibrium(game, "cyclic", tol=1e-10, max_sweeps=100, n_starts=8)
+        return game, state
+
+    def test_certificates_of_a_solved_state_run_no_design(self, solved, designs):
+        game, state = solved
+        _certificates(state, game, 8)
+        assert designs == []
+
+    def test_reused_equal_recomputed(self, solved, designs, tmp_path):
+        game, state = solved
+        reused = _certificates(state, game, 8)
+        save_state(state, [a.id for a in game.agents], tmp_path / "state.json")
+        loaded = load_state(tmp_path / "state.json", game)
+        recomputed = _certificates(loaded, game, 8)
+        # the loaded state carries nothing: n best responses and n optima
+        assert len(designs) == 2 * game.n_agents
+        assert all(np.array_equal(a, b) for a, b in zip(reused, recomputed))
+
+    def test_changed_inputs_force_a_recompute(self, solved, designs):
+        game, state = solved
+        moved = state.copy()
+        moved.solved = state.solved
+        moved.quantizers[0] = quantizer_from_words(state.quantizers[0].words * 0.999)
+        same_game = QuantizationGame(game.agents, game.comm, game.noise)
+        for st, g, n_starts in ((moved, game, 8), (state, game, 4), (state, same_game, 8)):
+            designs.clear()
+            _certificates(st, g, n_starts)
+            assert len(designs) == 2 * game.n_agents
+
+    def test_each_solve_repeats_every_design(self, ref_cfg, designs):
+        # nothing is kept between solves: the game's second solve, verify
+        # and stability check run the same 250 designs as its first (the
+        # bootstrap's 5, 48 sweeps of 5 and 5 closing responses), and the
+        # certificates add none
+        game, solver = ref_cfg.game(), ref_cfg.solver
+        counts = []
+        for _ in range(2):
+            designs.clear()
+            state, _report = solve_equilibrium(game, solver.schedule_policy, solver.tol,
+                                               solver.max_sweeps, solver.n_starts)
+            _certificates(state, game, solver.n_starts)
+            counts.append(len(designs))
+        assert counts == [250, 250]
+
+
+class TestIterationCap:
+    """A final-sweep best response that stops at the Lloyd-Max iteration
+    cap without settling makes the solve unconverged."""
+
+    def test_capped_final_response_is_not_converged(self, monkeypatch):
+        monkeypatch.setattr(quantizers, "_MULTI_MAX_ITERS", 2)
+        game = _coupled_game()
+        # two Lloyd steps per response: the sweeps settle below 1e-3 long
+        # before any response reaches the inner tolerance
+        state, report = solve_equilibrium(game, "cyclic", tol=1e-3, max_sweeps=100, n_starts=8)
+        assert state.last_max_move < 1e-3
+        assert not report.converged
+        assert state.unsettled == (0, 1)
+
+    def test_uncapped_solve_has_no_unsettled_agent(self, stable_pair):
+        _game, state, report = stable_pair
+        assert report.converged and state.unsettled == ()

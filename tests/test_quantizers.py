@@ -391,19 +391,21 @@ class TestBatchedStarts:
 
 
 class TestLoopWork:
-    """The design loop's budget: one moment-kernel call per iteration, for
-    every start in the batch at once, plus one call for the final loss."""
+    """The design loop's budget: one call of the kernel's core per
+    iteration, for every start in the batch at once, plus one call for the
+    final loss. The loop enters the core directly, past the public
+    `partial_moments` and its input check, so the count is taken there."""
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
         calls = []
-        kernel = MixtureDensity.partial_moments
+        core = MixtureDensity._core
 
-        def counting(self, *args, **kwargs):
+        def counting(self, *args):
             calls.append(args)
-            return kernel(self, *args, **kwargs)
+            return core(self, *args)
 
-        monkeypatch.setattr(MixtureDensity, "partial_moments", counting)
+        monkeypatch.setattr(MixtureDensity, "_core", counting)
         return calls
 
     # a beta part feeds every cell, so no cell starves
