@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from enum import Enum
-from typing import Tuple, Union
+from typing import Tuple
 
 import numpy as np
 from scipy import special
@@ -88,15 +88,6 @@ class BetaDensity:
         s1 = 1.0 * al / (al + be)  # s_{j+1} = s_j (alpha + j) / (alpha + beta + j), s_0 = 1
         return al + np.arange(3.0), np.array([1.0, s1, s1 * (al + 1) / (al + be + 1)])
 
-    def partial_moments(self, boundaries, orders: int = 3) -> Moments:
-        """The first `orders` of (m0, m1, m2), the integrals of 1, x, x^2
-        against the pdf, over the cells between consecutive boundaries
-        along the last axis: one `betainc` call over orders x boundaries."""
-        b = np.asarray(boundaries, dtype=float)
-        if b.ndim == 0:
-            raise ValueError("need boundaries along a last axis")
-        return MixtureDensity.from_beta(self).partial_moments(b, orders)  # 1.0 * x is x
-
 
 class KernelShape(str, Enum):
     POINT = "point"
@@ -134,21 +125,16 @@ class NoiseKernel:
             raise DomainError(f"noise of halfwidth {self.halfwidth:g} around word "
                               f"{words[np.argmin(fits)]:.6g} leaves the unit interval")
 
-    def partial_moments(self, a, b, center, orders: int = 3) -> Moments:
+    def partial_moments(self, a, b, center, orders: int) -> Moments:
         """The first `orders` of (m0, m1, m2) of the smeared density over (a, b].
 
         `a`, `b` and `center` are float arrays (or numbers) that broadcast,
-        e.g. cells against a last axis of atoms. Point kernels
-        are Dirac masses: the atom is in (a, b] iff a < center <= b, so an
-        atom on an edge belongs to the cell on its left.
+        e.g. cells against a last axis of atoms. Only uniform and triangular
+        kernels smear; `MixtureDensity`'s core prices point atoms itself.
         """
         h = self.halfwidth
         if self.shape is KernelShape.POINT:
-            m = np.empty((orders,) + np.broadcast(a, b, center).shape)
-            m[0] = (a < center) & (center <= b)  # 1.0 inside, else 0.0
-            for j in range(1, orders):  # 1.0 * c is c, so this is inside * c^j
-                np.multiply(m[j - 1], center, out=m[j, ...])
-            return m
+            raise ValueError("a point kernel has no smeared moments")
         if self.shape is KernelShape.UNIFORM:
             d = _clipped_powers(a, b, center - h, center + h, orders)
             return np.array(d) * (1.0 / (2.0 * h))
@@ -233,7 +219,7 @@ class MixtureDensity:
     def _parts(self):
         """The core's constants: each beta part's (w, alpha + j, s_j, beta), the
         atom centers, and their weights; point atoms weigh w, c w and (c c) w,
-        the point kernel's 1, c and c c times w bit for bit."""
+        their m0, m1 and m2 in the cell that holds them."""
         betas = tuple((w, shapes[:, None, None], scales[:, None, None], d.beta_param)
                       for w, d in self.continuous_parts for shapes, scales in [d._moment_terms])
         c, w = self.atom_centers[:, None, None], self.atom_weights[:, None, None]
@@ -248,7 +234,8 @@ class MixtureDensity:
     def _core(self, b, orders, terms, from_zero):
         """`partial_moments` of valid 2-D (rows, boundaries) `b`, unchecked, in a
         `_buffer` at least that large; with `from_zero`, of the cells (0, x]
-        for each x in `b`, as the boundary pair (0, x) gives them (I_0 is 0)."""
+        for each x in `b`, as the boundary pair (0, x) gives them (I_0 is 0).
+        A point atom at c is in (a, b] iff a < c <= b: an edge's atom goes left."""
         betas, centers, weights = self._parts
         t = terms[:orders, :, :b.shape[0]]
         a, z = (0.0, b) if from_zero else (b[:, :-1], b[:, 1:])
@@ -266,14 +253,6 @@ class MixtureDensity:
                             out=t[:, n:])
         # unlike sum, accumulate never switches to pairwise summation
         return np.add.accumulate(t, axis=1)[:, -1]
-
-    def mass_in(self, boundaries):
-        return self.partial_moments(boundaries, orders=1)[0]
-
-    def cell_centroid(self, boundaries):
-        b = np.asarray(boundaries, dtype=float)
-        m0, m1 = self.partial_moments(b, orders=2)
-        return centroid_from_moments(b[..., :-1], b[..., 1:], m0, m1)
 
     def quantile(self, p):
         """Smallest x with mass (0, x] >= p, by bisection to a bracket of
@@ -297,17 +276,6 @@ class MixtureDensity:
                 j = np.where(up[rows, j + half - 1], j, j + half)
             lo, hi = grid[rows, j], grid[rows, j + 1]
         return (0.5 * (lo + hi)).reshape(p.shape)
-
-
-Density = Union[BetaDensity, MixtureDensity]
-
-
-def as_mixture(d: Density) -> MixtureDensity:
-    if isinstance(d, MixtureDensity):
-        return d
-    if isinstance(d, BetaDensity):
-        return MixtureDensity.from_beta(d)
-    raise TypeError(f"not a density: {d!r}")
 
 
 def hellinger_beta(p: BetaDensity, q: BetaDensity) -> float:

@@ -129,10 +129,8 @@ def _physical_usage(game: QuantizationGame, quantizers) -> List[np.ndarray]:
 def bootstrap(game: QuantizationGame, n_starts: int) -> GameState:
     """Initial state: per-agent Lloyd-Max optimum on the physical source
     alone, with usage derived from the physical densities."""
-    quantizers = [
-        multi_start_lloyd_max(a.physical, a.levels, n_starts=n_starts).quantizer
-        for a in game.agents
-    ]
+    quantizers = [multi_start_lloyd_max(MixtureDensity.from_beta(a.physical), a.levels,
+                                        n_starts=n_starts).quantizer for a in game.agents]
     return GameState(quantizers, _physical_usage(game, quantizers))
 
 

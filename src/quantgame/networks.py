@@ -170,5 +170,5 @@ def observed_environment(
 
 def word_usage(observed: MixtureDensity, quantizer) -> np.ndarray:
     """p_k = mass of the observed mixture in cell k of the quantizer."""
-    u = observed.mass_in(quantizer.boundaries)
+    u = observed.partial_moments(quantizer.boundaries, orders=1)[0]
     return u / u.sum()

@@ -22,11 +22,9 @@ import numpy as np
 
 from .densities import (
     EMPTY_CELL_MASS,
-    Density,
     EmptyCellError,
     MixtureDensity,
     Moments,
-    as_mixture,
     centroid_from_moments,
 )
 
@@ -108,15 +106,16 @@ def _loss(words: np.ndarray, moments: Moments) -> np.ndarray:
     return np.cumsum(m2 - 2.0 * words * m1 + words * words * m0, axis=-1)[..., -1]
 
 
-def quantization_loss(q: RegularQuantizer, d: Density) -> float:
+def quantization_loss(q: RegularQuantizer, mix: MixtureDensity) -> float:
     """Expected squared error sum_k int_(cell k) (x - y_k)^2 dP."""
-    return float(_loss(q.words, as_mixture(d).partial_moments(q.boundaries)))
+    return float(_loss(q.words, mix.partial_moments(q.boundaries)))
 
 
-def centroid_residual(q: RegularQuantizer, d: Density) -> float:
+def centroid_residual(q: RegularQuantizer, mix: MixtureDensity) -> float:
     """Max over cells of |centroid - word|; zero iff the centroid condition holds."""
-    centroids = as_mixture(d).cell_centroid(q.boundaries)
-    return float(np.max(np.abs(centroids - q.words)))
+    b = q.boundaries
+    m0, m1 = mix.partial_moments(b, orders=2)
+    return float(np.max(np.abs(centroid_from_moments(b[:-1], b[1:], m0, m1) - q.words)))
 
 
 @dataclass
@@ -186,7 +185,7 @@ def _separate(words: np.ndarray) -> np.ndarray:
     return w
 
 
-def lloyd_max(d: Density, levels: int) -> LloydMaxResult:
+def lloyd_max(mix: MixtureDensity, levels: int) -> LloydMaxResult:
     """Alternate midpoint boundaries and centroid words until they move less
     than `_TOL`, from the quantile start of `multi_start_lloyd_max` (words
     at the source quantiles (2k-1)/(2M)), for at most `_MAX_ITERS` iterations.
@@ -194,7 +193,6 @@ def lloyd_max(d: Density, levels: int) -> LloydMaxResult:
     Words of starved cells are relocated as in `_run_starts`, which runs the
     design; a cell still starved after `levels` relocations raises EmptyCellError.
     """
-    mix = as_mixture(d)
     return _run_starts(mix, _multi_start_inits(mix, levels, 1, None), _MAX_ITERS, _TOL)[0]
 
 
@@ -255,7 +253,7 @@ def _quantile_init(mix: MixtureDensity, levels: int) -> np.ndarray:
 
 
 def multi_start_lloyd_max(
-    d: Density,
+    mix: MixtureDensity,
     levels: int,
     n_starts: int,
     warm_start: Optional[RegularQuantizer] = None,
@@ -269,7 +267,6 @@ def multi_start_lloyd_max(
     strictly better."""
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
-    mix = as_mixture(d)
     inits = _multi_start_inits(mix, levels, n_starts, warm_start)
     return min(_run_starts(mix, inits, _MULTI_MAX_ITERS, _MULTI_TOL),
                key=lambda res: res.loss)

@@ -21,7 +21,6 @@ from quantgame import (
     load_config,
     solve_equilibrium,
 )
-from quantgame.densities import as_mixture
 from quantgame.networks import AgentSpec
 from quantgame.quantizers import _MAX_ITERS, _multi_start_inits, _run_starts
 
@@ -51,11 +50,10 @@ AGENT5_TARGET_WORDS = np.array(
 RECOVERED_AGENT5_PARAMS = (2.6722600899, 2.4596656541)
 
 
-def lloyd_max_to(d, levels, tol):
+def lloyd_max_to(mix, levels, tol):
     """`lloyd_max` run to `tol` in place of its fixed 1e-10: the same
     quantile start through the same loop, for tests that need a tighter
     design."""
-    mix = as_mixture(d)
     return _run_starts(mix, _multi_start_inits(mix, levels, 1, None), _MAX_ITERS, tol)[0]
 
 

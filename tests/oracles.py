@@ -168,7 +168,7 @@ def bisection_quantile(mix, p):
     lo, hi = np.zeros_like(p), np.ones_like(p)
     while np.any(hi - lo > 1e-13):
         mid = 0.5 * (lo + hi)
-        up = mix.mass_in(np.stack((np.zeros_like(mid), mid), axis=-1))[..., 0] >= p
+        up = mix.partial_moments(np.stack((np.zeros_like(mid), mid), axis=-1), orders=1)[0, ..., 0] >= p
         hi = np.where(up, mid, hi)
         lo = np.where(up, lo, mid)
     x = 0.5 * (lo + hi)

@@ -42,7 +42,7 @@ def _verdict(num, desc, ok):
 
 
 def test_criterion_01_uniform_source_optimum():
-    res = lloyd_max_to(BetaDensity(1, 1), 6, 1e-12)
+    res = lloyd_max_to(MixtureDensity.from_beta(BetaDensity(1, 1)), 6, 1e-12)
     words_ok = np.max(np.abs(res.quantizer.words -
                              np.array([(2 * k + 1) / 12.0 for k in range(6)]))) < 1e-10
     bounds_ok = np.max(np.abs(res.quantizer.boundaries -
@@ -56,8 +56,8 @@ def test_criterion_02_log_concave_uniqueness():
     rng = np.random.default_rng(1234)
     ok = True
     for a, b in ((2.0, 5.0), (5.0, 2.0)):
-        ref = lloyd_max_to(BetaDensity(a, b), 6, 1e-11).quantizer.words
         mix = MixtureDensity.from_beta(BetaDensity(a, b))
+        ref = lloyd_max_to(mix, 6, 1e-11).quantizer.words
         for _ in range(20):
             init = np.sort(rng.uniform(0.02, 0.98, 6))
             init = init + np.arange(6) * 1e-5  # strictly increasing
@@ -86,7 +86,8 @@ def recover_beta_params(target_words, grid):
         if not (1e-3 < a < 1e3 and 1e-3 < b < 1e3):
             return np.inf
         try:
-            words = lloyd_max(BetaDensity(a, b), target.size).quantizer.words
+            words = lloyd_max(MixtureDensity.from_beta(BetaDensity(a, b)),
+                              target.size).quantizer.words
         except Exception:
             return np.inf
         return float(np.max(np.abs(words - target)))
@@ -110,7 +111,8 @@ def test_criterion_03_word_table_parameter_recovery():
     fa, fb = RECOVERED_AGENT5_PARAMS
     # 1. recovery from a table a beta source can produce: agent 5's
     # physical-only design, rounded to four decimals like the reference table
-    design_table = np.round(lloyd_max_to(BetaDensity(fa, fb), 6, 1e-11).quantizer.words, 4)
+    design = lloyd_max_to(MixtureDensity.from_beta(BetaDensity(fa, fb)), 6, 1e-11)
+    design_table = np.round(design.quantizer.words, 4)
     ra, rb, rdev = recover_beta_params(design_table, grid=(2.0, 2.5, 3.0))
     recovery_ok = rdev < 5e-4 and abs(ra - fa) < 1e-4 and abs(rb - fb) < 1e-4
     # 2. the committed fixture must be the search's own answer on the
@@ -120,8 +122,8 @@ def test_criterion_03_word_table_parameter_recovery():
     fixture_consistent = abs(alpha - fa) < 1e-4 and abs(beta_param - fb) < 1e-4
     # 3. that answer is a minimax point, not a stalled search: the three
     # largest word deviations are equal in size and alternate in sign
-    residual = (lloyd_max_to(BetaDensity(alpha, beta_param), 6, 1e-11).quantizer.words
-                - AGENT5_TARGET_WORDS)
+    fit = lloyd_max_to(MixtureDensity.from_beta(BetaDensity(alpha, beta_param)), 6, 1e-11)
+    residual = fit.quantizer.words - AGENT5_TARGET_WORDS
     top = np.sort(np.argsort(-np.abs(residual))[:3])
     equal_size = np.ptp(np.abs(residual[top])) < 1e-6
     alternating = bool(np.all(np.sign(residual[top][1:])

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quantgame import (
     ConfigError,
@@ -26,10 +28,13 @@ from quantgame.cli import (
     EXIT_MISSING_STATE,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
+    _chain_counts,
     main,
 )
+from quantgame.montecarlo import enumerate_chains
 
 from conftest import IDENTITY_CONFIG, REFERENCE_CONFIG, ROOT
+from strategies import PROPERTY_SETTINGS, games
 
 SMALL_CONFIG = """\
 agents:
@@ -700,14 +705,66 @@ class TestCliChains:
         ["--chain", "1,2", "--seed", "-3"],  # the generator needs a seed >= 0
         ["--chain", "1,2", "--inputs", "100000000000000000000000"],  # no such grid
         ["--inputs", "100001"],  # one above the bound
+        ["--max-len", "100000000000000000000000"],  # chains beyond the budget
     ], ids=["unknown-id", "not-an-id", "one-agent", "no-inputs", "max-len-1",
-            "negative-seed", "inputs-1e23", "inputs-over-bound"])
+            "negative-seed", "inputs-1e23", "inputs-over-bound", "max-len-1e23"])
     def test_bad_arguments_exit_code(self, cli_ws, tmp_path, capsys, args):
         cfg, out = cli_ws
         code = main(["chains", "--config", str(cfg), "--out", str(tmp_path),
                      "--state", str(out / "state.json")] + args)
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.count("\n") == 1
+
+    def test_max_len_budget_boundary(self, cli_ws, tmp_path, capsys):
+        # on the two-agent cycle the chains 1 -> 2 hold 2, 4, 6, ... agents:
+        # 2 + 4 + ... + 18 = 90 at --max-len 19 and 110 at 20, so with
+        # 100,000 inputs the first runs (9e6) and the second passes 1e7
+        cfg, out = cli_ws
+        run = ["chains", "--config", str(cfg), "--out", str(tmp_path),
+               "--state", str(out / "state.json")]
+        assert main(run + ["--inputs", "100000", "--max-len", "19"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(run + ["--inputs", "100000", "--max-len", "20"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "from agent 1 to agent 2 hold at least 110 agents" in err
+        # closed chains 1 -> 1 are never probed: at --max-len 21 they hold
+        # 3 + 5 + ... + 21 = 120 agents (1.02e7 at 85,000 inputs), the
+        # probed 1 -> 2 only 110 (9.35e6)
+        assert main(run + ["--inputs", "85000", "--max-len", "21"]) == EXIT_OK
+
+
+def _pair_counts(P, max_len):
+    """The number of chains i -> j of 2..max_len agents that the chains
+    budget counts, per ordered pair."""
+    counts = np.zeros(P.entries.shape, dtype=object)
+    for _length, walks in _chain_counts(P, max_len):
+        counts = counts + walks
+    return counts
+
+
+def _enumerated(P, max_len):
+    n = P.entries.shape[0]
+    return [[len(enumerate_chains(P, i, j, max_len)) for j in range(n)] for i in range(n)]
+
+
+class TestChainCounts:
+    """The chains budget counts, with powers of the hop matrix, exactly
+    the chains that the probes enumerate."""
+
+    @pytest.mark.parametrize("max_len", [2, 3, 4, 5, 6])
+    def test_reference_counts_match_enumeration(self, max_len):
+        P = load_config(REFERENCE_CONFIG).comm
+        counts = _pair_counts(P, max_len)
+        assert counts.tolist() == _enumerated(P, max_len)
+        if max_len == 5:  # the sum of probes.csv's n_chains at the default --max-len
+            assert counts.sum() - np.trace(counts) == 181
+
+    @PROPERTY_SETTINGS
+    @given(games(), st.integers(2, 6))
+    def test_random_game_counts_match_enumeration(self, case, max_len):
+        P = case[0].comm
+        assert _pair_counts(P, max_len).tolist() == _enumerated(P, max_len)
 
 
 class TestCliAnalyze:

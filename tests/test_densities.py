@@ -24,6 +24,7 @@ from quantgame import (
     hellinger_beta,
 )
 from quantgame import densities
+from quantgame.densities import centroid_from_moments
 
 from oracles import (
     beta_pdf,
@@ -57,12 +58,13 @@ class TestBetaDensity:
 
     def test_mass_against_frozen_oracle(self):
         d = MixtureDensity.from_beta(BetaDensity(2, 5))
-        assert d.mass_in([0.0, 0.2])[0] == pytest.approx(
+        assert d.partial_moments([0.0, 0.2], orders=1)[0][0] == pytest.approx(
             MASS_BETA25_0_02, abs=1e-10)
 
     def test_centroid_against_frozen_oracle(self):
         d = MixtureDensity.from_beta(BetaDensity(2, 2))
-        assert d.cell_centroid([0.25, 0.75])[0] == pytest.approx(
+        m0, m1 = d.partial_moments([0.25, 0.75], orders=2)
+        assert centroid_from_moments(0.25, 0.75, m0, m1)[0] == pytest.approx(
             CENTROID_BETA22_025_075, abs=1e-10)
 
     @pytest.mark.parametrize("alpha,beta_param,a,b", [
@@ -72,7 +74,7 @@ class TestBetaDensity:
         (6.0, 1.5, 0.4, 1.0),
     ])
     def test_partial_moments_against_riemann(self, alpha, beta_param, a, b):
-        d = BetaDensity(alpha, beta_param)
+        d = MixtureDensity.from_beta(BetaDensity(alpha, beta_param))
         want = riemann_moments(lambda x: beta_pdf(x, alpha, beta_param), a, b)
         got = tuple(m[0] for m in d.partial_moments([a, b]))
         assert got == pytest.approx(want, abs=5e-9)
@@ -102,12 +104,15 @@ class TestNoiseKernel:
             POINT_KERNEL.check_words(np.array([1.0]))
 
     def test_point_atom_interval_convention(self):
-        # an atom exactly on a query boundary belongs to the left cell
-        k = POINT_KERNEL
-        assert k.partial_moments(0.0, 0.5, 0.5)[0] == 1.0
-        assert k.partial_moments(0.5, 1.0, 0.5)[0] == 0.0
-        m0, m1, m2 = k.partial_moments(0.2, 0.8, 0.5)
+        # an atom exactly on a query boundary belongs to the left cell; the
+        # mixture prices point atoms, the noise kernel only smeared ones
+        k = MixtureDensity(atom_weights=[1.0], atom_centers=[0.5])
+        assert k.partial_moments([0.0, 0.5])[0][0] == 1.0
+        assert k.partial_moments([0.5, 1.0])[0][0] == 0.0
+        m0, m1, m2 = k.partial_moments([0.2, 0.8])[:, 0]
         assert (m0, m1, m2) == (1.0, 0.5, 0.25)
+        with pytest.raises(ValueError, match="point kernel"):
+            POINT_KERNEL.partial_moments(0.0, 0.5, 0.5, 3)
 
     @pytest.mark.parametrize("shape,a,b", [
         ("uniform", 0.0, 0.5),     # partial overlap on the left
@@ -124,7 +129,7 @@ class TestNoiseKernel:
         # (the midpoint rule converges slowly across a discontinuity)
         lo, hi = max(a, 0.5 - 0.06), min(b, 0.5 + 0.06)
         want = riemann_moments(lambda x: kernel_pdf(k, x, 0.5), lo, hi, n=400_000)
-        got = k.partial_moments(a, b, 0.5)
+        got = k.partial_moments(a, b, 0.5, 3)
         assert got == pytest.approx(want, abs=1e-9)
 
     def test_sampling_matches_support_and_mean(self):
@@ -135,7 +140,7 @@ class TestNoiseKernel:
             assert np.all(np.abs(z) <= 0.05)
             assert abs(z.mean()) < 5e-4
             # the kernel's closed-form variance, from the moments the solver uses
-            var = k.partial_moments(-1.0, 1.0, 0.0)[2]
+            var = k.partial_moments(-1.0, 1.0, 0.0, 3)[2]
             assert z.std() == pytest.approx(np.sqrt(var), rel=0.02)
 
 
@@ -160,30 +165,33 @@ class TestMixtureDensity:
 
     def test_atom_mass_and_centroid(self):
         d = MixtureDensity(((0.5, BetaDensity(1, 1)),), [0.3, 0.2], [0.25, 0.75])
-        assert d.mass_in([0.0, 0.5])[0] == pytest.approx(0.55, abs=1e-12)
+        assert d.partial_moments([0.0, 0.5], orders=1)[0][0] == pytest.approx(0.55, abs=1e-12)
         # centroid mixes the uniform part and the atom at 0.25
         want = (0.5 * 0.125 + 0.3 * 0.25) / 0.55
-        assert d.cell_centroid([0.0, 0.5])[0] == pytest.approx(want, abs=1e-12)
+        m0, m1 = d.partial_moments([0.0, 0.5], orders=2)
+        assert centroid_from_moments(0.0, 0.5, m0, m1)[0] == pytest.approx(want, abs=1e-12)
 
     def test_empty_cell(self):
         d = MixtureDensity(
             ((1.0 - 1e-13, BetaDensity(2, 2)),),
         )
         # a zero-width-ish sliver right at the edge carries ~no mass
+        b = [1.0 - 1e-14, 1.0]
         with pytest.raises(EmptyCellError):
-            d.cell_centroid([1.0 - 1e-14, 1.0])
+            centroid_from_moments(*b, *d.partial_moments(b, orders=2))
 
     def test_quantile(self):
         u = MixtureDensity.from_beta(BetaDensity(1, 1))
         assert u.quantile(0.3) == pytest.approx(0.3, abs=1e-10)
         d = MixtureDensity.from_beta(BetaDensity(2, 5))
         p = 0.41
-        assert d.mass_in([0.0, d.quantile(p)])[0] == pytest.approx(p, abs=1e-9)
+        assert d.partial_moments([0.0, d.quantile(p)], orders=1)[0][0] == pytest.approx(
+            p, abs=1e-9)
 
     def test_smeared_atom_total_mass(self):
         k = NoiseKernel("triangular", 0.05)
         d = MixtureDensity(((0.6, BetaDensity(2, 2)),), [0.4], [0.5], k)
-        assert d.mass_in([0.0, 1.0])[0] == pytest.approx(1.0, abs=1e-12)
+        assert d.partial_moments([0.0, 1.0], orders=1)[0][0] == pytest.approx(1.0, abs=1e-12)
         # the integrand holds the smeared atom too
         want = riemann_moments(
             lambda x: 0.6 * beta_pdf(x, 2, 2) + 0.4 * kernel_pdf(k, x, 0.5),
@@ -251,13 +259,16 @@ class TestArrayKernel:
     def test_fewer_orders_are_a_prefix(self, case):
         mix, edges = case
         batch = np.array([edges, 1.0 - edges[::-1]])
-        d = mix.continuous_parts[0][1]
-        # the noise kernel prices every atom (down the first axis) on every cell
+        d = MixtureDensity.from_beta(mix.continuous_parts[0][1])
+        # the noise kernel prices every smeared atom (down the first axis) on
+        # every cell; the mixture alone prices point atoms
         centers = mix.atom_centers[:, None, None]
-        for kernel in (lambda k: mix.partial_moments(batch, orders=k),
-                       lambda k: d.partial_moments(batch, orders=k),
-                       lambda k: mix.noise.partial_moments(batch[..., :-1], batch[..., 1:],
-                                                           centers, orders=k)):
+        kernels = [lambda k: mix.partial_moments(batch, orders=k),
+                   lambda k: d.partial_moments(batch, orders=k)]
+        if mix.noise.shape is not KernelShape.POINT:
+            kernels.append(lambda k: mix.noise.partial_moments(batch[..., :-1], batch[..., 1:],
+                                                               centers, orders=k))
+        for kernel in kernels:
             full = kernel(3)
             for k in (1, 2):
                 part = kernel(k)
@@ -269,7 +280,7 @@ class TestArrayKernel:
     def test_cell_masses_sum_to_total_weight(self, case):
         mix, edges = case
         total = sum(w for w, _d in mix.continuous_parts) + mix.atom_weights.sum()
-        m0 = mix.mass_in(edges)
+        m0 = mix.partial_moments(edges, orders=1)[0]
         assert np.all(m0 >= 0.0)
         assert m0.sum() == pytest.approx(total, abs=1e-12)
 
@@ -277,7 +288,7 @@ class TestArrayKernel:
     @given(mixtures_with_edges())
     def test_edge_atom_falls_in_left_cell(self, case):
         mix, edges = case
-        m0 = mix.mass_in(edges)
+        m0 = mix.partial_moments(edges, orders=1)[0]
         if mix.noise is not POINT_KERNEL:
             return
         for w, c in zip(mix.atom_weights, mix.atom_centers):
@@ -285,7 +296,8 @@ class TestArrayKernel:
                 continue
             left = int(np.searchsorted(edges, c)) - 1
             assert edges[left + 1] == c
-            inside = POINT_KERNEL.partial_moments(edges[:-1], edges[1:], c)[0]
+            atom = MixtureDensity(atom_weights=[1.0], atom_centers=[c])
+            inside = atom.partial_moments(edges, orders=1)[0]
             assert inside.tolist() == [1.0 if j == left else 0.0 for j in range(m0.size)]
             assert m0[left] >= w
 
@@ -312,7 +324,7 @@ class TestArrayKernel:
         # levels at the exact masses of (0, edge], atoms sitting on edges:
         # a level equal to the mass below an atom's jump must stop there
         mix, edges = case
-        masses = np.cumsum(mix.mass_in(edges))
+        masses = np.cumsum(mix.partial_moments(edges, orders=1)[0])
         levels = data.draw(st.lists(st.sampled_from(masses[masses <= 1.0].tolist() + [0.0]),
                                     min_size=1, max_size=6), label="levels")
         got = mix.quantile(np.array(levels))
@@ -326,7 +338,8 @@ class TestArrayKernel:
         with pytest.raises(ValueError):
             d.quantile(np.array([0.2, 1.5]))
         with pytest.raises(EmptyCellError):
-            d.cell_centroid(np.array([0.0, 1.0 - 1e-15, 1.0]))
+            b = np.array([0.0, 1.0 - 1e-15, 1.0])
+            centroid_from_moments(b[:-1], b[1:], *d.partial_moments(b, orders=2))
         for orders in (0, 4):
             with pytest.raises(ValueError, match="orders must be 1, 2 or 3"):
                 d.partial_moments([0.0, 1.0], orders=orders)
@@ -334,8 +347,6 @@ class TestArrayKernel:
         for boundaries in (0.5, [0.5], np.zeros((3, 1)), np.empty((2, 0))):
             with pytest.raises(ValueError, match=">= 2 boundaries"):
                 d.partial_moments(boundaries)
-        with pytest.raises(ValueError, match="along a last axis"):
-            BetaDensity(2, 2).partial_moments(0.5)
 
 
 class TestCore:
@@ -368,7 +379,7 @@ class TestCore:
         x = np.array([edges[1:], edges[1:] ** 2])
         got = mix._core(x, 1, mix._buffer(1, 2, x.shape[1]), True)[0]
         cells = np.stack((np.zeros_like(x), x), axis=-1)
-        assert np.array_equal(got, mix.mass_in(cells)[..., 0])
+        assert np.array_equal(got, mix.partial_moments(cells, orders=1)[0][..., 0])
 
 
 class TestKernelWork:

@@ -9,6 +9,7 @@ import pytest
 from quantgame import (
     BetaDensity,
     CommMatrix,
+    MixtureDensity,
     NoiseKernel,
     QuantizationGame,
     best_response,
@@ -64,7 +65,7 @@ class TestBootstrap:
         game = _coupled_game()
         state = bootstrap(game, n_starts=8)
         for i, agent in enumerate(game.agents):
-            ref = lloyd_max_to(agent.physical, agent.levels, 1e-11)
+            ref = lloyd_max_to(MixtureDensity.from_beta(agent.physical), agent.levels, 1e-11)
             assert state.quantizers[i].words == pytest.approx(
                 ref.quantizer.words, abs=1e-8)
 

@@ -14,6 +14,7 @@ from quantgame import (
     BetaDensity,
     CommMatrix,
     DomainError,
+    MixtureDensity,
     NoChainError,
     NoiseKernel,
     POINT_KERNEL,
@@ -276,7 +277,8 @@ class TestLossDecomposition:
         game = _identity_game()
         state = bootstrap(game, n_starts=8)
         rep = estimate_losses(0, state, game, 400_000, seed=10)
-        want = quantization_loss(state.quantizers[0], game.agents[0].physical)
+        want = quantization_loss(state.quantizers[0],
+                                 MixtureDensity.from_beta(game.agents[0].physical))
         assert abs(rep.total - want) < 4.0 * rep.total_se
 
     def test_decomposition_identity(self, ref_game, ref_solved):

@@ -119,7 +119,7 @@ class TestObservedEnvironment:
         assert obs.atom_centers.tolist() == [0.25, 0.75]
         assert obs.atom_weights.tolist() == [0.3 * 0.4, 0.3 * 0.6]
         assert obs.noise is POINT_KERNEL
-        assert obs.mass_in([0.0, 1.0])[0] == pytest.approx(1.0, abs=1e-12)
+        assert obs.partial_moments([0.0, 1.0], orders=1)[0][0] == pytest.approx(1.0, abs=1e-12)
 
     def test_usage_validation(self):
         P, quantizers, usage = self._setup()

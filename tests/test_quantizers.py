@@ -147,15 +147,16 @@ class TestBoundaryRule:
 
 class TestLoss:
     def test_loss_against_riemann(self):
-        res = lloyd_max(BetaDensity(2, 5), levels=4)
-        got = quantization_loss(res.quantizer, BetaDensity(2, 5))
+        d = MixtureDensity.from_beta(BetaDensity(2, 5))
+        res = lloyd_max(d, levels=4)
+        got = quantization_loss(res.quantizer, d)
         want = riemann_quantizer_loss(lambda x: beta_pdf(x, 2, 5),
                                       res.quantizer.boundaries,
                                       res.quantizer.words)
         assert got == pytest.approx(want, abs=1e-9)
 
     def test_centroid_residual_zero_iff_centroids(self):
-        d = BetaDensity(2, 2)
+        d = MixtureDensity.from_beta(BetaDensity(2, 2))
         res = lloyd_max_to(d, 3, 1e-12)
         assert centroid_residual(res.quantizer, d) < 1e-10
         shifted = RegularQuantizer(res.quantizer.boundaries,
@@ -165,7 +166,7 @@ class TestLoss:
 
 class TestLloydMax:
     def test_uniform_source_optimum(self):
-        res = lloyd_max_to(BetaDensity(1, 1), 6, 1e-12)
+        res = lloyd_max_to(MixtureDensity.from_beta(BetaDensity(1, 1)), 6, 1e-12)
         assert res.converged
         assert res.quantizer.words == pytest.approx(
             [(2 * k + 1) / 12.0 for k in range(6)], abs=1e-10)
@@ -174,14 +175,14 @@ class TestLloydMax:
         assert res.loss == pytest.approx(1.0 / 432.0, abs=1e-10)
 
     def test_two_level_golden_section_oracle(self):
-        res = lloyd_max_to(BetaDensity(2, 2), 2, 1e-12)
+        res = lloyd_max_to(MixtureDensity.from_beta(BetaDensity(2, 2)), 2, 1e-12)
         assert res.quantizer.boundaries[1] == pytest.approx(
             BETA22_M2_BOUNDARY, abs=1e-7)
         assert res.quantizer.words == pytest.approx(BETA22_M2_WORDS, abs=1e-7)
         assert res.loss == pytest.approx(BETA22_M2_LOSS, abs=1e-9)
 
     def test_against_dp_oracle(self):
-        d = BetaDensity(2, 5)
+        d = MixtureDensity.from_beta(BetaDensity(2, 5))
         res = lloyd_max_to(d, 4, 1e-12)
         b, w, dp_loss = dp_optimal_quantizer(lambda x: beta_pdf(x, 2, 5), 4)
         # the DP solves a 1/2000-discretized source; agree to grid resolution
@@ -192,7 +193,8 @@ class TestLloydMax:
     @given(st.floats(1.0, 8.0), st.floats(1.0, 8.0), st.integers(2, 6))
     def test_against_dp_oracle_on_log_concave_betas(self, alpha, beta_param, levels):
         # alpha, beta >= 1: log-concave, so the optimum is unique
-        res = lloyd_max_to(BetaDensity(alpha, beta_param), levels, 1e-12)
+        res = lloyd_max_to(MixtureDensity.from_beta(BetaDensity(alpha, beta_param)), levels,
+                           1e-12)
         _b, w, dp_loss = dp_optimal_quantizer(
             lambda x: beta_pdf(x, alpha, beta_param), levels)
         assert res.quantizer.words == pytest.approx(w, abs=2e-3)
@@ -207,8 +209,9 @@ class TestLloydMax:
 
     def test_postcondition_residual(self):
         for a, b in ((2, 5), (5, 2), (1.3, 1.3)):
-            res = lloyd_max(BetaDensity(a, b), levels=6)
-            assert centroid_residual(res.quantizer, BetaDensity(a, b)) <= 10 * _TOL
+            d = MixtureDensity.from_beta(BetaDensity(a, b))
+            res = lloyd_max(d, levels=6)
+            assert centroid_residual(res.quantizer, d) <= 10 * _TOL
 
     def test_starved_cells_recovered(self):
         # all words packed into the vanishing right tail of a left-heavy
@@ -217,7 +220,7 @@ class TestLloydMax:
                           np.array([[0.9990, 0.9992, 0.9994, 0.9996]]), _MAX_ITERS, 1e-11)[0]
         assert res.converged
         assert res.empty_cell_events > 0
-        ref = lloyd_max_to(BetaDensity(2, 9), 4, 1e-11)
+        ref = lloyd_max_to(MixtureDensity.from_beta(BetaDensity(2, 9)), 4, 1e-11)
         assert res.quantizer.words == pytest.approx(ref.quantizer.words, abs=1e-6)
 
     def test_starved_words_leave_a_heavy_atom(self):
@@ -232,10 +235,10 @@ class TestLloydMax:
     def test_log_concave_init_independence(self):
         # unique local optimum: random inits all land on the same design
         rng = np.random.default_rng(7)
-        ref = lloyd_max_to(BetaDensity(2, 5), 6, 1e-11).quantizer.words
+        mix = MixtureDensity.from_beta(BetaDensity(2, 5))
+        ref = lloyd_max_to(mix, 6, 1e-11).quantizer.words
         inits = np.sort(rng.uniform(0.02, 0.98, (5, 6)), axis=1)
         inits += np.arange(6) * 1e-4  # enforce strict increase
-        mix = MixtureDensity.from_beta(BetaDensity(2, 5))
         for got in _run_starts(mix, inits, _MAX_ITERS, 1e-11):
             assert got.quantizer.words == pytest.approx(ref, abs=1e-7)
 
@@ -283,7 +286,7 @@ class TestExtremeSources:
     @given(LOG_SHAPE, LOG_SHAPE, st.integers(1, 6))
     @example(0.0, -3.0, 4)  # Beta(1, 0.001): every quantile start word is 1
     def test_design_returns_or_reports_starved_cell(self, log_a, log_b, levels):
-        d = BetaDensity(10.0 ** log_a, 10.0 ** log_b)
+        d = MixtureDensity.from_beta(BetaDensity(10.0 ** log_a, 10.0 ** log_b))
         for design in (lloyd_max, partial(multi_start_lloyd_max, n_starts=8)):
             try:
                 res = design(d, levels)
@@ -295,7 +298,7 @@ class TestExtremeSources:
 
 class TestMultiStart:
     def test_matches_single_start_on_log_concave(self):
-        d = BetaDensity(3, 4)
+        d = MixtureDensity.from_beta(BetaDensity(3, 4))
         a = lloyd_max_to(d, 5, 1e-11)
         b = multi_start_lloyd_max(d, levels=5, n_starts=6)
         assert b.quantizer.words == pytest.approx(a.quantizer.words, abs=1e-8)
@@ -309,7 +312,7 @@ class TestMultiStart:
         assert res.loss <= dp_loss + 1e-5
 
     def test_warm_start_and_validation(self):
-        d = BetaDensity(2, 2)
+        d = MixtureDensity.from_beta(BetaDensity(2, 2))
         warm = lloyd_max_to(d, 3, 1e-11).quantizer
         res = multi_start_lloyd_max(d, levels=3, n_starts=2, warm_start=warm)
         assert res.quantizer.words == pytest.approx(warm.words, abs=1e-9)
@@ -329,7 +332,7 @@ class TestArgumentValidation:
     ], ids=["lloyd_max-levels-0", "multi_start-0", "multi_start-minus-2"])
     def test_levels_must_be_positive(self, call):
         with pytest.raises(ValueError, match="^levels must be at least 1$"):
-            call(BetaDensity(2, 2))
+            call(MixtureDensity.from_beta(BetaDensity(2, 2)))
 
 
 def _assert_same_run(got, want):
