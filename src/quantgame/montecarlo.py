@@ -341,26 +341,41 @@ class ProbeReport:
 def path_dependence_probe(quantizers: Sequence[RegularQuantizer], P,
                           i: int, j: int, max_len: int,
                           n_inputs: int) -> ProbeReport:
-    """Compare final words across every chain i -> j of bounded length on a
-    grid of inputs (noiseless). Zero spread means path independence on the
-    probe set."""
-    chains = enumerate_chains(P, i, j, max_len)
-    if not chains:
+    """Compare the final words of every chain i -> j of 2..max_len agents on
+    a grid of inputs; zero spread means path independence on the probe set.
+    No chain is listed: a hop sends transmitter t's word k to receiver r's
+    word cell_r(w_tk), so the words that chains from i's cell k end on at j
+    form a reachable set of (agent, word) states, and `n_chains` counts
+    walks, exactly in Python ints. Channel noise is ignored."""
+    hop = (P.entries.T > 0.0) & ~np.eye(len(quantizers), dtype=bool)  # hop[t, r]
+    ones = hop.astype(int).astype(object)  # Python ints: no walk count overflows
+    walks, n_chains = ones[i], 0  # walks[r]: walks i -> r of each length in turn
+    for _ in range(max_len - 1):
+        n_chains += walks[j]
+        walks = walks @ ones
+    if not n_chains:
         raise NoChainError(f"no communication chain from {i} to {j} "
                            f"within length {max_len}")
+    # state (agent a, word k) is first[a] + k; step[s, s'] is one hop s -> s'
+    levels = [q.levels for q in quantizers]
+    first = np.cumsum([0] + levels)
+    words = np.concatenate([q.words for q in quantizers])
+    step = np.zeros((first[-1], first[-1]), dtype=bool)
+    for r, q in enumerate(quantizers):
+        heard = np.flatnonzero(np.repeat(hop[:, r], levels))
+        step[heard, first[r] + q.closed_cell_index(words[heard])] = True
+    # reached[k, s]: some chain of 2..max_len agents takes i's cell k to s
+    frontier = np.eye(first[-1], dtype=bool)[first[i]:first[i + 1]]
+    reached = np.zeros_like(frontier)
+    for _ in range(max_len - 1):
+        frontier = frontier @ step
+        if not (frontier & ~reached).any():
+            break  # no new state at this hop, so none at any later one
+        reached |= frontier
+    at_j, w = reached[:, first[j]:first[j + 1]], words[first[j]:first[j + 1]]
+    spread = np.where(at_j, w, -np.inf).max(axis=1) - np.where(at_j, w, np.inf).min(axis=1)
     grid = np.linspace(0.0, 1.0, n_inputs + 2)[1:-1]
-    finals = np.empty((len(chains), grid.size))
-    for c, chain in enumerate(chains):
-        v = grid
-        for agent in chain:
-            q = quantizers[agent]
-            v = q.words[q.closed_cell_index(v)]
-        finals[c] = v
-    spread = finals.max(axis=0) - finals.min(axis=0)
+    spread = spread[quantizers[i].closed_cell_index(grid)]
     worst = int(np.argmax(spread))
-    return ProbeReport(
-        n_chains=len(chains),
-        spread=float(spread[worst]),
-        worst_input=float(grid[worst]),
-    )
-
+    return ProbeReport(n_chains=n_chains, spread=float(spread[worst]),
+                       worst_input=float(grid[worst]))

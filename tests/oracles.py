@@ -12,7 +12,13 @@ import numpy as np
 from scipy import integrate, special
 
 from quantgame.densities import EMPTY_CELL_MASS, KernelShape, centroid_from_moments
-from quantgame.montecarlo import _CLAMP, DEPTH_CAP
+from quantgame.montecarlo import (
+    _CLAMP,
+    DEPTH_CAP,
+    NoChainError,
+    ProbeReport,
+    enumerate_chains,
+)
 from quantgame.quantizers import (
     LloydMaxResult,
     _midpoints,
@@ -245,6 +251,31 @@ def masked_sample_paths(i, state, game, n, rng):
             value[m] = clipped
 
     return x, value, lengths, int(truncated.sum()), n_clamped
+
+
+def enumerated_probe(quantizers, P, i, j, max_len, n_inputs):
+    """The path-dependence probe that the (agent, word) automaton replaced,
+    kept as its reference: it lists every chain i -> j of 2..max_len agents
+    with `enumerate_chains` and pushes the whole input grid through each."""
+    chains = enumerate_chains(P, i, j, max_len)
+    if not chains:
+        raise NoChainError(f"no communication chain from {i} to {j} "
+                           f"within length {max_len}")
+    grid = np.linspace(0.0, 1.0, n_inputs + 2)[1:-1]
+    finals = np.empty((len(chains), grid.size))
+    for c, chain in enumerate(chains):
+        v = grid
+        for agent in chain:
+            q = quantizers[agent]
+            v = q.words[q.closed_cell_index(v)]
+        finals[c] = v
+    spread = finals.max(axis=0) - finals.min(axis=0)
+    worst = int(np.argmax(spread))
+    return ProbeReport(
+        n_chains=len(chains),
+        spread=float(spread[worst]),
+        worst_input=float(grid[worst]),
+    )
 
 
 def forward_separate(words):

@@ -15,7 +15,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quantgame import (
+    CommMatrix,
     ConfigError,
+    RegularQuantizer,
     bootstrap,
     config,
     load_config,
@@ -28,12 +30,12 @@ from quantgame.cli import (
     EXIT_MISSING_STATE,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
-    _chain_counts,
     main,
 )
-from quantgame.montecarlo import enumerate_chains
+from quantgame.montecarlo import NoChainError, path_dependence_probe
 
 from conftest import IDENTITY_CONFIG, REFERENCE_CONFIG, ROOT
+from oracles import enumerated_probe
 from strategies import PROPERTY_SETTINGS, games
 
 SMALL_CONFIG = """\
@@ -705,7 +707,7 @@ class TestCliChains:
         ["--chain", "1,2", "--seed", "-3"],  # the generator needs a seed >= 0
         ["--chain", "1,2", "--inputs", "100000000000000000000000"],  # no such grid
         ["--inputs", "100001"],  # one above the bound
-        ["--max-len", "100000000000000000000000"],  # chains beyond the budget
+        ["--max-len", "100000000000000000000000"],  # far beyond the bound
     ], ids=["unknown-id", "not-an-id", "one-agent", "no-inputs", "max-len-1",
             "negative-seed", "inputs-1e23", "inputs-over-bound", "max-len-1e23"])
     def test_bad_arguments_exit_code(self, cli_ws, tmp_path, capsys, args):
@@ -715,56 +717,70 @@ class TestCliChains:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.count("\n") == 1
 
-    def test_max_len_budget_boundary(self, cli_ws, tmp_path, capsys):
-        # on the two-agent cycle the chains 1 -> 2 hold 2, 4, 6, ... agents:
-        # 2 + 4 + ... + 18 = 90 at --max-len 19 and 110 at 20, so with
-        # 100,000 inputs the first runs (9e6) and the second passes 1e7
+    def test_max_len_bound(self, cli_ws, tmp_path, capsys):
+        # the largest grid and the longest chains run: on the two-agent
+        # cycle 500 chains 1 -> 2 hold 2, 4, ..., 1000 agents
         cfg, out = cli_ws
         run = ["chains", "--config", str(cfg), "--out", str(tmp_path),
-               "--state", str(out / "state.json")]
-        assert main(run + ["--inputs", "100000", "--max-len", "19"]) == EXIT_OK
+               "--state", str(out / "state.json"), "--inputs", "100000"]
+        assert main(run + ["--max-len", "1000"]) == EXIT_OK
+        _header, rows = _read_csv(tmp_path / "probes.csv")
+        assert [row[2] for row in rows] == ["500", "500"]
         capsys.readouterr()
-        assert main(run + ["--inputs", "100000", "--max-len", "20"]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "from agent 1 to agent 2 hold at least 110 agents" in err
-        # closed chains 1 -> 1 are never probed: at --max-len 21 they hold
-        # 3 + 5 + ... + 21 = 120 agents (1.02e7 at 85,000 inputs), the
-        # probed 1 -> 2 only 110 (9.35e6)
-        assert main(run + ["--inputs", "85000", "--max-len", "21"]) == EXIT_OK
+        assert main(run + ["--max-len", "1001"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "--max-len must be at most 1000, got 1001\n"
 
 
-def _pair_counts(P, max_len):
-    """The number of chains i -> j of 2..max_len agents that the chains
-    budget counts, per ordered pair."""
-    counts = np.zeros(P.entries.shape, dtype=object)
-    for _length, walks in _chain_counts(P, max_len):
-        counts = counts + walks
-    return counts
-
-
-def _enumerated(P, max_len):
-    n = P.entries.shape[0]
-    return [[len(enumerate_chains(P, i, j, max_len)) for j in range(n)] for i in range(n)]
+def _probes(probe, qs, P, max_len, n_inputs):
+    """`probe`'s report for every ordered pair of distinct agents, or the
+    NoChainError message of a pair that no chain connects."""
+    reports = {}
+    for i in range(len(qs)):
+        for j in range(len(qs)):
+            if i != j:
+                try:
+                    reports[i, j] = probe(qs, P, i, j, max_len, n_inputs)
+                except NoChainError as exc:
+                    reports[i, j] = str(exc)
+    return reports
 
 
 class TestChainCounts:
-    """The chains budget counts, with powers of the hop matrix, exactly
-    the chains that the probes enumerate."""
+    """The chain counts, spreads and worst inputs that `chains` writes to
+    probes.csv: the (agent, word) automaton of `path_dependence_probe`
+    reports what enumerating every chain reports."""
 
-    @pytest.mark.parametrize("max_len", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("max_len", [2, 3, 4, 5, 6, 7, 8])
     def test_reference_counts_match_enumeration(self, max_len):
-        P = load_config(REFERENCE_CONFIG).comm
-        counts = _pair_counts(P, max_len)
-        assert counts.tolist() == _enumerated(P, max_len)
+        game = load_config(REFERENCE_CONFIG).game()
+        qs = load_state(ROOT / "perfbench" / "fixtures" / "reference_state.json",
+                        game).quantizers
+        reports = _probes(path_dependence_probe, qs, game.comm, max_len, 101)
+        assert reports == _probes(enumerated_probe, qs, game.comm, max_len, 101)
         if max_len == 5:  # the sum of probes.csv's n_chains at the default --max-len
-            assert counts.sum() - np.trace(counts) == 181
+            assert sum(rep.n_chains for rep in reports.values()) == 181
 
     @PROPERTY_SETTINGS
     @given(games(), st.integers(2, 6))
     def test_random_game_counts_match_enumeration(self, case, max_len):
-        P = case[0].comm
-        assert _pair_counts(P, max_len).tolist() == _enumerated(P, max_len)
+        # words on the 1/32 grid and inputs on the 1/64 grid, so that words
+        # and inputs sit exactly on cell boundaries
+        game, state = case[:2]
+        assert (_probes(path_dependence_probe, state.quantizers, game.comm, max_len, 63)
+                == _probes(enumerated_probe, state.quantizers, game.comm, max_len, 63))
+
+    def test_two_agent_cycle_stops_early(self):
+        # each round trip climbs one cell: agent 1's cell k + 1 takes agent
+        # 0's word k, agent 0's cell k + 1 takes agent 1's word k + 1, so
+        # from agent 0's first cell the chains end on both of agent 1's top
+        # words, and after 4 of the 9 hops no hop reaches a new state
+        qs = [RegularQuantizer([0, 0.3, 0.6, 1], [0.28, 0.58, 0.9]),
+              RegularQuantizer([0, 0.25, 0.55, 1], [0.1, 0.5, 0.8])]
+        P = CommMatrix(np.full((2, 2), 0.5))
+        reports = _probes(path_dependence_probe, qs, P, 10, 101)
+        assert reports == _probes(enumerated_probe, qs, P, 10, 101)
+        assert reports[0, 1].n_chains == 5
+        assert reports[0, 1].spread == pytest.approx(0.3)
 
 
 class TestCliAnalyze:
