@@ -60,6 +60,7 @@ from .montecarlo import (
     enumerate_chains,
     estimate_losses,
     path_dependence_probe,
+    path_dependence_probes,
     shared_vocabulary,
     true_env_residuals,
 )

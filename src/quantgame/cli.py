@@ -5,7 +5,7 @@ experiment config; everything downstream of solve additionally needs the
 state file it wrote. Outputs are CSV (header row, fixed column order) and
 JSON. Exit codes: 0 success, 2 validation error (including a quantizer
 cell that no source reaches, channel noise too wide for the words, too
-few verify samples for a true residual, and an agent whose every sample
+few samples for a standard error, and an agent whose every sample
 outlasts the hop cap), 3 non-convergence, 4 missing prerequisite state.
 """
 
@@ -131,6 +131,10 @@ def cmd_simulate(args, cfg) -> int:
     for aid, rep in zip(cfg.agent_ids, reports):
         if rep.n_samples == 0:
             return _all_truncated(aid, n)
+        if rep.n_samples < 2:
+            print(f"agent {aid}: 1 accepted sample gives no standard error; "
+                  f"raise --samples (now {n})", file=sys.stderr)
+            return EXIT_CONFIG
     records = [asdict(r) for r in reports]
     header = ["agent"] + [f.name for f in fields(montecarlo.LossReport)]
     _write_csv(out / "losses.csv", header,
@@ -156,41 +160,24 @@ def cmd_chains(args, cfg) -> int:
     out, game, state = _solved(args, cfg)
     shared, witnesses = montecarlo.shared_vocabulary(state.quantizers)
     header = ["source", "target", "n_chains", "spread", "worst_input"]
-    rows = []
-    for i in range(game.n_agents):
-        for j in range(game.n_agents):
-            if i == j:
-                continue
-            try:
-                rep = montecarlo.path_dependence_probe(
-                    state.quantizers, game.comm, i, j,
-                    max_len=args.max_len, n_inputs=args.inputs)
-            except montecarlo.NoChainError:
-                continue
-            rows.append([cfg.agent_ids[i], cfg.agent_ids[j], rep.n_chains,
-                         rep.spread, rep.worst_input])
+    rows = [[cfg.agent_ids[i], cfg.agent_ids[j], rep.n_chains, rep.spread, rep.worst_input]
+            for i in range(game.n_agents)
+            for j, rep in montecarlo.path_dependence_probes(
+                state.quantizers, game.comm, i, args.max_len, args.inputs).items()]
     _write_csv(out / "probes.csv", header, rows)
-    payload = {
-        "shared_vocabulary": shared,
-        "witness_intervals": witnesses,
-        "probes": [dict(zip(header, row)) for row in rows],
-    }
+    _write_json(out / "chains.json", {"shared_vocabulary": shared, "witness_intervals": witnesses,
+                                      "probes": [dict(zip(header, row)) for row in rows]})
     if chain:
         grid = np.linspace(0.0, 1.0, args.inputs + 2)[1:-1]
-        rng = np.random.default_rng(cfg.montecarlo.seed)
-        chain_rows = []
-        for x in grid:
-            rep = montecarlo.chain_translate(state.quantizers, chain, float(x),
-                                             noise=game.noise, rng=rng)
-            # csv writes a bound of None as an empty field
-            chain_rows.append([rep.x, rep.final_word, rep.translation_loss,
-                               rep.word_drift, rep.cell_index + 1, rep.bound])
+        rep = montecarlo.chain_translate(state.quantizers, chain, grid, noise=game.noise,
+                                         rng=np.random.default_rng(cfg.montecarlo.seed))
+        # csv writes a bound of None as an empty field
         _write_csv(out / "chain.csv",
-                   ["x", "final_word", "translation_loss", "word_drift",
-                    "cell", "bound"], chain_rows)
-    _write_json(out / "chains.json", payload)
-    print(f"{len(rows)} pair probes written to {out}; "
-          f"shared vocabulary: {shared}")
+                   ["x", "final_word", "translation_loss", "word_drift", "cell", "bound"],
+                   zip(rep.x.tolist(), rep.final_word.tolist(), rep.translation_loss.tolist(),
+                       rep.word_drift.tolist(), (rep.cell_index + 1).tolist(),
+                       [None] * grid.size if rep.bound is None else rep.bound.tolist()))
+    print(f"{len(rows)} pair probes written to {out}; shared vocabulary: {shared}")
     return EXIT_OK
 
 

@@ -146,7 +146,7 @@ class NoiseKernel:
             m = m + ((h - s * center) * d[:-1] + s * d[1:]) * inv
         return m
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size):
         """Draw noise values (not shifted by any word) from a uniform or
         triangular kernel; callers skip the point kernel."""
         if self.shape is KernelShape.UNIFORM:

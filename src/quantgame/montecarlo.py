@@ -19,7 +19,7 @@ grow with the sample count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -263,50 +263,50 @@ def shared_vocabulary(quantizers: Sequence[RegularQuantizer],
 
 @dataclass
 class ChainReport:
-    x: float
-    hop_words: List[float]
-    final_word: float
-    translation_loss: float  # squared error of the final word vs the input
-    word_drift: float  # |final word - first word|, the translation-bound quantity
-    cell_index: int
-    bound: Optional[float]  # cell-intersection width when the chain shares a vocabulary
-    n_clamped: int = 0
+    x: np.ndarray
+    hop_words: List[np.ndarray]  # the word at each chain agent in turn
+    final_word: np.ndarray
+    translation_loss: np.ndarray  # squared error of the final word vs the input
+    word_drift: np.ndarray  # |final word - first word|, the translation-bound quantity
+    cell_index: np.ndarray
+    bound: Optional[np.ndarray]  # cell-intersection width when the chain shares a vocabulary
 
 
 def chain_translate(quantizers: Sequence[RegularQuantizer], chain: Sequence[int],
-                    x: float, noise: NoiseKernel = POINT_KERNEL,
+                    x, noise: NoiseKernel = POINT_KERNEL,
                     rng: Optional[np.random.Generator] = None) -> ChainReport:
-    """Push input x through the chain, re-quantizing at every agent."""
-    chain = list(chain)
+    """Push input x, a number or an array, through the chain, re-quantizing
+    at every agent, all inputs at once; every per-input field of the report
+    is a number for a number x, else an array of x's shape. Smeared noise is
+    drawn per input and hop, input-major, as a loop over the inputs would."""
+    noisy = noise.shape is not KernelShape.POINT
     if len(chain) < 2:
         raise ValueError("a chain needs at least two agents")
-    if noise.shape is not KernelShape.POINT and rng is None:
+    if noisy and rng is None:
         raise ValueError("noisy translation needs an rng")
-    if not 0.0 < x < 1.0:
+    x = np.asarray(x, dtype=float)[()]  # a number stays a number
+    if not ((0.0 < x) & (x < 1.0)).all():
         raise DomainError("quantizer input must be strictly inside (0, 1)")
-    k = int(quantizers[chain[0]].closed_cell_index(x))
-    hop_words = [float(quantizers[chain[0]].words[k])]
-    clamped = 0
-    for agent in chain[1:]:
+    k = quantizers[chain[0]].closed_cell_index(x)
+    hop_words = [quantizers[chain[0]].words[k]]
+    eps = noise.sample(rng, x.shape + (len(chain) - 1,)) if noisy else None
+    for h, agent in enumerate(chain[1:]):
         v = hop_words[-1]
-        if noise.shape is not KernelShape.POINT:
-            nv = v + float(noise.sample(rng))
-            v = float(np.clip(nv, _CLAMP, 1.0 - _CLAMP))
-            clamped += int(v != nv)
+        if noisy:
+            v = np.clip(v + eps[..., h], _CLAMP, 1.0 - _CLAMP)
         q = quantizers[agent]
-        hop_words.append(float(q.words[q.closed_cell_index(v)]))
+        hop_words.append(q.words[q.closed_cell_index(v)])
     w = hop_words[-1]
+    d = w - x  # d * d is correctly rounded; a float's ** 2 goes through libm pow
     shared, witnesses = shared_vocabulary(quantizers, chain)
-    bound = witnesses[k][1] - witnesses[k][0] if shared else None
     return ChainReport(
-        x=float(x),
+        x=x,
         hop_words=hop_words,
         final_word=w,
-        translation_loss=float((w - x) ** 2),
-        word_drift=float(abs(w - hop_words[0])),
-        cell_index=k,
-        bound=bound,
-        n_clamped=clamped,
+        translation_loss=d * d,
+        word_drift=abs(w - hop_words[0]),
+        cell_index=k[()],
+        bound=np.diff(witnesses)[k, 0] if shared else None,
     )
 
 
@@ -338,24 +338,21 @@ class ProbeReport:
     worst_input: float
 
 
-def path_dependence_probe(quantizers: Sequence[RegularQuantizer], P,
-                          i: int, j: int, max_len: int,
-                          n_inputs: int) -> ProbeReport:
-    """Compare the final words of every chain i -> j of 2..max_len agents on
-    a grid of inputs; zero spread means path independence on the probe set.
-    No chain is listed: a hop sends transmitter t's word k to receiver r's
-    word cell_r(w_tk), so the words that chains from i's cell k end on at j
-    form a reachable set of (agent, word) states, and `n_chains` counts
-    walks, exactly in Python ints. Channel noise is ignored."""
+def path_dependence_probes(quantizers: Sequence[RegularQuantizer], P, i: int,
+                           max_len: int, n_inputs: int) -> Dict[int, ProbeReport]:
+    """For each target j != i that some chain reaches, in turn, compare the
+    final words of every chain i -> j of 2..max_len agents on a grid of
+    inputs; zero spread means path independence on the probe set. No chain
+    is listed: a hop sends transmitter t's word k to receiver r's word
+    cell_r(w_tk), so the words that chains from i's cell k end on form a
+    reachable set of (agent, word) states, and `n_chains` counts walks,
+    exactly in Python ints. Channel noise is ignored."""
     hop = (P.entries.T > 0.0) & ~np.eye(len(quantizers), dtype=bool)  # hop[t, r]
     ones = hop.astype(int).astype(object)  # Python ints: no walk count overflows
-    walks, n_chains = ones[i], 0  # walks[r]: walks i -> r of each length in turn
+    walks, n_chains = ones[i], 0 * ones[i]  # walks[r]: walks i -> r of each length in turn
     for _ in range(max_len - 1):
-        n_chains += walks[j]
+        n_chains += walks
         walks = walks @ ones
-    if not n_chains:
-        raise NoChainError(f"no communication chain from {i} to {j} "
-                           f"within length {max_len}")
     # state (agent a, word k) is first[a] + k; step[s, s'] is one hop s -> s'
     levels = [q.levels for q in quantizers]
     first = np.cumsum([0] + levels)
@@ -372,10 +369,24 @@ def path_dependence_probe(quantizers: Sequence[RegularQuantizer], P,
         if not (frontier & ~reached).any():
             break  # no new state at this hop, so none at any later one
         reached |= frontier
-    at_j, w = reached[:, first[j]:first[j + 1]], words[first[j]:first[j + 1]]
-    spread = np.where(at_j, w, -np.inf).max(axis=1) - np.where(at_j, w, np.inf).min(axis=1)
+    # spread[k, a]: the range of agent a's words reached from i's cell k
+    spread = (np.maximum.reduceat(np.where(reached, words, -np.inf), first[:-1], axis=1)
+              - np.minimum.reduceat(np.where(reached, words, np.inf), first[:-1], axis=1))
     grid = np.linspace(0.0, 1.0, n_inputs + 2)[1:-1]
-    spread = spread[quantizers[i].closed_cell_index(grid)]
-    worst = int(np.argmax(spread))
-    return ProbeReport(n_chains=n_chains, spread=float(spread[worst]),
-                       worst_input=float(grid[worst]))
+    spread = spread.T.take(quantizers[i].closed_cell_index(grid), axis=1)  # spread[a, input]
+    worst = spread.argmax(axis=1)
+    return {j: ProbeReport(n_chains=count, spread=float(spread[j, worst[j]]),
+                           worst_input=float(grid[worst[j]]))
+            for j, count in enumerate(n_chains) if count and j != i}
+
+
+def path_dependence_probe(quantizers: Sequence[RegularQuantizer], P, i: int, j: int,
+                          max_len: int, n_inputs: int) -> ProbeReport:
+    """The report of `path_dependence_probes` for the pair i -> j. Kept only
+    because `perfbench/workloads.py::chains_pass` calls it per pair;
+    ROADMAP item 1 moves that pass to the per-source call and deletes it."""
+    probes = path_dependence_probes(quantizers, P, i, max_len, n_inputs)
+    if j not in probes:
+        raise NoChainError(f"no communication chain from {i} to {j} "
+                           f"within length {max_len}")
+    return probes[j]

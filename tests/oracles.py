@@ -11,13 +11,20 @@ import math
 import numpy as np
 from scipy import integrate, special
 
-from quantgame.densities import EMPTY_CELL_MASS, KernelShape, centroid_from_moments
+from quantgame.densities import (
+    EMPTY_CELL_MASS,
+    KernelShape,
+    POINT_KERNEL,
+    centroid_from_moments,
+)
 from quantgame.montecarlo import (
     _CLAMP,
     DEPTH_CAP,
+    ChainReport,
     NoChainError,
     ProbeReport,
     enumerate_chains,
+    shared_vocabulary,
 )
 from quantgame.quantizers import (
     LloydMaxResult,
@@ -275,6 +282,33 @@ def enumerated_probe(quantizers, P, i, j, max_len, n_inputs):
         n_chains=len(chains),
         spread=float(spread[worst]),
         worst_input=float(grid[worst]),
+    )
+
+
+def looped_chain_translate(quantizers, chain, x, noise=POINT_KERNEL, rng=None):
+    """The chain translation that the array pass replaced, kept as its
+    reference: one input x at a time, one hop at a time in Python floats,
+    with one noise draw per hop. Its translation_loss is `(w - x) ** 2`,
+    which goes through libm's pow and can be 1 ulp off the correctly
+    rounded square."""
+    k = int(quantizers[chain[0]].closed_cell_index(x))
+    hop_words = [float(quantizers[chain[0]].words[k])]
+    for agent in chain[1:]:
+        v = hop_words[-1]
+        if noise.shape is not KernelShape.POINT:
+            v = float(np.clip(v + float(noise.sample(rng, None)), _CLAMP, 1.0 - _CLAMP))
+        q = quantizers[agent]
+        hop_words.append(float(q.words[q.closed_cell_index(v)]))
+    w = hop_words[-1]
+    shared, witnesses = shared_vocabulary(quantizers, chain)
+    return ChainReport(
+        x=float(x),
+        hop_words=hop_words,
+        final_word=w,
+        translation_loss=float((w - x) ** 2),
+        word_drift=float(abs(w - hop_words[0])),
+        cell_index=k,
+        bound=witnesses[k][1] - witnesses[k][0] if shared else None,
     )
 
 

@@ -32,10 +32,15 @@ from quantgame.cli import (
     EXIT_OK,
     main,
 )
-from quantgame.montecarlo import NoChainError, path_dependence_probe
+from quantgame.montecarlo import (
+    NoChainError,
+    ProbeReport,
+    path_dependence_probe,
+    path_dependence_probes,
+)
 
-from conftest import IDENTITY_CONFIG, REFERENCE_CONFIG, ROOT
-from oracles import enumerated_probe
+from conftest import IDENTITY_CONFIG, REFERENCE_CONFIG, ROOT, TRIANGULAR_NOISE_FIXTURE
+from oracles import enumerated_probe, looped_chain_translate
 from strategies import PROPERTY_SETTINGS, games
 
 SMALL_CONFIG = """\
@@ -173,6 +178,22 @@ agents:
   - {id: 1, alpha: 2.0, beta: 5.0, levels: 4}
   - {id: 2, alpha: 3.0, beta: 3.0, levels: 5}
   - {id: 3, alpha: 5.0, beta: 2.0, levels: 4}
+comm_matrix:
+  - [0.8, 0.1, 0.1]
+  - [0.15, 0.7, 0.15]
+  - [0.1, 0.2, 0.7]
+noise: {shape: triangular, halfwidth: 0.02}
+solver: {tol: 1.0e-9, max_sweeps: 60, schedule_policy: cyclic, n_starts: 2}
+montecarlo: {n_samples: 20000, seed: 5}
+outputs: {directory: out}
+"""
+
+# conftest.triangular_noise_game, whose solved state is committed
+TRIANGULAR_NOISE_CONFIG = """\
+agents:
+  - {id: 1, alpha: 2.0, beta: 5.0, levels: 5}
+  - {id: 2, alpha: 3.0, beta: 3.0, levels: 5}
+  - {id: 3, alpha: 5.0, beta: 2.0, levels: 5}
 comm_matrix:
   - [0.8, 0.1, 0.1]
   - [0.15, 0.7, 0.15]
@@ -634,6 +655,26 @@ class TestCliSimulate:
                 assert capsys.readouterr().err == (f"--samples must be at most {most}, "
                                                    f"got {samples}\n")
 
+    def test_one_sample_exit_code(self, identity_state, tmp_path, capsys):
+        # one accepted sample gives no standard error: a NaN helps no one
+        code = main(["simulate", "--config", str(IDENTITY_CONFIG), "--out", str(tmp_path),
+                     "--state", str(identity_state), "--samples", "1"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "agent 1" in err and "--samples" in err
+        assert not (tmp_path / "losses.json").exists()
+
+    def test_two_samples_write_strict_json(self, identity_state, tmp_path):
+        code = main(["simulate", "--config", str(IDENTITY_CONFIG), "--out", str(tmp_path),
+                     "--state", str(identity_state), "--samples", "2"])
+        assert code == EXIT_OK
+
+        def reject(token):
+            raise ValueError(f"{token} is not strict JSON")
+
+        doc = json.loads((tmp_path / "losses.json").read_text(), parse_constant=reject)
+        assert [rep["n_samples"] for rep in doc["reports"]] == [2, 2, 2]
+
     def test_negative_seed(self, cli_ws, tmp_path, capsys):
         cfg, out = cli_ws
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path),
@@ -684,6 +725,27 @@ class TestCliChains:
             assert code == EXIT_OK
             tables[seed] = (out / "chain.csv").read_text()
         assert tables[None] == tables["7"] != tables["0"]
+
+    def test_noisy_chain_trace_matches_loop(self, tmp_path):
+        # the trace draws its noise as translating the inputs one by one,
+        # in grid order, from one --seed generator does
+        cfg = tmp_path / "triangular.cfg"
+        cfg.write_text(TRIANGULAR_NOISE_CONFIG)
+        code = main(["chains", "--config", str(cfg), "--out", str(tmp_path), "--state",
+                     str(TRIANGULAR_NOISE_FIXTURE), "--chain", "1,2,3", "--seed", "3"])
+        assert code == EXIT_OK
+        game = load_config(cfg).game()
+        qs = load_state(TRIANGULAR_NOISE_FIXTURE, game).quantizers
+        rng = np.random.default_rng(3)
+        _header, rows = _read_csv(tmp_path / "chain.csv")
+        grid = np.linspace(0.0, 1.0, 103)[1:-1].tolist()
+        assert len(rows) == len(grid)
+        for row, x in zip(rows, grid):
+            want = looped_chain_translate(qs, [0, 1, 2], x, game.noise, rng)
+            assert [float(v) for v in row[:2]] + [float(row[3]), int(row[4])] == [
+                want.x, want.final_word, want.word_drift, want.cell_index + 1]
+            assert abs(float(row[2]) - want.translation_loss) <= np.spacing(want.translation_loss)
+            assert row[5] == ("" if want.bound is None else repr(want.bound))
 
     def test_mixed_level_counts(self, tmp_path):
         # agents with different numbers of words share no vocabulary
@@ -745,10 +807,23 @@ def _probes(probe, qs, P, max_len, n_inputs):
     return reports
 
 
+def _per_source(qs, P, max_len, n_inputs):
+    """`path_dependence_probes` of every source, keyed by (source, target)."""
+    return {(i, j): rep for i in range(len(qs))
+            for j, rep in path_dependence_probes(qs, P, i, max_len, n_inputs).items()}
+
+
+def _connected(reports):
+    """The pairs of `_probes`' reports that some chain connects."""
+    return {pair: rep for pair, rep in reports.items() if isinstance(rep, ProbeReport)}
+
+
 class TestChainCounts:
     """The chain counts, spreads and worst inputs that `chains` writes to
-    probes.csv: the (agent, word) automaton of `path_dependence_probe`
-    reports what enumerating every chain reports."""
+    probes.csv: the (agent, word) automaton of `path_dependence_probes`,
+    one pass per source, reports what probing each pair and enumerating
+    every chain report, and leaves out exactly the targets whose pair
+    raises NoChainError."""
 
     @pytest.mark.parametrize("max_len", [2, 3, 4, 5, 6, 7, 8])
     def test_reference_counts_match_enumeration(self, max_len):
@@ -757,6 +832,7 @@ class TestChainCounts:
                         game).quantizers
         reports = _probes(path_dependence_probe, qs, game.comm, max_len, 101)
         assert reports == _probes(enumerated_probe, qs, game.comm, max_len, 101)
+        assert _per_source(qs, game.comm, max_len, 101) == _connected(reports)
         if max_len == 5:  # the sum of probes.csv's n_chains at the default --max-len
             assert sum(rep.n_chains for rep in reports.values()) == 181
 
@@ -766,8 +842,9 @@ class TestChainCounts:
         # words on the 1/32 grid and inputs on the 1/64 grid, so that words
         # and inputs sit exactly on cell boundaries
         game, state = case[:2]
-        assert (_probes(path_dependence_probe, state.quantizers, game.comm, max_len, 63)
-                == _probes(enumerated_probe, state.quantizers, game.comm, max_len, 63))
+        reports = _probes(path_dependence_probe, state.quantizers, game.comm, max_len, 63)
+        assert reports == _probes(enumerated_probe, state.quantizers, game.comm, max_len, 63)
+        assert _per_source(state.quantizers, game.comm, max_len, 63) == _connected(reports)
 
     def test_two_agent_cycle_stops_early(self):
         # each round trip climbs one cell: agent 1's cell k + 1 takes agent
@@ -779,6 +856,7 @@ class TestChainCounts:
         P = CommMatrix(np.full((2, 2), 0.5))
         reports = _probes(path_dependence_probe, qs, P, 10, 101)
         assert reports == _probes(enumerated_probe, qs, P, 10, 101)
+        assert _per_source(qs, P, 10, 101) == _connected(reports)
         assert reports[0, 1].n_chains == 5
         assert reports[0, 1].spread == pytest.approx(0.3)
 

@@ -4,14 +4,17 @@ path-dependence probes."""
 
 import json
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from quantgame import (
     BetaDensity,
+    ChainReport,
     CommMatrix,
     DomainError,
     MixtureDensity,
@@ -23,6 +26,7 @@ from quantgame import (
     chain_translate,
     enumerate_chains,
     estimate_losses,
+    load_config,
     load_state,
     quantization_loss,
     quantizer_from_words,
@@ -39,13 +43,14 @@ from quantgame.montecarlo import (
     _merge,
     _running,
     path_dependence_probe,
+    path_dependence_probes,
     sample_paths,
 )
 from quantgame.networks import AgentSpec
 
-from conftest import ROOT, TRIANGULAR_NOISE_FIXTURE, triangular_noise_game
-from oracles import masked_sample_paths
-from strategies import games
+from conftest import REFERENCE_CONFIG, ROOT, TRIANGULAR_NOISE_FIXTURE, triangular_noise_game
+from oracles import looped_chain_translate, masked_sample_paths
+from strategies import PROPERTY_SETTINGS, games
 
 # _estimator_record of the reference equilibrium and of the committed
 # triangular-noise state, as json.dumps writes it (floats in full)
@@ -554,6 +559,7 @@ class TestChains:
         qs = [quantizer_from_words([0.3, 0.7])] * 3
         with pytest.raises(NoChainError):
             path_dependence_probe(qs, P, 0, 1, max_len=5, n_inputs=101)
+        assert path_dependence_probes(qs, P, 0, max_len=5, n_inputs=101) == {}
 
     def test_ladder_translation_climbs(self, ladder_quantizers):
         rep = chain_translate(ladder_quantizers, [0, 1, 2, 3], 0.05)
@@ -585,6 +591,78 @@ class TestChains:
         with pytest.raises(ValueError):
             chain_translate(shared_quantizers, [0, 1], 0.5,
                             noise=NoiseKernel("uniform", 0.01))
+
+
+def _assert_equals_loop(rep, loop):
+    """The array report `rep` equals the looped reports `loop`, one per
+    input, field by field; translation_loss within 1 ulp of the loop's."""
+    for field in fields(ChainReport):
+        got, want = getattr(rep, field.name), [getattr(r, field.name) for r in loop]
+        if field.name == "hop_words":
+            assert np.array(got).T.tolist() == want
+        elif field.name == "translation_loss":
+            assert np.all(np.abs(got - want) <= np.spacing(want))
+        elif got is None:
+            assert want == [None] * len(loop)
+        else:
+            assert got.tolist() == want
+
+
+class TestChainArrays:
+    """`chain_translate` pushes a whole array of inputs through a chain at
+    once and reports what translating them one by one reports."""
+
+    def test_reference_fixture_matches_loop(self):
+        game = load_config(REFERENCE_CONFIG).game()
+        qs = load_state(ROOT / "perfbench" / "fixtures" / "reference_state.json",
+                        game).quantizers
+        grid = np.linspace(0.0, 1.0, 1003)[1:-1]
+        for chain in ([0, 1, 2, 3, 4], [4, 2, 4, 0]):
+            rep = chain_translate(qs, chain, grid)
+            _assert_equals_loop(rep, [looped_chain_translate(qs, chain, x) for x in grid.tolist()])
+            # a number in gives numbers out
+            one = chain_translate(qs, chain, float(grid[500]))
+            for name in ("x", "final_word", "translation_loss", "word_drift"):
+                assert isinstance(getattr(one, name), float)
+                assert getattr(one, name) == getattr(rep, name)[500]
+            assert one.cell_index == rep.cell_index[500] and np.ndim(one.cell_index) == 0
+
+    def test_triangular_noise_matches_loop(self):
+        # the noise is drawn per input and hop, input-major, as the loop
+        # draws it, and leaves the generator where the loop leaves it
+        game = triangular_noise_game()
+        qs = load_state(TRIANGULAR_NOISE_FIXTURE, game).quantizers
+        grid = np.linspace(0.0, 1.0, 203)[1:-1]
+        rng, loop_rng = np.random.default_rng(3), np.random.default_rng(3)
+        rep = chain_translate(qs, [0, 1, 2, 1], grid, noise=game.noise, rng=rng)
+        _assert_equals_loop(rep, [looped_chain_translate(qs, [0, 1, 2, 1], x, game.noise,
+                                                         loop_rng) for x in grid.tolist()])
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+    @PROPERTY_SETTINGS
+    @given(games(), st.data())
+    def test_random_games_match_loop(self, case, data):
+        # words on the 1/32 grid and inputs on the 1/64 grid, so that words
+        # and inputs sit exactly on cell boundaries
+        game, state, _i, _n, seed = case
+        qs = state.quantizers
+        chain = data.draw(st.lists(st.integers(0, len(qs) - 1), min_size=2, max_size=5))
+        grid = np.arange(1, 64) / 64.0
+        rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        rep = chain_translate(qs, chain, grid, noise=game.noise, rng=rng)
+        _assert_equals_loop(rep, [looped_chain_translate(qs, chain, x, game.noise, loop_rng)
+                                  for x in grid.tolist()])
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+    def test_translation_loss_is_correctly_rounded(self):
+        # on glibc, (w - x) ** 2 reads 0.10722230250562698 here: libm's pow
+        # is 1 ulp off the correctly rounded square that d * d gives
+        w, x = 0.9566394159445416, 0.6291912482818915
+        qs = [quantizer_from_words([w])] * 2
+        exact = float(Fraction(w - x) ** 2)
+        assert exact == 0.10722230250562699
+        assert chain_translate(qs, [0, 1], x).translation_loss == exact
+        assert chain_translate(qs, [0, 1], np.array([x])).translation_loss.tolist() == [exact]
 
 
 class TestPathDependenceProbe:
