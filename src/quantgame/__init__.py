@@ -32,6 +32,7 @@ from .networks import (
     IllPosedEnvironmentError,
     StateConsistencyError,
     detect_acyclic,
+    hop_matrix,
     observed_environment,
     true_environment,
     true_environment_weights,

@@ -169,8 +169,7 @@ def cmd_chains(args, cfg) -> int:
                                       "probes": [dict(zip(header, row)) for row in rows]})
     if chain:
         grid = np.linspace(0.0, 1.0, args.inputs + 2)[1:-1]
-        rep = montecarlo.chain_translate(state.quantizers, chain, grid, noise=game.noise,
-                                         rng=np.random.default_rng(cfg.montecarlo.seed))
+        rep = montecarlo.chain_translate(state.quantizers, chain, grid, noise=game.noise)
         # csv writes a bound of None as an empty field
         _write_csv(out / "chain.csv",
                    ["x", "final_word", "translation_loss", "word_drift", "cell", "bound"],
@@ -279,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, default=5, dest="max_len")
     p.add_argument("--inputs", type=int, default=101)
     p.add_argument("--chain", help="comma-separated agent ids to translate through")
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_chains)
 
     p = sub.add_parser("analyze", help="pairwise Hellinger vs word-distance table")

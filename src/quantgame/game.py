@@ -135,12 +135,13 @@ def bootstrap(game: QuantizationGame, n_starts: int) -> GameState:
 
 
 def best_response(i: int, state: GameState, game: QuantizationGame,
-                  n_starts: int) -> LloydMaxResult:
+                  n_starts: int) -> Tuple[LloydMaxResult, MixtureDensity]:
     """The winning Lloyd-Max run against agent i's current observed
-    environment, warm-started from the agent's present strategy."""
+    environment, warm-started from the agent's present strategy, and that
+    environment, which reads only agent i's peers and so outlasts its move."""
     obs = observed_mixture(i, game, state.quantizers, state.usage)
     return multi_start_lloyd_max(obs, game.agents[i].levels, n_starts=n_starts,
-                                 warm_start=state.quantizers[i])
+                                 warm_start=state.quantizers[i]), obs
 
 
 def sweep(state: GameState, game: QuantizationGame,
@@ -154,7 +155,7 @@ def sweep(state: GameState, game: QuantizationGame,
     move = 0.0
     for i in schedule:
         old = st.quantizers[i]
-        res = best_response(i, st, game, n_starts=n_starts)
+        res, obs = best_response(i, st, game, n_starts=n_starts)
         new, st.unsettled = res.quantizer, st.unsettled + (i,) * (not res.converged)
         move = max(
             move,
@@ -162,7 +163,7 @@ def sweep(state: GameState, game: QuantizationGame,
             float(np.max(np.abs(new.boundaries - old.boundaries))),
         )
         st.quantizers[i] = new
-        st.usage[i] = word_usage(observed_mixture(i, game, st.quantizers, st.usage), new)
+        st.usage[i] = word_usage(obs, new)
     st.iteration += 1
     st.last_max_move = move
     return st, move
@@ -204,7 +205,8 @@ def solve_equilibrium(
         if move < tol:
             converged = not state.unsettled
             break
-    responses = [best_response(i, state, game, n_starts).quantizer for i in range(game.n_agents)]
+    responses = [best_response(i, state, game, n_starts)[0].quantizer
+                 for i in range(game.n_agents)]
     state.solved = (game, n_starts, _words_and_usage(state)), (history[0].quantizers, responses)
     report = _quick_report(state, game, converged, sweeps, n_starts)
     report.history = history
@@ -222,7 +224,7 @@ def _quick_report(state: GameState, game: QuantizationGame, converged: bool,
     for i in range(n):
         obs = observed_mixture(i, game, state.quantizers, state.usage)
         obs_res[i] = centroid_residual(state.quantizers[i], obs)
-        br = saved[1][i] if saved else best_response(i, state, game, n_starts).quantizer
+        br = saved[1][i] if saved else best_response(i, state, game, n_starts)[0].quantizer
         br_dist[i] = float(np.max(np.abs(br.words - state.quantizers[i].words)))
     return EquilibriumReport(obs_res, br_dist, converged, sweeps)
 

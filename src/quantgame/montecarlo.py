@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 import numpy as np
 
 from .densities import DomainError, NoiseKernel, POINT_KERNEL, KernelShape
+from .networks import hop_matrix
 from .quantizers import RegularQuantizer
 
 if TYPE_CHECKING:  # game imports this module
@@ -264,47 +265,42 @@ def shared_vocabulary(quantizers: Sequence[RegularQuantizer],
 @dataclass
 class ChainReport:
     x: np.ndarray
-    hop_words: List[np.ndarray]  # the word at each chain agent in turn
+    hop_words: List[np.ndarray]  # the expected word at each chain agent in turn
     final_word: np.ndarray
-    translation_loss: np.ndarray  # squared error of the final word vs the input
-    word_drift: np.ndarray  # |final word - first word|, the translation-bound quantity
+    translation_loss: np.ndarray  # expected squared error of the final word vs the input
+    word_drift: np.ndarray  # expected |final word - first word|, the translation-bound quantity
     cell_index: np.ndarray
     bound: Optional[np.ndarray]  # cell-intersection width when the chain shares a vocabulary
 
 
 def chain_translate(quantizers: Sequence[RegularQuantizer], chain: Sequence[int],
-                    x, noise: NoiseKernel = POINT_KERNEL,
-                    rng: Optional[np.random.Generator] = None) -> ChainReport:
-    """Push input x, a number or an array, through the chain, re-quantizing
-    at every agent, all inputs at once; every per-input field of the report
-    is a number for a number x, else an array of x's shape. Smeared noise is
-    drawn per input and hop, input-major, as a loop over the inputs would."""
-    noisy = noise.shape is not KernelShape.POINT
+                    x, noise: NoiseKernel = POINT_KERNEL) -> ChainReport:
+    """Translate input x, a number or an array, along the chain, exactly in
+    expectation over the channel noise: `dist[c, l]`, the chance that the first
+    agent's cell c ends in the current agent's cell l, takes one `hop_matrix` per
+    hop, and each input reads its cell's values. Every per-input field of the
+    report is a number for a number x, else an array of x's shape."""
     if len(chain) < 2:
         raise ValueError("a chain needs at least two agents")
-    if noisy and rng is None:
-        raise ValueError("noisy translation needs an rng")
     x = np.asarray(x, dtype=float)[()]  # a number stays a number
     if not ((0.0 < x) & (x < 1.0)).all():
         raise DomainError("quantizer input must be strictly inside (0, 1)")
-    k = quantizers[chain[0]].closed_cell_index(x)
-    hop_words = [quantizers[chain[0]].words[k]]
-    eps = noise.sample(rng, x.shape + (len(chain) - 1,)) if noisy else None
-    for h, agent in enumerate(chain[1:]):
-        v = hop_words[-1]
-        if noisy:
-            v = np.clip(v + eps[..., h], _CLAMP, 1.0 - _CLAMP)
-        q = quantizers[agent]
-        hop_words.append(q.words[q.closed_cell_index(v)])
-    w = hop_words[-1]
-    d = w - x  # d * d is correctly rounded; a float's ** 2 goes through libm pow
+    q = quantizers[chain[0]]
+    k, first = q.closed_cell_index(x), q.words
+    dist, means = np.eye(q.levels), [first]
+    for r in chain[1:]:
+        dist = dist @ hop_matrix(q, quantizers[r], noise)
+        q = quantizers[r]
+        means.append(dist @ q.words)
+    mean, spread = means[-1], q.words - means[-1][:, None]
+    d = mean[k] - x  # d * d is correctly rounded; a float's ** 2 goes through libm pow
     shared, witnesses = shared_vocabulary(quantizers, chain)
     return ChainReport(
         x=x,
-        hop_words=hop_words,
-        final_word=w,
-        translation_loss=d * d,
-        word_drift=abs(w - hop_words[0]),
+        hop_words=[m[k] for m in means],
+        final_word=mean[k],
+        translation_loss=(dist * spread * spread).sum(axis=1)[k] + d * d,
+        word_drift=(dist * abs(q.words - first[:, None])).sum(axis=1)[k],
         cell_index=k[()],
         bound=np.diff(witnesses)[k, 0] if shared else None,
     )

@@ -1,5 +1,5 @@
 """Communication structure: the row-stochastic matrix P, graph queries,
-and construction of true / observed environment mixtures."""
+true / observed environment mixtures, and the per-edge hop operator."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .densities import BetaDensity, MixtureDensity, NoiseKernel
+from .densities import BetaDensity, KernelShape, MixtureDensity, NoiseKernel
 
 _ROW_TOL = 1e-12
 
@@ -166,6 +166,18 @@ def observed_environment(
         atom_centers=np.concatenate(centers),
         noise=noise,
     )
+
+
+def hop_matrix(transmitter, receiver, noise: NoiseKernel) -> np.ndarray:
+    """H[k, l]: the chance that the transmitter's word k, sent through the
+    channel, falls in the receiver's cell l (a point word w is in (a, b] iff
+    a < w <= b). The edge cells keep the mass past 0 or 1, where the sampler
+    clamps it. Smeared mass is priced on cells shifted by -w, for precision."""
+    edges = np.concatenate(([-np.inf], receiver.boundaries[1:-1], [np.inf]))
+    a, b, w = edges[:-1], edges[1:], transmitter.words[:, None]
+    if noise.shape is KernelShape.POINT:
+        return ((a < w) & (w <= b)).astype(float)
+    return noise.partial_moments(a - w, b - w, 0.0, 1)[0]
 
 
 def word_usage(observed: MixtureDensity, quantizer) -> np.ndarray:

@@ -312,6 +312,22 @@ def looped_chain_translate(quantizers, chain, x, noise=POINT_KERNEL, rng=None):
     )
 
 
+def sampled_chain_translations(quantizers, chain, grid, noise, rng, n):
+    """n noisy translations of each input of `grid`, all at once, with the
+    draws that calls of `looped_chain_translate` from one generator make:
+    input by input, n calls each, one draw per hop. Returns the final
+    words, translation losses and word drifts, each (inputs, n)."""
+    grid = np.asarray(grid, dtype=float)[:, None]
+    q = quantizers[chain[0]]
+    first = q.words[q.closed_cell_index(grid)]
+    eps = noise.sample(rng, (grid.size, n, len(chain) - 1))
+    v = first
+    for h, agent in enumerate(chain[1:]):
+        q = quantizers[agent]
+        v = q.words[q.closed_cell_index(np.clip(v + eps[..., h], _CLAMP, 1.0 - _CLAMP))]
+    return v, (v - grid) ** 2, abs(v - first)
+
+
 def forward_separate(words):
     """`quantizers._separate` before its backward pass, kept as its
     reference: ties and inversions are lifted above the word before them,

@@ -35,12 +35,13 @@ from quantgame.cli import (
 from quantgame.montecarlo import (
     NoChainError,
     ProbeReport,
+    chain_translate,
     path_dependence_probe,
     path_dependence_probes,
 )
 
 from conftest import IDENTITY_CONFIG, REFERENCE_CONFIG, ROOT, TRIANGULAR_NOISE_FIXTURE
-from oracles import enumerated_probe, looped_chain_translate
+from oracles import enumerated_probe
 from strategies import PROPERTY_SETTINGS, games
 
 SMALL_CONFIG = """\
@@ -708,44 +709,27 @@ class TestCliChains:
                           "cell", "bound"]
         assert len(rows) == 101
 
-    def test_noisy_chain_seed_defaults_to_config(self, tmp_path):
-        # without --seed the noise along the chain is drawn from the
-        # config's montecarlo seed, as simulate and verify draw theirs
-        cfg = tmp_path / "noisy.cfg"
-        cfg.write_text(SMALL_CONFIG.replace("shape: point, halfwidth: 0.0",
-                                            "shape: uniform, halfwidth: 0.02")
-                       .replace("seed: 5", "seed: 7"))
-        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
-        tables = {}
-        for seed in (None, "7", "0"):
-            out = tmp_path / f"seed-{seed}"
-            flag = [] if seed is None else ["--seed", seed]
-            code = main(["chains", "--config", str(cfg), "--out", str(out), "--state",
-                         str(tmp_path / "state.json"), "--chain", "1,2"] + flag)
-            assert code == EXIT_OK
-            tables[seed] = (out / "chain.csv").read_text()
-        assert tables[None] == tables["7"] != tables["0"]
-
-    def test_noisy_chain_trace_matches_loop(self, tmp_path):
-        # the trace draws its noise as translating the inputs one by one,
-        # in grid order, from one --seed generator does
+    def test_noisy_chain_trace_is_exact(self, tmp_path):
+        # under channel noise chain.csv holds chain_translate's exact
+        # expectations, not draws, so two runs write the same bytes
         cfg = tmp_path / "triangular.cfg"
         cfg.write_text(TRIANGULAR_NOISE_CONFIG)
-        code = main(["chains", "--config", str(cfg), "--out", str(tmp_path), "--state",
-                     str(TRIANGULAR_NOISE_FIXTURE), "--chain", "1,2,3", "--seed", "3"])
-        assert code == EXIT_OK
+        tables = []
+        for run in ("first", "second"):
+            code = main(["chains", "--config", str(cfg), "--out", str(tmp_path / run), "--state",
+                         str(TRIANGULAR_NOISE_FIXTURE), "--chain", "1,2,3"])
+            assert code == EXIT_OK
+            tables.append((tmp_path / run / "chain.csv").read_bytes())
+        assert tables[0] == tables[1]
         game = load_config(cfg).game()
         qs = load_state(TRIANGULAR_NOISE_FIXTURE, game).quantizers
-        rng = np.random.default_rng(3)
-        _header, rows = _read_csv(tmp_path / "chain.csv")
-        grid = np.linspace(0.0, 1.0, 103)[1:-1].tolist()
-        assert len(rows) == len(grid)
-        for row, x in zip(rows, grid):
-            want = looped_chain_translate(qs, [0, 1, 2], x, game.noise, rng)
-            assert [float(v) for v in row[:2]] + [float(row[3]), int(row[4])] == [
-                want.x, want.final_word, want.word_drift, want.cell_index + 1]
-            assert abs(float(row[2]) - want.translation_loss) <= np.spacing(want.translation_loss)
-            assert row[5] == ("" if want.bound is None else repr(want.bound))
+        rep = chain_translate(qs, [0, 1, 2], np.linspace(0.0, 1.0, 103)[1:-1], game.noise)
+        assert not np.isin(rep.final_word, qs[2].words).all()  # some are expectations
+        bounds = [None] * 101 if rep.bound is None else rep.bound.tolist()
+        _header, rows = _read_csv(tmp_path / "first" / "chain.csv")
+        assert rows == [["" if v is None else str(v) for v in row] for row in zip(
+            rep.x.tolist(), rep.final_word.tolist(), rep.translation_loss.tolist(),
+            rep.word_drift.tolist(), (rep.cell_index + 1).tolist(), bounds)]
 
     def test_mixed_level_counts(self, tmp_path):
         # agents with different numbers of words share no vocabulary
@@ -753,7 +737,7 @@ class TestCliChains:
         cfg.write_text(MIXED_LEVELS_CONFIG)
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
         code = main(["chains", "--config", str(cfg), "--out", str(tmp_path),
-                     "--chain", "1,2,3", "--seed", "3"])
+                     "--chain", "1,2,3"])
         assert code == EXIT_OK
         doc = json.loads((tmp_path / "chains.json").read_text())
         assert doc["shared_vocabulary"] is False and doc["witness_intervals"] == []
@@ -766,12 +750,12 @@ class TestCliChains:
         ["--chain", "1"],  # a chain needs two agents
         ["--inputs", "0"],  # empty input grid
         ["--max-len", "1"],  # no chain is that short
-        ["--chain", "1,2", "--seed", "-3"],  # the generator needs a seed >= 0
+        ["--chain", "1,2", "--seed", "1"],  # chains draws nothing, so takes no seed
         ["--chain", "1,2", "--inputs", "100000000000000000000000"],  # no such grid
         ["--inputs", "100001"],  # one above the bound
         ["--max-len", "100000000000000000000000"],  # far beyond the bound
     ], ids=["unknown-id", "not-an-id", "one-agent", "no-inputs", "max-len-1",
-            "negative-seed", "inputs-1e23", "inputs-over-bound", "max-len-1e23"])
+            "seed-not-an-option", "inputs-1e23", "inputs-over-bound", "max-len-1e23"])
     def test_bad_arguments_exit_code(self, cli_ws, tmp_path, capsys, args):
         cfg, out = cli_ws
         code = main(["chains", "--config", str(cfg), "--out", str(tmp_path),

@@ -24,6 +24,7 @@ from quantgame import (
     sweep,
     verify_nash,
 )
+from quantgame import game as game_module
 from quantgame import quantizers
 from quantgame.game import observed_mixture
 from quantgame.networks import AgentSpec
@@ -80,10 +81,29 @@ class TestBestResponseAndSweep:
     def test_best_response_optimizes_observed(self):
         game = _coupled_game()
         state = bootstrap(game, n_starts=8)
-        res = best_response(0, state, game, n_starts=8)
+        res, priced = best_response(0, state, game, n_starts=8)
         obs = observed_mixture(0, game, state.quantizers, state.usage)
         assert res.converged
         assert centroid_residual(res.quantizer, obs) < 1e-9
+        # the response returns the environment it priced
+        cells = np.linspace(0.0, 1.0, 9)
+        assert priced.partial_moments(cells).tolist() == obs.partial_moments(cells).tolist()
+
+    def test_sweep_builds_each_mixture_once(self, monkeypatch):
+        # a responder's mixture reads only its peers, so the one its response
+        # priced also refreshes its usage after the move
+        game = _coupled_game()
+        state = bootstrap(game, n_starts=8)
+        built = []
+        build = game_module.observed_environment
+        monkeypatch.setattr(game_module, "observed_environment",
+                            lambda i, *rest: built.append(i) or build(i, *rest))
+        new_state, _move = sweep(state, game, [1, 0], n_starts=1)
+        assert built == [1, 0]
+        monkeypatch.undo()
+        last = observed_mixture(0, game, new_state.quantizers, new_state.usage)
+        want = last.partial_moments(new_state.quantizers[0].boundaries, orders=1)[0]
+        assert new_state.usage[0].tolist() == (want / want.sum()).tolist()
 
     def test_isolated_agents_do_not_move(self):
         game = _isolated_game()

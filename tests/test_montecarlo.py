@@ -49,7 +49,7 @@ from quantgame.montecarlo import (
 from quantgame.networks import AgentSpec
 
 from conftest import REFERENCE_CONFIG, ROOT, TRIANGULAR_NOISE_FIXTURE, triangular_noise_game
-from oracles import looped_chain_translate, masked_sample_paths
+from oracles import looped_chain_translate, masked_sample_paths, sampled_chain_translations
 from strategies import PROPERTY_SETTINGS, games
 
 # _estimator_record of the reference equilibrium and of the committed
@@ -587,10 +587,6 @@ class TestChains:
         for x in (0.0, 1.0, -0.1, 1.5, float("nan")):
             with pytest.raises(DomainError):
                 chain_translate(shared_quantizers, [0, 1], x)
-        from quantgame import NoiseKernel
-        with pytest.raises(ValueError):
-            chain_translate(shared_quantizers, [0, 1], 0.5,
-                            noise=NoiseKernel("uniform", 0.01))
 
 
 def _assert_equals_loop(rep, loop):
@@ -627,32 +623,17 @@ class TestChainArrays:
                 assert getattr(one, name) == getattr(rep, name)[500]
             assert one.cell_index == rep.cell_index[500] and np.ndim(one.cell_index) == 0
 
-    def test_triangular_noise_matches_loop(self):
-        # the noise is drawn per input and hop, input-major, as the loop
-        # draws it, and leaves the generator where the loop leaves it
-        game = triangular_noise_game()
-        qs = load_state(TRIANGULAR_NOISE_FIXTURE, game).quantizers
-        grid = np.linspace(0.0, 1.0, 203)[1:-1]
-        rng, loop_rng = np.random.default_rng(3), np.random.default_rng(3)
-        rep = chain_translate(qs, [0, 1, 2, 1], grid, noise=game.noise, rng=rng)
-        _assert_equals_loop(rep, [looped_chain_translate(qs, [0, 1, 2, 1], x, game.noise,
-                                                         loop_rng) for x in grid.tolist()])
-        assert rng.bit_generator.state == loop_rng.bit_generator.state
-
     @PROPERTY_SETTINGS
     @given(games(), st.data())
     def test_random_games_match_loop(self, case, data):
         # words on the 1/32 grid and inputs on the 1/64 grid, so that words
-        # and inputs sit exactly on cell boundaries
-        game, state, _i, _n, seed = case
+        # and inputs sit exactly on cell boundaries; without noise
+        _game, state, _i, _n, _seed = case
         qs = state.quantizers
         chain = data.draw(st.lists(st.integers(0, len(qs) - 1), min_size=2, max_size=5))
         grid = np.arange(1, 64) / 64.0
-        rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        rep = chain_translate(qs, chain, grid, noise=game.noise, rng=rng)
-        _assert_equals_loop(rep, [looped_chain_translate(qs, chain, x, game.noise, loop_rng)
-                                  for x in grid.tolist()])
-        assert rng.bit_generator.state == loop_rng.bit_generator.state
+        _assert_equals_loop(chain_translate(qs, chain, grid),
+                            [looped_chain_translate(qs, chain, x) for x in grid.tolist()])
 
     def test_translation_loss_is_correctly_rounded(self):
         # on glibc, (w - x) ** 2 reads 0.10722230250562698 here: libm's pow
@@ -663,6 +644,74 @@ class TestChainArrays:
         assert exact == 0.10722230250562699
         assert chain_translate(qs, [0, 1], x).translation_loss == exact
         assert chain_translate(qs, [0, 1], np.array([x])).translation_loss.tolist() == [exact]
+
+
+# (state, chain) pairs: the triangular-noise state, and a uniform-noise
+# state whose word at 0.02 sends noise below 0 on chains from agent 1
+NOISY_CHAINS = [("triangular", [0, 1, 2]), ("triangular", [2, 1, 0]),
+                ("triangular", [0, 1, 0, 1]), ("uniform", [1, 0, 2, 1]), ("uniform", [2, 1, 0])]
+
+
+def _noisy_state(name):
+    """The quantizers and noise kernel of a NOISY_CHAINS state."""
+    if name == "triangular":
+        game = triangular_noise_game()
+        return load_state(TRIANGULAR_NOISE_FIXTURE, game).quantizers, game.noise
+    game, state = _loop_game(LOOP_NOISES[1])
+    return state.quantizers, game.noise
+
+
+class TestNoisyChains:
+    """Under channel noise `chain_translate` reports exact expectations
+    over the noise, which sampling the noise hop by hop estimates."""
+
+    def test_sampler_draws_as_loop(self):
+        game = triangular_noise_game()
+        qs = load_state(TRIANGULAR_NOISE_FIXTURE, game).quantizers
+        grid = np.linspace(0.0, 1.0, 103)[1:-1:10]
+        rng, loop_rng = np.random.default_rng(3), np.random.default_rng(3)
+        final, loss, drift = sampled_chain_translations(qs, [0, 1, 2, 1], grid, game.noise,
+                                                        rng, 7)
+        loop = [[looped_chain_translate(qs, [0, 1, 2, 1], x, game.noise, loop_rng)
+                 for _ in range(7)] for x in grid.tolist()]
+        assert final.tolist() == [[r.final_word for r in row] for row in loop]
+        assert drift.tolist() == [[r.word_drift for r in row] for row in loop]
+        want = np.array([[r.translation_loss for r in row] for row in loop])
+        assert np.all(np.abs(loss - want) <= np.spacing(want))
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+    @pytest.mark.parametrize("case", range(len(NOISY_CHAINS)), ids=[
+        name + "-" + "-".join(str(a + 1) for a in chain) for name, chain in NOISY_CHAINS])
+    def test_exact_within_sampling_error(self, case):
+        # each input's expectation lies within 4 SE of the mean of 4,000
+        # sampled translations; where no draw differs, it is their value
+        name, chain = NOISY_CHAINS[case]
+        qs, noise = _noisy_state(name)
+        grid = np.linspace(0.0, 1.0, 103)[1:-1]
+        rep = chain_translate(qs, chain, grid, noise)
+        samples = sampled_chain_translations(qs, chain, grid, noise,
+                                             np.random.default_rng(case), 4000)
+        varied = 0
+        for field, s in zip(("final_word", "translation_loss", "word_drift"), samples):
+            gap = np.abs(getattr(rep, field) - s.mean(axis=1))
+            varies = s.min(axis=1) != s.max(axis=1)
+            se = s.std(axis=1, ddof=1) / np.sqrt(s.shape[1])
+            assert np.all(gap[varies] <= 4.0 * se[varies]), field
+            assert np.all(gap[~varies] <= 1e-12), field
+            varied = max(varied, int(varies.sum()))
+        assert varied >= 30  # the noise moves many inputs' translations
+
+    def test_triangular_cycle_loss_alternates(self):
+        # along the 1 <-> 2 cycle of the triangular-noise state, the mean
+        # expected translation loss over the 101-input grid alternates
+        game = triangular_noise_game()
+        qs = load_state(TRIANGULAR_NOISE_FIXTURE, game).quantizers
+        grid = np.linspace(0.0, 1.0, 103)[1:-1]
+        means = {n: chain_translate(qs, [0, 1] * (n // 2) + [0] * (n % 2), grid,
+                                    game.noise).translation_loss.mean()
+                 for n in range(2, 8)}
+        assert {n: float(f"{m:.4g}") for n, m in means.items()} == {
+            2: 8.611e-3, 3: 1.097e-2, 4: 8.611e-3, 5: 1.097e-2, 6: 8.611e-3, 7: 1.097e-2}
 
 
 class TestPathDependenceProbe:

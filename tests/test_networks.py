@@ -1,15 +1,20 @@
 """Network layer: matrix validation, acyclicity detection, the
-true-environment fixed point, and observed-environment construction."""
+true-environment fixed point, observed-environment construction, and the
+per-edge hop operator."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quantgame import (
     POINT_KERNEL,
     BetaDensity,
     CommMatrix,
     IllPosedEnvironmentError,
+    NoiseKernel,
     StateConsistencyError,
+    hop_matrix,
     observed_environment,
     quantizer_from_words,
     true_environment,
@@ -17,7 +22,10 @@ from quantgame import (
     word_usage,
 )
 from quantgame.densities import MixtureDensity
+from quantgame.montecarlo import _CLAMP
 from quantgame.networks import detect_acyclic
+
+from strategies import PROPERTY_SETTINGS, games
 
 
 class TestCommMatrix:
@@ -143,3 +151,36 @@ class TestObservedEnvironment:
         obs = MixtureDensity(((0.5, BetaDensity(1, 1)),), [0.5], [0.8])
         # atom at 0.8 lands in the upper cell (boundary at 0.5)
         assert word_usage(obs, q) == pytest.approx([0.25, 0.75], abs=1e-12)
+
+
+class TestHopMatrix:
+    @PROPERTY_SETTINGS
+    @given(games(), st.floats(0.005, 0.05))
+    def test_rows_are_distributions(self, case, halfwidth):
+        # words on the 1/32 grid, some within the noise of 0 or 1 or of a boundary
+        _game, state, _i, _n, _seed = case
+        qs = state.quantizers
+        for noise in (POINT_KERNEL, NoiseKernel("uniform", halfwidth),
+                      NoiseKernel("triangular", halfwidth)):
+            for t in qs:
+                for r in qs:
+                    h = hop_matrix(t, r, noise)
+                    assert h.shape == (t.levels, r.levels)
+                    assert np.all(h >= 0.0)
+                    assert np.all(np.abs(h.sum(axis=1) - 1.0) <= 1e-12)
+                    if noise is POINT_KERNEL:  # one-hot at the cell that holds the word
+                        assert h.tolist() == np.eye(r.levels)[r.closed_cell_index(t.words)].tolist()
+
+    def test_clamped_mass_lands_in_edge_cell(self):
+        # uniform noise of halfwidth 0.02 around 0.01 reaches (-0.01, 0.03):
+        # the quarter below 0 is clamped into the first cell, (0, 0.0125]
+        noise = NoiseKernel("uniform", 0.02)
+        transmitter = quantizer_from_words([0.01, 0.5])
+        receiver = quantizer_from_words([0.005, 0.02, 0.5])
+        h = hop_matrix(transmitter, receiver, noise)
+        assert h[0] == pytest.approx([0.5625, 0.4375, 0.0], abs=1e-12)
+        n = 200_000
+        v = np.clip(0.01 + noise.sample(np.random.default_rng(5), n), _CLAMP, 1.0 - _CLAMP)
+        freq = np.bincount(receiver.closed_cell_index(v), minlength=3) / n
+        se = np.sqrt(h[0] * (1.0 - h[0]) / n)
+        assert np.all(np.abs(freq - h[0]) <= 4.0 * se)
