@@ -709,9 +709,28 @@ class TestCliChains:
                           "cell", "bound"]
         assert len(rows) == 101
 
-    def test_noisy_chain_trace_is_exact(self, tmp_path):
+    def test_noisy_chain_ignores_montecarlo_seed(self, tmp_path):
+        # chains draws nothing under channel noise, so the config's
+        # montecarlo seed leaves chain.csv as it is
+        tables = {}
+        for seed in ("7", "0"):
+            cfg = tmp_path / f"noisy-{seed}.cfg"
+            cfg.write_text(SMALL_CONFIG.replace("shape: point, halfwidth: 0.0",
+                                                "shape: uniform, halfwidth: 0.02")
+                           .replace("seed: 5", f"seed: {seed}"))
+            if seed == "7":
+                assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+            out = tmp_path / f"seed-{seed}"
+            code = main(["chains", "--config", str(cfg), "--out", str(out), "--state",
+                         str(tmp_path / "state.json"), "--chain", "1,2"])
+            assert code == EXIT_OK
+            tables[seed] = (out / "chain.csv").read_bytes()
+        assert tables["7"] == tables["0"]
+
+    def test_noisy_chain_trace_matches_loop(self, tmp_path):
         # under channel noise chain.csv holds chain_translate's exact
-        # expectations, not draws, so two runs write the same bytes
+        # expectations, not draws: two runs write the same bytes, and each
+        # row is what translating its input alone, in grid order, gives
         cfg = tmp_path / "triangular.cfg"
         cfg.write_text(TRIANGULAR_NOISE_CONFIG)
         tables = []
@@ -723,13 +742,17 @@ class TestCliChains:
         assert tables[0] == tables[1]
         game = load_config(cfg).game()
         qs = load_state(TRIANGULAR_NOISE_FIXTURE, game).quantizers
-        rep = chain_translate(qs, [0, 1, 2], np.linspace(0.0, 1.0, 103)[1:-1], game.noise)
-        assert not np.isin(rep.final_word, qs[2].words).all()  # some are expectations
-        bounds = [None] * 101 if rep.bound is None else rep.bound.tolist()
         _header, rows = _read_csv(tmp_path / "first" / "chain.csv")
-        assert rows == [["" if v is None else str(v) for v in row] for row in zip(
-            rep.x.tolist(), rep.final_word.tolist(), rep.translation_loss.tolist(),
-            rep.word_drift.tolist(), (rep.cell_index + 1).tolist(), bounds)]
+        grid = np.linspace(0.0, 1.0, 103)[1:-1].tolist()
+        assert len(rows) == len(grid)
+        finals = []
+        for row, x in zip(rows, grid):
+            want = chain_translate(qs, [0, 1, 2], x, game.noise)
+            finals.append(float(want.final_word))
+            assert row == [str(float(v)) for v in (want.x, want.final_word,
+                                                   want.translation_loss, want.word_drift)] + [
+                str(int(want.cell_index) + 1), "" if want.bound is None else str(float(want.bound))]
+        assert not np.isin(finals, qs[2].words).all()  # some are expectations
 
     def test_mixed_level_counts(self, tmp_path):
         # agents with different numbers of words share no vocabulary
