@@ -161,9 +161,8 @@ def cmd_chains(args, cfg) -> int:
     shared, witnesses = montecarlo.shared_vocabulary(state.quantizers)
     header = ["source", "target", "n_chains", "spread", "worst_input"]
     rows = [[cfg.agent_ids[i], cfg.agent_ids[j], rep.n_chains, rep.spread, rep.worst_input]
-            for i in range(game.n_agents)
-            for j, rep in montecarlo.path_dependence_probes(
-                state.quantizers, game.comm, i, args.max_len, args.inputs).items()]
+            for (i, j), rep in montecarlo.path_dependence_probes(
+                state.quantizers, game.comm, args.max_len, args.inputs).items()]
     _write_csv(out / "probes.csv", header, rows)
     _write_json(out / "chains.json", {"shared_vocabulary": shared, "witness_intervals": witnesses,
                                       "probes": [dict(zip(header, row)) for row in rows]})

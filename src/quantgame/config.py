@@ -91,7 +91,7 @@ def _section(where, value, build, kind=dict):
 
 def _number(name: str, value, kind):
     """`value` as a `kind`, int or float: never from a boolean, nor an int
-    from a fraction, nor above the bound that `MOST` may set for `name`."""
+    from a fraction, nor outside the bounds `LEAST` and `MOST` may set for `name`."""
     if isinstance(value, bool) or kind is int and (
             not isinstance(value, (int, float)) or value % 1 != 0):
         raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
@@ -99,6 +99,8 @@ def _number(name: str, value, kind):
     number = kind(value)
     if name in MOST and number > MOST[name]:
         raise ValueError(f"{name} must be at most {MOST[name]}, got {value!r}")
+    if name in LEAST and not LEAST[name] <= number < np.inf:
+        raise ValueError(f"{name} must be finite and at least {LEAST[name]}, got {number}")
     return number
 
 
@@ -144,8 +146,8 @@ def _noise(doc) -> NoiseKernel:
     return NoiseKernel(shape, _number("halfwidth", doc.get("halfwidth", 0.0), float))
 
 
-# smallest accepted (finite) value of each numeric setting
-LEAST = {"tol": 0.0, "max_sweeps": 1, "n_starts": 1, "n_samples": 1, "seed": 0}
+# smallest accepted (finite) value of each numeric setting, and of a state's sweep count
+LEAST = {"tol": 0.0, "max_sweeps": 1, "n_starts": 1, "n_samples": 1, "seed": 0, "iteration": 0}
 # largest accepted word and start counts, which size every design's (starts,
 # levels) arrays, and sample count (reference.cfg's 5 x 10^9 paths take 12 min):
 # far above the paper's runs, so that only a typo fails here
@@ -154,15 +156,11 @@ MOST = {"levels": 1000, "n_starts": 1000, "n_samples": 10**9}
 
 def _settings(cls, doc):
     """`cls` from its config section: each given field takes the type of
-    its default (a string as is, a number by `_number`) and is checked
-    against `LEAST`, absent fields keep the default, other keys are ignored."""
-    values = {f.name: _string(f.name, doc[f.name]) if isinstance(f.default, str)
-              else _number(f.name, doc[f.name], type(f.default))
-              for f in fields(cls) if f.name in doc}
-    for name, value in values.items():
-        if name in LEAST and not LEAST[name] <= value < np.inf:
-            raise ValueError(f"{name} must be finite and at least {LEAST[name]}, got {value}")
-    return cls(**values)
+    its default (a string as is, a number by `_number`), absent fields keep
+    the default, other keys are ignored."""
+    return cls(**{f.name: _string(f.name, doc[f.name]) if isinstance(f.default, str)
+                  else _number(f.name, doc[f.name], type(f.default))
+                  for f in fields(cls) if f.name in doc})
 
 
 # libyaml's parser where PyYAML was built with it: the same safe resolver
@@ -313,8 +311,10 @@ def load_state(path, game: QuantizationGame) -> GameState:
             for q in doc["quantizers"]
         ]
         usage = [np.asarray(u, dtype=float) for u in doc["usage"]]
-        iteration = int(doc["iteration"])
-        last_max_move = float(doc["last_max_move"])
+        iteration = _number("iteration", doc["iteration"], int)
+        last_max_move = _number("last_max_move", doc["last_max_move"], float)
+        if not last_max_move >= 0.0:  # nan fails; an unswept state's inf passes
+            raise ValueError(f"last_max_move must be at least 0, got {last_max_move!r}")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot read state file {path}: {exc!r}") from exc
     expected = [a.id for a in game.agents]

@@ -295,7 +295,7 @@ def check_social_stability(state: GameState, game: QuantizationGame,
     margin = float("inf")
     for i in range(n):
         for j in range(n):
-            if game.comm[i, j] <= 0.0:
+            if game.comm.entries[i, j] <= 0.0:
                 continue
             words = baseline[i].words[:, None]
             bounds = baseline[j].boundaries[None, 1:]

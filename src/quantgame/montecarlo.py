@@ -19,7 +19,7 @@ grow with the sample count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -334,55 +334,53 @@ class ProbeReport:
     worst_input: float
 
 
-def path_dependence_probes(quantizers: Sequence[RegularQuantizer], P, i: int,
-                           max_len: int, n_inputs: int) -> Dict[int, ProbeReport]:
-    """For each target j != i that some chain reaches, in turn, compare the
-    final words of every chain i -> j of 2..max_len agents on a grid of
-    inputs; zero spread means path independence on the probe set. No chain
-    is listed: a hop sends transmitter t's word k to receiver r's word
-    cell_r(w_tk), so the words that chains from i's cell k end on form a
-    reachable set of (agent, word) states, and `n_chains` counts walks,
-    exactly in Python ints. Channel noise is ignored."""
-    hop = (P.entries.T > 0.0) & ~np.eye(len(quantizers), dtype=bool)  # hop[t, r]
-    ones = hop.astype(int).astype(object)  # Python ints: no walk count overflows
-    walks, n_chains = ones[i], 0 * ones[i]  # walks[r]: walks i -> r of each length in turn
+def path_dependence_probes(quantizers: Sequence[RegularQuantizer], P, max_len: int,
+                           n_inputs: int) -> Dict[Tuple[int, int], ProbeReport]:
+    """For each ordered pair (i, j), i != j, that some chain connects, in
+    (source, target) order, the spread of the final words of the chains i -> j
+    of 2..max_len agents on a grid of inputs; zero spread means path independence
+    on the probe set. No chain is listed: a hop sends transmitter t's word k to
+    receiver r's word cell_r(w_tk), so chains walk (agent, word) states, and
+    `n_chains` counts walks exactly in Python ints. Channel noise is ignored."""
+    ones = P.links.T.astype(int).astype(object)  # ones[t, r]: one hop t -> r, in Python ints
+    walks, n_chains = ones, 0 * ones  # walks[i, r]: walks i -> r of each length in turn
     for _ in range(max_len - 1):
         n_chains += walks
         walks = walks @ ones
-    # state (agent a, word k) is first[a] + k; step[s, s'] is one hop s -> s'
+    # state (agent a, word k) is first[a] + k; cells[a] holds the state that
+    # each word, then each input, takes at agent a; step[s, s'] is one hop s -> s'
     levels = [q.levels for q in quantizers]
     first = np.cumsum([0] + levels)
     words = np.concatenate([q.words for q in quantizers])
+    grid = np.linspace(0.0, 1.0, n_inputs + 2)[1:-1]
+    cells = np.array([first[a] + q.closed_cell_index(np.concatenate((words, grid)))
+                      for a, q in enumerate(quantizers)])
+    # agent r hears the agent of state `heard`, one pair per hop
+    r, heard = np.nonzero(P.links[:, np.repeat(np.arange(len(levels)), levels)])
     step = np.zeros((first[-1], first[-1]), dtype=bool)
-    for r, q in enumerate(quantizers):
-        heard = np.flatnonzero(np.repeat(hop[:, r], levels))
-        step[heard, first[r] + q.closed_cell_index(words[heard])] = True
-    # reached[k, s]: some chain of 2..max_len agents takes i's cell k to s
-    frontier = np.eye(first[-1], dtype=bool)[first[i]:first[i + 1]]
-    reached = np.zeros_like(frontier)
-    for _ in range(max_len - 1):
+    step[heard, cells[r, heard]] = True
+    # reached[s, s']: some chain of 2..max_len agents takes start state s to s'
+    reached = frontier = step
+    for _ in range(max_len - 2):
         frontier = frontier @ step
         if not (frontier & ~reached).any():
             break  # no new state at this hop, so none at any later one
-        reached |= frontier
-    # spread[k, a]: the range of agent a's words reached from i's cell k
+        reached = reached | frontier
+    # spread[s, a]: the range of agent a's words reached from start state s
     spread = (np.maximum.reduceat(np.where(reached, words, -np.inf), first[:-1], axis=1)
               - np.minimum.reduceat(np.where(reached, words, np.inf), first[:-1], axis=1))
-    grid = np.linspace(0.0, 1.0, n_inputs + 2)[1:-1]
-    spread = spread.T.take(quantizers[i].closed_cell_index(grid), axis=1)  # spread[a, input]
-    worst = spread.argmax(axis=1)
-    return {j: ProbeReport(n_chains=count, spread=float(spread[j, worst[j]]),
-                           worst_input=float(grid[worst[j]]))
-            for j, count in enumerate(n_chains) if count and j != i}
+    starts = cells[:, words.size:]
+    worst = [spread[s].argmax(axis=0) for s in starts]  # worst[i][j]: the first widest input
+    return {(i, j): ProbeReport(n_chains=count, spread=float(spread[starts[i][worst[i][j]], j]),
+                                worst_input=float(grid[worst[i][j]]))
+            for (i, j), count in np.ndenumerate(n_chains) if count and i != j}
 
 
 def path_dependence_probe(quantizers: Sequence[RegularQuantizer], P, i: int, j: int,
                           max_len: int, n_inputs: int) -> ProbeReport:
-    """The report of `path_dependence_probes` for the pair i -> j. Kept only
-    because `perfbench/workloads.py::chains_pass` calls it per pair;
-    ROADMAP item 1 moves that pass to the per-source call and deletes it."""
-    probes = path_dependence_probes(quantizers, P, i, max_len, n_inputs)
-    if j not in probes:
-        raise NoChainError(f"no communication chain from {i} to {j} "
-                           f"within length {max_len}")
-    return probes[j]
+    """The report of `path_dependence_probes` for the pair i -> j, kept only for
+    `perfbench/workloads.py::chains_pass` (ROADMAP item 1 deletes it)."""
+    probes = path_dependence_probes(quantizers, P, max_len, n_inputs)
+    if (i, j) not in probes:
+        raise NoChainError(f"no communication chain from {i} to {j} within length {max_len}")
+    return probes[i, j]

@@ -4,6 +4,7 @@ true / observed environment mixtures, and the per-edge hop operator."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,12 +26,13 @@ class StateConsistencyError(ValueError):
 @dataclass(frozen=True)
 class CommMatrix:
     """Row-stochastic N x N frequency matrix; P[i, j] is how often agent i
-    hears from agent j (diagonal = own-environment fraction)."""
+    hears from agent j (diagonal = own-environment fraction). Read-only."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.entries, dtype=float)
+        p = np.array(self.entries, dtype=float)
+        p.flags.writeable = False
         object.__setattr__(self, "entries", p)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError("communication matrix must be square")
@@ -46,12 +48,20 @@ class CommMatrix:
     def n_agents(self) -> int:
         return self.entries.shape[0]
 
-    def __getitem__(self, key):
-        return self.entries[key]
+    @cached_property
+    def links(self) -> np.ndarray:
+        """links[i, j] iff agent i listens to agent j (i != j and P[i, j] > 0)."""
+        links = (self.entries > 0.0) & ~np.eye(self.n_agents, dtype=bool)
+        links.flags.writeable = False
+        return links
 
-    def peers_of(self, i: int) -> List[int]:
-        """Agents j != i that agent i listens to."""
-        return [j for j in range(self.n_agents) if j != i and self.entries[i, j] > 0.0]
+    @cached_property
+    def _peers(self) -> Tuple[Tuple[int, ...], ...]:
+        return tuple(tuple(np.flatnonzero(row).tolist()) for row in self.links)
+
+    def peers_of(self, i: int) -> Tuple[int, ...]:
+        """Agents j != i that agent i listens to, in index order."""
+        return self._peers[i]
 
 
 @dataclass(frozen=True)
@@ -66,25 +76,17 @@ class AgentSpec:
 
 
 def detect_acyclic(P: CommMatrix) -> Tuple[bool, Optional[List[int]]]:
-    """Kahn's algorithm on the transmitter->receiver graph (edge j->i iff
-    i != j and P[i, j] > 0). On success the order lists every agent after
-    all agents it listens to."""
-    n = P.n_agents
-    listens = [P.peers_of(i) for i in range(n)]
-    indeg = [len(listens[i]) for i in range(n)]
-    queue = [i for i in range(n) if indeg[i] == 0]
-    order: List[int] = []
-    while queue:
-        j = queue.pop(0)
-        order.append(j)
-        for i in range(n):
-            if j in listens[i]:
-                indeg[i] -= 1
-                if indeg[i] == 0:
-                    queue.append(i)
-    if len(order) != n:
-        return False, None
-    return True, order
+    """Kahn's algorithm, first in first out, on the transmitter->receiver
+    graph `P.links.T`, each agent's receivers in index order. On success the
+    order lists every agent after all agents it listens to."""
+    indeg = P.links.sum(axis=1).tolist()
+    order = [i for i, d in enumerate(indeg) if d == 0]
+    for j in order:  # the order is the queue: agents join it as they are freed
+        for i in np.flatnonzero(P.links[:, j]).tolist():
+            indeg[i] -= 1
+            if indeg[i] == 0:
+                order.append(i)
+    return (True, order) if len(order) == P.n_agents else (False, None)
 
 
 # above this condition number of I - P_off the solved weights lose most
@@ -158,10 +160,10 @@ def observed_environment(
             raise StateConsistencyError(
                 f"usage vector of agent {j} has {u.size} entries for {words.size} words"
             )
-        weights.append(P[i, j] * u)
+        weights.append(P.entries[i, j] * u)
         centers.append(words)
     return MixtureDensity(
-        continuous_parts=((float(P[i, i]), physical),),
+        continuous_parts=((float(P.entries[i, i]), physical),),
         atom_weights=np.concatenate(weights),
         atom_centers=np.concatenate(centers),
         noise=noise,

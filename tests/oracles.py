@@ -260,6 +260,29 @@ def masked_sample_paths(i, state, game, n, rng):
     return x, value, lengths, int(truncated.sum()), n_clamped
 
 
+def looped_detect_acyclic(P):
+    """The Kahn's algorithm that the link graph of `CommMatrix` replaced,
+    kept as its reference: each agent's peers by a scan of its row, and per
+    agent popped from the first-in-first-out queue a scan of every peer
+    list for its receivers."""
+    n = P.n_agents
+    listens = [[j for j in range(n) if j != i and P.entries[i, j] > 0.0] for i in range(n)]
+    indeg = [len(listens[i]) for i in range(n)]
+    queue = [i for i in range(n) if indeg[i] == 0]
+    order = []
+    while queue:
+        j = queue.pop(0)
+        order.append(j)
+        for i in range(n):
+            if j in listens[i]:
+                indeg[i] -= 1
+                if indeg[i] == 0:
+                    queue.append(i)
+    if len(order) != n:
+        return False, None
+    return True, order
+
+
 def enumerated_probe(quantizers, P, i, j, max_len, n_inputs):
     """The path-dependence probe that the (agent, word) automaton replaced,
     kept as its reference: it lists every chain i -> j of 2..max_len agents

@@ -643,6 +643,29 @@ class TestCliSimulate:
         assert message in err
         assert not (tmp_path / "losses.csv").exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("iteration", -7, "iteration must be finite and at least 0, got -7"),
+        ("iteration", 2.9, "iteration must be an integer, got 2.9"),
+        ("iteration", True, "iteration must be an integer, got True"),
+        ("last_max_move", float("nan"), "last_max_move must be at least 0, got nan"),
+        ("last_max_move", -1e-3, "last_max_move must be at least 0, got -0.001"),
+    ], ids=["iteration-negative", "iteration-fraction", "iteration-bool",
+            "last-max-move-nan", "last-max-move-negative"])
+    def test_malformed_state_scalar(self, identity_state, tmp_path, capsys, key, value,
+                                    message):
+        # verify would write the state's iteration as its sweep count
+        doc = json.loads(identity_state.read_text())
+        doc[key] = value
+        broken = tmp_path / "state.json"
+        broken.write_text(json.dumps(doc))
+        code = main(["verify", "--config", str(IDENTITY_CONFIG), "--out", str(tmp_path),
+                     "--state", str(broken), "--samples", "1000"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read state file {broken}")
+        assert err.count("\n") == 1 and message in err
+        assert not (tmp_path / "verify.json").exists()
+
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     def test_sample_count_bound(self, tmp_path, capsys, command):
         # --samples shares montecarlo.n_samples' bound, config.MOST; a count
@@ -814,32 +837,32 @@ def _probes(probe, qs, P, max_len, n_inputs):
     return reports
 
 
-def _per_source(qs, P, max_len, n_inputs):
-    """`path_dependence_probes` of every source, keyed by (source, target)."""
-    return {(i, j): rep for i in range(len(qs))
-            for j, rep in path_dependence_probes(qs, P, i, max_len, n_inputs).items()}
-
-
-def _connected(reports):
-    """The pairs of `_probes`' reports that some chain connects."""
-    return {pair: rep for pair, rep in reports.items() if isinstance(rep, ProbeReport)}
+def _assert_all_pairs(qs, P, max_len, n_inputs):
+    """`path_dependence_probes`, one pass over every pair, lists in
+    (source, target) order exactly the pairs for which enumerating every
+    chain gives a report, with that report, and leaves out exactly the
+    pairs whose `path_dependence_probe` raises NoChainError. Returns the
+    per-pair reports (a NoChainError's message where no chain connects)."""
+    reports = _probes(path_dependence_probe, qs, P, max_len, n_inputs)
+    assert reports == _probes(enumerated_probe, qs, P, max_len, n_inputs)
+    connected = [(pair, rep) for pair, rep in reports.items() if isinstance(rep, ProbeReport)]
+    assert list(path_dependence_probes(qs, P, max_len, n_inputs).items()) == connected
+    return reports
 
 
 class TestChainCounts:
     """The chain counts, spreads and worst inputs that `chains` writes to
     probes.csv: the (agent, word) automaton of `path_dependence_probes`,
-    one pass per source, reports what probing each pair and enumerating
-    every chain report, and leaves out exactly the targets whose pair
-    raises NoChainError."""
+    one pass over every pair, reports what probing each pair and
+    enumerating every chain report, and leaves out exactly the pairs that
+    raise NoChainError."""
 
     @pytest.mark.parametrize("max_len", [2, 3, 4, 5, 6, 7, 8])
     def test_reference_counts_match_enumeration(self, max_len):
         game = load_config(REFERENCE_CONFIG).game()
         qs = load_state(ROOT / "perfbench" / "fixtures" / "reference_state.json",
                         game).quantizers
-        reports = _probes(path_dependence_probe, qs, game.comm, max_len, 101)
-        assert reports == _probes(enumerated_probe, qs, game.comm, max_len, 101)
-        assert _per_source(qs, game.comm, max_len, 101) == _connected(reports)
+        reports = _assert_all_pairs(qs, game.comm, max_len, 101)
         if max_len == 5:  # the sum of probes.csv's n_chains at the default --max-len
             assert sum(rep.n_chains for rep in reports.values()) == 181
 
@@ -849,9 +872,7 @@ class TestChainCounts:
         # words on the 1/32 grid and inputs on the 1/64 grid, so that words
         # and inputs sit exactly on cell boundaries
         game, state = case[:2]
-        reports = _probes(path_dependence_probe, state.quantizers, game.comm, max_len, 63)
-        assert reports == _probes(enumerated_probe, state.quantizers, game.comm, max_len, 63)
-        assert _per_source(state.quantizers, game.comm, max_len, 63) == _connected(reports)
+        _assert_all_pairs(state.quantizers, game.comm, max_len, 63)
 
     def test_two_agent_cycle_stops_early(self):
         # each round trip climbs one cell: agent 1's cell k + 1 takes agent
@@ -861,9 +882,7 @@ class TestChainCounts:
         qs = [RegularQuantizer([0, 0.3, 0.6, 1], [0.28, 0.58, 0.9]),
               RegularQuantizer([0, 0.25, 0.55, 1], [0.1, 0.5, 0.8])]
         P = CommMatrix(np.full((2, 2), 0.5))
-        reports = _probes(path_dependence_probe, qs, P, 10, 101)
-        assert reports == _probes(enumerated_probe, qs, P, 10, 101)
-        assert _per_source(qs, P, 10, 101) == _connected(reports)
+        reports = _assert_all_pairs(qs, P, 10, 101)
         assert reports[0, 1].n_chains == 5
         assert reports[0, 1].spread == pytest.approx(0.3)
 

@@ -559,7 +559,7 @@ class TestChains:
         qs = [quantizer_from_words([0.3, 0.7])] * 3
         with pytest.raises(NoChainError):
             path_dependence_probe(qs, P, 0, 1, max_len=5, n_inputs=101)
-        assert path_dependence_probes(qs, P, 0, max_len=5, n_inputs=101) == {}
+        assert path_dependence_probes(qs, P, max_len=5, n_inputs=101) == {}
 
     def test_ladder_translation_climbs(self, ladder_quantizers):
         rep = chain_translate(ladder_quantizers, [0, 1, 2, 3], 0.05)

@@ -25,7 +25,27 @@ from quantgame.densities import MixtureDensity
 from quantgame.montecarlo import _CLAMP
 from quantgame.networks import detect_acyclic
 
+from oracles import looped_detect_acyclic
 from strategies import PROPERTY_SETTINGS, games
+
+
+def random_forest(seed):
+    """A CommMatrix on 2-300 agents in a random order: the first 2-8 are
+    roots, and every later agent hears one earlier agent with a weight in
+    [0.1, 0.4]. Agents freed at once are common, so the first-in-first-out
+    order of Kahn's algorithm decides the order that `detect_acyclic`
+    returns."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 301))
+    roots = int(rng.integers(2, min(n, 8) + 1))
+    order = rng.permutation(n)
+    P = np.eye(n)
+    for pos in range(roots, n):
+        receiver, transmitter = order[pos], order[rng.integers(0, pos)]
+        w = rng.uniform(0.1, 0.4)
+        P[receiver, receiver] = 1.0 - w
+        P[receiver, transmitter] = w
+    return CommMatrix(P)
 
 
 class TestCommMatrix:
@@ -41,9 +61,28 @@ class TestCommMatrix:
         P = CommMatrix(np.array([[0.8, 0.2, 0.0],
                                  [0.0, 1.0, 0.0],
                                  [0.3, 0.0, 0.7]]))
-        assert P.peers_of(0) == [1]
-        assert P.peers_of(1) == []
-        assert P.peers_of(2) == [0]
+        assert P.peers_of(0) == (1,)
+        assert P.peers_of(1) == ()
+        assert P.peers_of(2) == (0,)
+
+    @PROPERTY_SETTINGS
+    @given(games())
+    def test_peers_match_row_scan(self, case):
+        P = case[0].comm
+        for i in range(P.n_agents):
+            scan = [j for j in range(P.n_agents) if j != i and P.entries[i, j] > 0.0]
+            assert list(P.peers_of(i)) == scan
+            assert np.flatnonzero(P.links[i]).tolist() == scan
+
+    def test_entries_are_a_read_only_copy(self):
+        rows = np.array([[0.5, 0.5], [0.0, 1.0]])
+        P = CommMatrix(rows)
+        assert P.peers_of(1) == ()
+        rows[1] = [0.5, 0.5]  # the caller's array is not the matrix
+        assert P.peers_of(1) == ()
+        for array in (P.entries, P.links):
+            with pytest.raises(ValueError, match="read-only"):
+                array[1, 0] = 0.5
 
 
 class TestAcyclicity:
@@ -68,6 +107,19 @@ class TestAcyclicity:
     def test_reference_matrix_is_loopy(self, ref_game):
         ok, _ = detect_acyclic(ref_game.comm)
         assert not ok
+
+    @PROPERTY_SETTINGS
+    @given(games())
+    def test_random_games_match_loop(self, case):
+        P = case[0].comm
+        assert detect_acyclic(P) == looped_detect_acyclic(P)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_forests_match_loop(self, seed):
+        P = random_forest(seed)
+        ok, order = detect_acyclic(P)
+        assert ok and sorted(order) == list(range(P.n_agents))
+        assert (ok, order) == looped_detect_acyclic(P)
 
 
 class TestTrueEnvironment:
