@@ -10,9 +10,10 @@ The moment kernel `partial_moments(boundaries, orders)` takes cell
 boundaries along the last axis and returns the first `orders` of
 (m0, m1, m2), stacked, for every cell of one quantizer or a batch. It is
 an input check before `MixtureDensity._core`, which Lloyd-Max and
-`quantile` enter directly with a terms buffer they keep. Each beta part
-prices all orders at every boundary in one `betainc` call; all word
-atoms, which share one noise kernel, form one atoms x cells array.
+`quantile` enter directly with a terms buffer they keep; it prices each
+row under its own mixture of a `MixtureStack`. Each beta part prices all
+orders at every boundary in one `betainc` call; all word atoms, which
+share one noise kernel, form one atoms x rows x cells array.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from enum import Enum
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy import special
@@ -212,64 +213,103 @@ class MixtureDensity:
             k = np.argmin((0.0 <= a) & (a < z) & (z <= 1.0))
             raise ValueError(f"need 0 <= a < b <= 1, got ({a.flat[k]}, {z.flat[k]})")
         rows = b.reshape(-1, b.shape[-1])
-        m = self._core(rows, orders, self._buffer(orders, rows.shape[0], a.shape[-1]), False)
+        s = self._parts
+        m = self._core(s, rows, orders, s.buffer(orders, rows.shape[0], a.shape[-1]), False)
         return m.reshape((orders,) + a.shape)
 
     @cached_property
-    def _parts(self):
-        """The core's constants: each beta part's (w, alpha + j, s_j, beta), the
-        atom centers, and their weights; point atoms weigh w, c w and (c c) w,
-        their m0, m1 and m2 in the cell that holds them."""
-        betas = tuple((w, shapes[:, None, None], scales[:, None, None], d.beta_param)
-                      for w, d in self.continuous_parts for shapes, scales in [d._moment_terms])
-        c, w = self.atom_centers[:, None, None], self.atom_weights[:, None, None]
-        if self.noise.shape is KernelShape.POINT:
-            w = np.stack((w, c * w, (c * c) * w))
-        return betas, c, w
+    def _parts(self) -> "MixtureStack":
+        return MixtureStack((self,))
 
-    def _buffer(self, orders, rows, cells):
-        """An empty (orders, parts, rows, cells) array for `_core`'s terms."""
-        return np.empty((orders, len(self.continuous_parts) + self.atom_weights.size, rows, cells))
-
-    def _core(self, b, orders, terms, from_zero):
-        """`partial_moments` of valid 2-D (rows, boundaries) `b`, unchecked, in a
-        `_buffer` at least that large; with `from_zero`, of the cells (0, x]
-        for each x in `b`, as the boundary pair (0, x) gives them (I_0 is 0).
-        A point atom at c is in (a, b] iff a < c <= b: an edge's atom goes left."""
-        betas, centers, weights = self._parts
+    @staticmethod
+    def _core(s, b, orders, terms, from_zero):
+        """`partial_moments` of valid 2-D (rows, boundaries) `b`, unchecked, row r under
+        row r of the `MixtureStack` `s`, in an `s.buffer` at least that large; with
+        `from_zero`, of the cells (0, x] for each x in `b`, as the boundary pair (0, x)
+        gives them (I_0 is 0). A point atom at c is in (a, b] iff a < c <= b."""
         t = terms[:orders, :, :b.shape[0]]
         a, z = (0.0, b) if from_zero else (b[:, :-1], b[:, 1:])
-        for r, (w, shapes, scales, beta) in enumerate(betas):
+        for r, (w, shapes, scales, beta) in enumerate(s.betas):
             cdf = special.betainc(shapes[:orders], beta, b)
             if not from_zero:
                 cdf = np.subtract(cdf[:, :, 1:], cdf[:, :, :-1], out=t[:, r])
             np.multiply(w, np.multiply(scales[:orders], cdf, out=t[:, r]), out=t[:, r])
-        n = len(betas)
+        n = len(s.betas)
         if n < t.shape[1]:  # the atoms, down the parts axis after the beta parts
-            if self.noise.shape is KernelShape.POINT:
-                np.multiply((a < centers) & (centers <= z), weights[:orders], out=t[:, n:])
+            if s.noise.shape is KernelShape.POINT:
+                np.multiply((a < s.centers) & (s.centers <= z), s.weights[:orders],
+                            out=t[:, n:])
             else:
-                np.multiply(self.noise.partial_moments(a, z, centers, orders), weights,
+                np.multiply(s.noise.partial_moments(a, z, s.centers, orders), s.weights,
                             out=t[:, n:])
         # unlike sum, accumulate never switches to pairwise summation
         return np.add.accumulate(t, axis=1)[:, -1]
 
     def quantile(self, p):
-        """Smallest x with mass (0, x] >= p, by bisection to a bracket of
-        2^-44 < 1e-13; an array of levels is bisected all at once. One
-        kernel call prices the 15 inner points of each bracket's 1/16
-        grid, which hold the midpoints of the next four steps, and the
-        steps are replayed from those prices. The points are exact
-        dyadics, so each step branches as a one-point bisection would."""
+        """Smallest x with mass (0, x] >= p, for an array of levels at once."""
         p = np.asarray(p, dtype=float)
         if not np.all((0.0 <= p) & (p <= 1.0)):
             raise ValueError("quantile level must be in [0, 1]")
+        return self._parts.quantile(p)
+
+
+class MixtureStack:
+    """`MixtureDensity._core`'s constants, rows on the second-to-last axis, for
+    rows of mixtures with one kernel and one count of beta parts: per part
+    (w, alpha + j, s_j, beta); atom centers and weights (w, c w, (c c) w for
+    point atoms, their m0, m1 and m2). A one-row stack broadcasts. Atoms pad
+    to the largest count with weight -0.0 at 2.0, so each pad adds -0.0 to
+    its row's sum, and x + -0.0 is x bit for bit for every x."""
+
+    def __init__(self, mixtures: Sequence[MixtureDensity]):
+        first = mixtures[0]
+        if len({(m.noise, len(m.continuous_parts)) for m in mixtures}) > 1:
+            raise ValueError("stacked mixtures need one noise kernel and one count of beta parts")
+        shape = (max(m.atom_weights.size for m in mixtures), len(mixtures), 1)
+        c, w = np.full(shape, 2.0), np.full(shape, -0.0)
+        for k, m in enumerate(mixtures):
+            c[:m.atom_centers.size, k, 0] = m.atom_centers
+            w[:m.atom_centers.size, k, 0] = m.atom_weights
+        if first.noise.shape is KernelShape.POINT:
+            w = np.stack((w, c * w, (c * c) * w))
+        self.betas = []
+        for parts in zip(*(m.continuous_parts for m in mixtures)):  # each mixture's k-th part
+            shapes, scales = (np.stack(t, axis=1)[:, :, None]
+                              for t in zip(*(d._moment_terms for _w, d in parts)))
+            self.betas.append((np.array([[w] for w, _d in parts]), shapes, scales,
+                               np.array([[d.beta_param] for _w, d in parts], dtype=float)))
+        self.centers, self.weights, self.noise = c, w, first.noise
+
+    @staticmethod
+    def of(mixtures: Sequence[MixtureDensity]) -> "MixtureStack":  # one mixture keeps its own
+        return mixtures[0]._parts if len(mixtures) == 1 else MixtureStack(mixtures)
+
+    def take(self, rows) -> "MixtureStack":
+        """The stack of the given rows (an index or mask array)."""
+        if self.centers.shape[1] == 1:
+            return self
+        out, pick = object.__new__(MixtureStack), lambda x: x[..., rows, :]
+        out.betas = [tuple(map(pick, part)) for part in self.betas]
+        out.centers, out.weights, out.noise = pick(self.centers), pick(self.weights), self.noise
+        return out
+
+    def buffer(self, orders, rows, cells):
+        """An empty (orders, parts, rows, cells) array for `_core`'s terms."""
+        return np.empty((orders, len(self.betas) + self.centers.shape[0], rows, cells))
+
+    def quantile(self, p):
+        """Row r's smallest x with mass (0, x] >= p[r], p in [0, 1] unchecked,
+        by bisection to a bracket of 2^-44 < 1e-13, every row at once. One
+        kernel call prices the 15 inner points of each bracket's 1/16 grid,
+        which hold the midpoints of the next four steps, and the steps are
+        replayed from those prices. The points are exact dyadics, so each
+        step branches as a one-point bisection would."""
         rows = np.arange(p.size)
         lo, hi = np.zeros(p.size), np.ones(p.size)
-        terms, level = self._buffer(1, p.size, 15), p.reshape(-1, 1)
+        terms, level = self.buffer(1, p.size, 15), p.reshape(-1, 1)
         for _ in range(11):  # 44 exact halvings: the bracket is 2^-44 < 1e-13
             grid = lo[:, None] + (hi - lo)[:, None] * (np.arange(17) / 16.0)
-            up = self._core(grid[:, 1:-1], 1, terms, True)[0] >= level
+            up = MixtureDensity._core(self, grid[:, 1:-1], 1, terms, True)[0] >= level
             # keep the lower half of [grid[j], grid[j + 2 half]] iff up at its midpoint
             j = np.zeros(p.size, dtype=int)
             for half in (8, 4, 2, 1):

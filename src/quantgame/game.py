@@ -24,7 +24,7 @@ from .quantizers import LloydMaxResult, RegularQuantizer, centroid_residual, mul
 SCHEDULE_POLICIES = ("cyclic", "topological_if_acyclic")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # its CommMatrix compares by identity
 class QuantizationGame:
     """A population of agents with beta sources on a communication network."""
 
@@ -104,17 +104,12 @@ def refresh_state(game: QuantizationGame, quantizers: Sequence[RegularQuantizer]
     Usage vectors are iterated to their mutual fixed point: each agent's
     usage depends on peers' usage through the observed mixture.
     """
-    n = game.n_agents
     usage = _physical_usage(game, quantizers)
     for _ in range(200):
-        new_usage = []
-        delta = 0.0
-        for i in range(n):
-            obs = observed_mixture(i, game, quantizers, usage)
-            u = word_usage(obs, quantizers[i])
-            delta = max(delta, float(np.max(np.abs(u - usage[i]))))
-            new_usage.append(u)
-        usage = new_usage
+        new = [word_usage(observed_mixture(i, game, quantizers, usage), q)
+               for i, q in enumerate(quantizers)]
+        delta = max(float(np.max(np.abs(u - v))) for u, v in zip(new, usage))
+        usage = new
         if delta < 1e-14:
             break
     return GameState(list(quantizers), usage)
@@ -129,41 +124,57 @@ def _physical_usage(game: QuantizationGame, quantizers) -> List[np.ndarray]:
 def bootstrap(game: QuantizationGame, n_starts: int) -> GameState:
     """Initial state: per-agent Lloyd-Max optimum on the physical source
     alone, with usage derived from the physical densities."""
-    quantizers = [multi_start_lloyd_max(MixtureDensity.from_beta(a.physical), a.levels,
-                                        n_starts=n_starts).quantizer for a in game.agents]
+    quantizers = [res.quantizer for res in multi_start_lloyd_max(
+        [MixtureDensity.from_beta(a.physical) for a in game.agents],
+        [a.levels for a in game.agents], n_starts=n_starts)]
     return GameState(quantizers, _physical_usage(game, quantizers))
 
 
-def best_response(i: int, state: GameState, game: QuantizationGame,
-                  n_starts: int) -> Tuple[LloydMaxResult, MixtureDensity]:
-    """The winning Lloyd-Max run against agent i's current observed
-    environment, warm-started from the agent's present strategy, and that
-    environment, which reads only agent i's peers and so outlasts its move."""
-    obs = observed_mixture(i, game, state.quantizers, state.usage)
-    return multi_start_lloyd_max(obs, game.agents[i].levels, n_starts=n_starts,
-                                 warm_start=state.quantizers[i]), obs
+def best_response(agents: Sequence[int], state: GameState, game: QuantizationGame,
+                  n_starts: int) -> List[Tuple[LloydMaxResult, MixtureDensity]]:
+    """For each of `agents`, designed in one batch, the winning Lloyd-Max run
+    against its current observed environment, warm-started from its present
+    strategy, and that environment, which reads only the agent's peers and
+    so outlasts its move. An error is the one that answering one agent
+    after another raises first."""
+    agents, mixes = list(agents), []
+    try:
+        for i in agents:
+            mixes.append(observed_mixture(i, game, state.quantizers, state.usage))
+    except Exception:
+        best_response(agents[:len(mixes)], state, game, n_starts)  # an earlier failure first
+        raise
+    return list(zip(multi_start_lloyd_max(mixes, [game.agents[i].levels for i in agents],
+                                          n_starts, [state.quantizers[i] for i in agents]), mixes))
 
 
 def sweep(state: GameState, game: QuantizationGame,
           schedule: Sequence[int], n_starts: int) -> Tuple[GameState, float]:
     """One pass of best responses in schedule order. The responding agent's
-    usage is refreshed after its move. Returns the new state (`unsettled`
-    lists responses that hit the iteration cap) and the max move."""
+    usage is refreshed after its move. Each run of consecutive agents in
+    which no agent hears an earlier member answers as one batch: each sees
+    what it sees when the agents answer one by one. Returns the new state
+    (`unsettled` lists responses that hit the iteration cap) and the max move."""
     if sorted(schedule) != list(range(game.n_agents)):
         raise ValueError("schedule must be a permutation of all agents")
+    runs: List[List[int]] = [[]]
+    for i in schedule:
+        if game.comm.links[i, runs[-1]].any():
+            runs.append([])
+        runs[-1].append(i)
     st = state.copy()
     move = 0.0
-    for i in schedule:
-        old = st.quantizers[i]
-        res, obs = best_response(i, st, game, n_starts=n_starts)
-        new, st.unsettled = res.quantizer, st.unsettled + (i,) * (not res.converged)
-        move = max(
-            move,
-            float(np.max(np.abs(new.words - old.words))),
-            float(np.max(np.abs(new.boundaries - old.boundaries))),
-        )
-        st.quantizers[i] = new
-        st.usage[i] = word_usage(obs, new)
+    for run in runs:
+        for i, (res, obs) in zip(run, best_response(run, st, game, n_starts=n_starts)):
+            old = st.quantizers[i]
+            new, st.unsettled = res.quantizer, st.unsettled + (i,) * (not res.converged)
+            move = max(
+                move,
+                float(np.max(np.abs(new.words - old.words))),
+                float(np.max(np.abs(new.boundaries - old.boundaries))),
+            )
+            st.quantizers[i] = new
+            st.usage[i] = word_usage(obs, new)
     st.iteration += 1
     st.last_max_move = move
     return st, move
@@ -205,8 +216,8 @@ def solve_equilibrium(
         if move < tol:
             converged = not state.unsettled
             break
-    responses = [best_response(i, state, game, n_starts)[0].quantizer
-                 for i in range(game.n_agents)]
+    responses = [res.quantizer for res, _obs in best_response(range(game.n_agents), state,
+                                                               game, n_starts)]
     state.solved = (game, n_starts, _words_and_usage(state)), (history[0].quantizers, responses)
     report = _quick_report(state, game, converged, sweeps, n_starts)
     report.history = history
@@ -220,12 +231,17 @@ def _quick_report(state: GameState, game: QuantizationGame, converged: bool,
     n = game.n_agents
     saved = _saved(state, game, n_starts)
     obs_res = np.empty(n)
-    br_dist = np.empty(n)
-    for i in range(n):
-        obs = observed_mixture(i, game, state.quantizers, state.usage)
-        obs_res[i] = centroid_residual(state.quantizers[i], obs)
-        br = saved[1][i] if saved else best_response(i, state, game, n_starts)[0].quantizer
-        br_dist[i] = float(np.max(np.abs(br.words - state.quantizers[i].words)))
+    for i, q in enumerate(state.quantizers):
+        try:
+            obs_res[i] = centroid_residual(q, observed_mixture(i, game, state.quantizers,
+                                                               state.usage))
+        except Exception:
+            saved or best_response(range(i), state, game, n_starts)  # an earlier failure first
+            raise
+    brs = saved[1] if saved else [res.quantizer for res, _obs in
+                                  best_response(range(n), state, game, n_starts)]
+    br_dist = np.array([float(np.max(np.abs(br.words - q.words)))
+                        for br, q in zip(brs, state.quantizers)])
     return EquilibriumReport(obs_res, br_dist, converged, sweeps)
 
 
@@ -291,19 +307,11 @@ def check_social_stability(state: GameState, game: QuantizationGame,
     """
     saved = _saved(state, game, n_starts)
     baseline = saved[0] if saved else bootstrap(game, n_starts).quantizers
-    n = game.n_agents
-    margin = float("inf")
-    for i in range(n):
-        for j in range(n):
-            if game.comm.entries[i, j] <= 0.0:
-                continue
-            words = baseline[i].words[:, None]
-            bounds = baseline[j].boundaries[None, 1:]
-            margin = min(margin, float(np.min(np.abs(words - bounds))))
-    drift = max(
-        float(np.max(np.abs(baseline[i].words - state.quantizers[i].words)))
-        for i in range(n)
-    )
+    pairs = zip(*np.nonzero(game.comm.entries > 0.0))  # i hears j, or i == j
+    margin = min((float(np.min(np.abs(baseline[i].words[:, None] - baseline[j].boundaries[1:])))
+                  for i, j in pairs), default=float("inf"))
+    drift = max(float(np.max(np.abs(b.words - q.words)))
+                for b, q in zip(baseline, state.quantizers))
     hw = game.noise.halfwidth
     satisfied = margin > 2.0 * drift and margin > 2.0 * hw and margin > 0.0
     return StabilityReport(margin, drift, hw, satisfied)

@@ -342,11 +342,15 @@ def path_dependence_probes(quantizers: Sequence[RegularQuantizer], P, max_len: i
     on the probe set. No chain is listed: a hop sends transmitter t's word k to
     receiver r's word cell_r(w_tk), so chains walk (agent, word) states, and
     `n_chains` counts walks exactly in Python ints. Channel noise is ignored."""
-    ones = P.links.T.astype(int).astype(object)  # ones[t, r]: one hop t -> r, in Python ints
-    walks, n_chains = ones, 0 * ones  # walks[i, r]: walks i -> r of each length in turn
-    for _ in range(max_len - 1):
-        n_chains += walks
-        walks = walks @ ones
+    # n_chains = S + S^2 + ... + S^(max_len - 1) of the one-hop matrix S, by doubling
+    # along the bits of max_len - 1: G(2k) = G(k) + S^k G(k), G(k + 1) = G(k) + S^(k + 1)
+    S = P.links.T.astype(int).astype(object)  # S[t, r]: one hop t -> r, in Python ints
+    n_chains = power = S if max_len > 1 else 0 * S
+    for bit in bin(max(max_len - 1, 0))[3:]:
+        n_chains, power = n_chains + power @ n_chains, power @ power
+        if bit == "1":
+            power = power @ S
+            n_chains = n_chains + power
     # state (agent a, word k) is first[a] + k; cells[a] holds the state that
     # each word, then each input, takes at agent a; step[s, s'] is one hop s -> s'
     levels = [q.levels for q in quantizers]

@@ -23,7 +23,7 @@ class StateConsistencyError(ValueError):
     """A peer's word-usage vector is not a probability vector."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # a field-wise == would compare arrays
 class CommMatrix:
     """Row-stochastic N x N frequency matrix; P[i, j] is how often agent i
     hears from agent j (diagonal = own-environment fraction). Read-only."""

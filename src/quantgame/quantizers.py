@@ -16,6 +16,7 @@ gives bit for bit the result it gives alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import itertools
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,6 +25,7 @@ from .densities import (
     EMPTY_CELL_MASS,
     EmptyCellError,
     MixtureDensity,
+    MixtureStack,
     Moments,
     centroid_from_moments,
 )
@@ -186,19 +188,16 @@ def _separate(words: np.ndarray) -> np.ndarray:
 
 
 def lloyd_max(mix: MixtureDensity, levels: int) -> LloydMaxResult:
-    """Alternate midpoint boundaries and centroid words until they move less
-    than `_TOL`, from the quantile start of `multi_start_lloyd_max` (words
-    at the source quantiles (2k-1)/(2M)), for at most `_MAX_ITERS` iterations.
-
-    Words of starved cells are relocated as in `_run_starts`, which runs the
-    design; a cell still starved after `levels` relocations raises EmptyCellError.
-    """
-    return _run_starts(mix, _multi_start_inits(mix, levels, 1, None), _MAX_ITERS, _TOL)[0]
+    """One Lloyd-Max design (`_run_starts`) from the quantile start of
+    `multi_start_lloyd_max`, run to `_TOL` or `_MAX_ITERS` iterations."""
+    return _run_starts([mix], _multi_start_inits([mix], levels, 1, [None])[0], _MAX_ITERS, _TOL)[0]
 
 
-def _run_starts(mix: MixtureDensity, words: np.ndarray, max_iters: int,
-                tol: float) -> List[LloydMaxResult]:
-    """Lloyd-Max from each row of the (starts, levels) array `words`.
+def _run_starts(mixes: Sequence[MixtureDensity], words: np.ndarray, max_iters: int,
+                tol: float, owner: Optional[np.ndarray] = None) -> List[LloydMaxResult]:
+    """Lloyd-Max from each row r of the (starts, levels) array `words` against
+    `mixes[owner[r]]` (`mixes[0]` without `owner`), mixtures that share a
+    kernel and a number of beta parts.
 
     All unsettled rows take each iteration together: one core call for
     (m0, m1) over their cells, relocation (pricing m2 too) only in rows
@@ -210,18 +209,21 @@ def _run_starts(mix: MixtureDensity, words: np.ndarray, max_iters: int,
     overwritten with the final iterates.
     """
     n = words.shape[0]
+    owner = np.zeros(n, dtype=int) if owner is None else owner
     events = [0] * n
     iterations = np.full(n, max_iters)
     moves = np.full(n, np.inf)
     rows = np.arange(n)  # the row of `words` that each unsettled start came from
     w, b = words.copy(), _midpoints(words)
     # rows of 0 = b_0 < ... < b_M = 1 need no input check; unsettled rows come first
-    core, terms = mix._core, mix._buffer(3, n, words.shape[1])
+    core, stack = MixtureDensity._core, MixtureStack.of(mixes).take(owner)
+    parts, terms = stack, stack.buffer(3, n, words.shape[1])
     for it in range(1, max_iters + 1):
-        m0, m1 = core(b, 2, terms, False)
+        m0, m1 = core(parts, b, 2, terms, False)
         if np.minimum.reduce(m0, axis=None) < EMPTY_CELL_MASS:
             for j in np.nonzero((m0 < EMPTY_CELL_MASS).any(axis=1))[0]:
-                w[j], b[j], (m0[j], m1[j], _m2), e = _resolve_empty_cells(w[j], mix)
+                w[j], b[j], (m0[j], m1[j], _m2), e = _resolve_empty_cells(
+                    w[j], mixes[owner[rows[j]]])
                 events[rows[j]] += e
         # centroid_from_moments, whose starved test is the one above
         new = _separate(np.minimum(np.maximum(m1 / m0, b[:, :-1]), b[:, 1:]))
@@ -233,11 +235,12 @@ def _run_starts(mix: MixtureDensity, words: np.ndarray, max_iters: int,
             rows, new, move, b = rows[keep], new[keep], move[keep], b[keep]
             if rows.size == 0:
                 break
+            parts = parts.take(keep)
         w = new
         _midpoints(w, out=b)
     words[rows], moves[rows] = new, move  # the rows stopped by max_iters
 
-    final = _loss(words, core(_midpoints(words), 3, terms, False)).tolist()
+    final = _loss(words, core(stack, _midpoints(words), 3, terms, False)).tolist()
     return [
         LloydMaxResult(quantizer_from_words(words[r]), bool(moves[r] < tol),
                        int(iterations[r]), float(moves[r]), final[r], events[r])
@@ -245,50 +248,60 @@ def _run_starts(mix: MixtureDensity, words: np.ndarray, max_iters: int,
     ]
 
 
-def _quantile_init(mix: MixtureDensity, levels: int) -> np.ndarray:
-    """Source quantiles at the levels (2k+1)/(2M), k = 0..M-1."""
-    if levels < 1:
-        raise ValueError("levels must be at least 1")
-    return mix.quantile((2 * np.arange(levels) + 1) / (2.0 * levels))
-
-
 def multi_start_lloyd_max(
-    mix: MixtureDensity,
-    levels: int,
+    mixes: Sequence[MixtureDensity],
+    levels: Sequence[int],
     n_starts: int,
-    warm_start: Optional[RegularQuantizer] = None,
-) -> LloydMaxResult:
-    """Best of several Lloyd-Max runs: the optional warm start, the
-    quantile start, and jittered quantile starts, `n_starts` cold starts
-    in all, each run to `_MULTI_TOL` or `_MULTI_MAX_ITERS` iterations.
-    The starts run as one batch, each exactly as it would run alone.
-    Returns the minimum-loss result; on a tie the first start in that
+    warm_starts: Optional[Sequence[Optional[RegularQuantizer]]] = None,
+) -> List[LloydMaxResult]:
+    """For each design d, the best of several Lloyd-Max runs against
+    `mixes[d]` with `levels[d]` words: the optional `warm_starts[d]`, the
+    quantile start, and jittered quantile starts, `n_starts` cold starts in
+    all, each run to `_MULTI_TOL` or `_MULTI_MAX_ITERS` iterations. Each run
+    of consecutive designs with one level count, kernel and number of beta
+    parts is one batch, every start exactly as it would run alone. Returns
+    each design's minimum-loss result; on a tie the first start in that
     order wins, so a warm start keeps its place unless a cold start is
-    strictly better."""
+    strictly better. A batch that raises raises as its designs one after
+    another would."""
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
-    inits = _multi_start_inits(mix, levels, n_starts, warm_start)
-    return min(_run_starts(mix, inits, _MULTI_MAX_ITERS, _MULTI_TOL),
-               key=lambda res: res.loss)
+    designs = zip(mixes, levels, warm_starts or [None] * len(mixes))
+    out: List[LloydMaxResult] = []
+    for (k, *_), batch in itertools.groupby(
+            designs, lambda d: (d[1], len(d[0].continuous_parts), d[0].noise)):
+        group, _levels, warm = zip(*batch)
+        try:
+            inits, owner = _multi_start_inits(group, k, n_starts, warm)
+            runs = iter(_run_starts(group, inits, _MULTI_MAX_ITERS, _MULTI_TOL, owner))
+        except Exception:
+            for mix, w in zip(group[:-1], warm):  # one design at a time: the first to fail raises
+                multi_start_lloyd_max([mix], [k], n_starts, [w])
+            raise
+        out += [min(itertools.islice(runs, n_starts + (w is not None)), key=lambda r: r.loss)
+                for w in warm]
+    return out
 
 
-def _multi_start_inits(mix: MixtureDensity, levels: int, n_starts: int,
-                       warm_start: Optional[RegularQuantizer]) -> np.ndarray:
-    """(starts, levels) initial words, each row strictly increasing: the
-    warm start if given, the quantile start, then jittered quantile starts
-    up to `n_starts` cold starts."""
-    quant = _quantile_init(mix, levels)
-    inits = []
-    if warm_start is not None:
-        if warm_start.levels != levels:
-            raise ValueError("warm start has wrong number of levels")
-        inits.append(warm_start.words)
-    inits.append(quant)
+def _multi_start_inits(mixes: Sequence[MixtureDensity], levels: int, n_starts: int,
+                       warm_starts: Sequence[Optional[RegularQuantizer]]):
+    """(rows, levels) initial words, each row strictly increasing, and the
+    design of each row: per design, its warm start if given, its quantile
+    start (the source quantiles at the levels (2k+1)/(2M), every design's in
+    one stacked call), then jittered quantile starts up to `n_starts` cold
+    starts."""
+    if levels < 1:
+        raise ValueError("levels must be at least 1")
+    if any(warm is not None and warm.levels != levels for warm in warm_starts):
+        raise ValueError("warm start has wrong number of levels")
+    p = np.tile((2 * np.arange(levels) + 1) / (2.0 * levels), len(mixes))
+    quant = MixtureStack.of(mixes).take(np.arange(p.size) // levels).quantile(p)
+    quant = quant.reshape(len(mixes), 1, levels)
     # the jitter seed is a constant, so a design, and with it a solve, is
-    # deterministic: the same source always gets the same starts
-    rng = np.random.default_rng(0)
-    while len(inits) < n_starts + (warm_start is not None):
-        jitter = rng.uniform(-0.5, 0.5, levels) / (2.0 * levels)
-        cand = np.sort(np.clip(quant + jitter, 1e-6, 1.0 - 1e-6))
-        inits.append(_separate(cand))
-    return _separate(np.array(inits))
+    # deterministic: every design with this level count gets the same jitter
+    jitter = np.random.default_rng(0).uniform(-0.5, 0.5, (n_starts - 1, levels)) / (2.0 * levels)
+    cands = _separate(np.sort(np.clip(quant + jitter, 1e-6, 1.0 - 1e-6)))
+    inits = [row for warm, q, c in zip(warm_starts, quant, cands)
+             for row in ([] if warm is None else [warm.words[None]]) + [q, c]]
+    owner = np.repeat(np.arange(len(mixes)), [n_starts + (w is not None) for w in warm_starts])
+    return _separate(np.concatenate(inits)), owner

@@ -54,7 +54,16 @@ def lloyd_max_to(mix, levels, tol):
     """`lloyd_max` run to `tol` in place of its fixed 1e-10: the same
     quantile start through the same loop, for tests that need a tighter
     design."""
-    return _run_starts(mix, _multi_start_inits(mix, levels, 1, None), _MAX_ITERS, tol)[0]
+    return _run_starts([mix], _multi_start_inits([mix], levels, 1, [None])[0], _MAX_ITERS, tol)[0]
+
+
+def outcome(call):
+    """("returned", call()'s result), or ("raised", the type and message of
+    the exception it raised): a call and its reference must agree on both."""
+    try:
+        return "returned", call()
+    except Exception as exc:  # noqa: BLE001 - compared with the reference's
+        return "raised", type(exc), str(exc)
 
 
 @pytest.fixture(scope="session")

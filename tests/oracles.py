@@ -14,9 +14,11 @@ from scipy import integrate, special
 from quantgame.densities import (
     EMPTY_CELL_MASS,
     KernelShape,
+    MixtureDensity,
     POINT_KERNEL,
     centroid_from_moments,
 )
+from quantgame.game import GameState, observed_mixture
 from quantgame.montecarlo import (
     _CLAMP,
     DEPTH_CAP,
@@ -29,11 +31,12 @@ from quantgame.montecarlo import (
 from quantgame.quantizers import (
     LloydMaxResult,
     _midpoints,
-    _quantile_init,
     _resolve_empty_cells,
     _separate,
+    multi_start_lloyd_max,
     quantizer_from_words,
 )
+from quantgame.networks import word_usage
 
 
 def beta_pdf(x, alpha, beta_param):
@@ -308,6 +311,17 @@ def enumerated_probe(quantizers, P, i, j, max_len, n_inputs):
     )
 
 
+def looped_walk_counts(S, m):
+    """S + S^2 + ... + S^m of an object (Python int) matrix by m products, the
+    loop that the doubling in `montecarlo.path_dependence_probes` replaced,
+    kept as its reference."""
+    walks, total = S, 0 * S
+    for _ in range(m):
+        total += walks
+        walks = walks @ S
+    return total
+
+
 def looped_chain_translate(quantizers, chain, x, noise=POINT_KERNEL, rng=None):
     """The chain translation that the array pass replaced, kept as its
     reference: one input x at a time, one hop at a time in Python floats,
@@ -364,13 +378,19 @@ def forward_separate(words):
     return np.minimum(w, 1.0 - 1e-14)
 
 
+def quantile_start(mix, levels):
+    """The quantile start of every design: the source quantiles at the
+    levels (2k+1)/(2M), k = 0..M-1."""
+    return mix.quantile((2 * np.arange(levels) + 1) / (2.0 * levels))
+
+
 def sequential_multi_start(mix, levels, n_starts, warm_start, max_iters, tol):
     """The multi-start Lloyd-Max that the batched (starts, levels) loop
     replaced, kept as its reference: the same starts from the same draws
     (jitter seed 0), each run to its end on its own by the per-start loop.
     Returns every start's LloydMaxResult and the index of the first start
     with the lowest loss."""
-    quant = _quantile_init(mix, levels)
+    quant = quantile_start(mix, levels)
     inits = []
     if warm_start is not None:
         inits.append(warm_start.words.copy())
@@ -423,3 +443,58 @@ def sequential_lloyd_max(mix, init, max_iters, tol):
     loss_history.append(_row_loss(q.words, mix.partial_moments(q.boundaries)))
     res = LloydMaxResult(q, converged, it, move, loss_history[-1], events_total)
     return res, loss_history
+
+
+def _one_response(i, state, game, n_starts):
+    """Agent i's best response and the mixture it priced, designed alone."""
+    obs = observed_mixture(i, game, state.quantizers, state.usage)
+    return multi_start_lloyd_max([obs], [game.agents[i].levels], n_starts,
+                                 [state.quantizers[i]])[0], obs
+
+
+def sequential_bootstrap(game, n_starts):
+    """`game.bootstrap` before designs were stacked, kept as its reference:
+    one physical-only design per agent, in agent order."""
+    mixes = [MixtureDensity.from_beta(a.physical) for a in game.agents]
+    quantizers = [multi_start_lloyd_max([mix], [a.levels], n_starts)[0].quantizer
+                  for mix, a in zip(mixes, game.agents)]
+    return GameState(quantizers, [word_usage(m, q) for m, q in zip(mixes, quantizers)])
+
+
+def sequential_sweep(state, game, schedule, n_starts):
+    """`game.sweep` before runs of agents answered as one batch, kept as its
+    reference: one best response at a time, in schedule order."""
+    st = state.copy()
+    move = 0.0
+    for i in schedule:
+        old = st.quantizers[i]
+        res, obs = _one_response(i, st, game, n_starts)
+        new, st.unsettled = res.quantizer, st.unsettled + (i,) * (not res.converged)
+        move = max(move, float(np.max(np.abs(new.words - old.words))),
+                   float(np.max(np.abs(new.boundaries - old.boundaries))))
+        st.quantizers[i] = new
+        st.usage[i] = word_usage(obs, new)
+    st.iteration += 1
+    st.last_max_move = move
+    return st, move
+
+
+def sequential_responses(state, game, n_starts):
+    """Every agent's best response to one fixed state, one agent at a time:
+    `solve_equilibrium`'s closing responses before they were stacked."""
+    return [_one_response(i, state, game, n_starts)[0].quantizer
+            for i in range(game.n_agents)]
+
+
+def sequential_solve(game, schedule, tol, max_sweeps, n_starts):
+    """`solve_equilibrium`'s loop on a fixed schedule, one agent at a time:
+    the history (bootstrap, then the state after each sweep) and the
+    closing responses."""
+    history = [sequential_bootstrap(game, n_starts)]
+    for sweeps in range(1, max_sweeps + 1):
+        state, move = sequential_sweep(history[-1], game, schedule,
+                                       n_starts if sweeps == 1 else 1)
+        history.append(state)
+        if move < tol:
+            break
+    return history, sequential_responses(history[-1], game, n_starts)

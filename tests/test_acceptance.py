@@ -61,7 +61,7 @@ def test_criterion_02_log_concave_uniqueness():
         for _ in range(20):
             init = np.sort(rng.uniform(0.02, 0.98, 6))
             init = init + np.arange(6) * 1e-5  # strictly increasing
-            got = _run_starts(mix, init[None, :], _MAX_ITERS, 1e-11)[0].quantizer.words
+            got = _run_starts([mix], init[None, :], _MAX_ITERS, 1e-11)[0].quantizer.words
             if np.max(np.abs(got - ref)) >= 1e-6:
                 ok = False
     _verdict(2, "20 random initializations agree word-wise within 1e-6 "

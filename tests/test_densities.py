@@ -4,7 +4,8 @@ non-finite parameters and of words the noise pushes out of (0, 1), of
 malformed cells and orders, the beta-pair dissimilarity
 formula against a quadrature oracle, properties of the boundaries moment
 kernel on random mixtures, the unchecked core that the design loop and the
-quantile search enter against the public kernel, the grid quantile search
+quantile search enter against the public kernel, rows of several mixtures
+in one core call against one call per mixture, the grid quantile search
 against the one-point bisection it replaced, and the work counts of both."""
 
 import numpy as np
@@ -24,7 +25,7 @@ from quantgame import (
     hellinger_beta,
 )
 from quantgame import densities
-from quantgame.densities import centroid_from_moments
+from quantgame.densities import MixtureStack, centroid_from_moments
 
 from oracles import (
     beta_pdf,
@@ -34,7 +35,7 @@ from oracles import (
     riemann_moments,
     scalar_loop_moments,
 )
-from strategies import PROPERTY_SETTINGS, mixtures, mixtures_with_edges
+from strategies import PROPERTY_SETTINGS, mixture_stacks, mixtures, mixtures_with_edges
 
 # frozen oracle values (midpoint Riemann, 10^7 points)
 MASS_BETA25_0_02 = 0.34464000000000006
@@ -360,16 +361,16 @@ class TestCore:
         # that holds another call's leftovers, as the loop's buffer does
         mix, edges = case
         batch = np.array([edges, 1.0 - edges[::-1], np.sqrt(edges)])
-        terms = mix._buffer(3, 4, edges.size - 1)
+        terms = mix._parts.buffer(3, 4, edges.size - 1)
         terms[...] = np.nan
         for rows in (edges[None], batch, batch[1:], edges[None]):
-            got = mix._core(rows, orders, terms, False)
+            got = mix._core(mix._parts, rows, orders, terms, False)
             assert np.array_equal(got, mix.partial_moments(rows, orders))
         if mix.noise is POINT_KERNEL:
             # a single row, maybe a single cell, added part by part
             want = np.array([scalar_loop_moments(mix, a, b)
                              for a, b in zip(edges[:-1], edges[1:])]).T
-            assert np.array_equal(mix._core(edges[None], 3, terms, False)[:, 0], want)
+            assert np.array_equal(mix._core(mix._parts, edges[None], 3, terms, False)[:, 0], want)
 
     @PROPERTY_SETTINGS
     @given(mixtures_with_edges())
@@ -377,9 +378,48 @@ class TestCore:
         # the quantile search prices (0, x] without pricing 0
         mix, edges = case
         x = np.array([edges[1:], edges[1:] ** 2])
-        got = mix._core(x, 1, mix._buffer(1, 2, x.shape[1]), True)[0]
+        got = mix._core(mix._parts, x, 1, mix._parts.buffer(1, 2, x.shape[1]), True)[0]
         cells = np.stack((np.zeros_like(x), x), axis=-1)
         assert np.array_equal(got, mix.partial_moments(cells, orders=1)[0][..., 0])
+
+
+class TestStackedKernel:
+    """Rows drawn from several mixtures in one call of the core, each
+    mixture's atoms padded to the stack's largest count, against one call
+    per row of that row's own mixture, bit for bit."""
+
+    @PROPERTY_SETTINGS
+    @given(mixture_stacks(), st.integers(1, 3))
+    def test_rows_equal_one_mixture_calls(self, case, orders):
+        mixes, edges = case
+        # the rows cycle through the mixtures, three edge sets each
+        owner = np.arange(3 * len(mixes)) % len(mixes)
+        rows = np.array([edges, 1.0 - edges[::-1], np.sqrt(edges)]).repeat(len(mixes), axis=0)
+        stack = MixtureStack(mixes).take(owner)
+        terms = stack.buffer(3, rows.shape[0] + 1, edges.size - 1)
+        terms[...] = np.nan  # another call's leftovers
+        got = MixtureDensity._core(stack, rows, orders, terms, False)
+        for r, mix in enumerate(mixes[o] for o in owner):
+            assert np.array_equal(got[:, r], mix.partial_moments(rows[r], orders))
+
+    @PROPERTY_SETTINGS
+    @given(mixture_stacks())
+    def test_quantiles_equal_one_mixture_calls(self, case):
+        mixes, edges = case
+        levels = np.concatenate(([0.0, 1.0], edges[1:-1]))
+        got = MixtureStack(mixes).take(np.arange(len(mixes)).repeat(levels.size)).quantile(
+            np.tile(levels, len(mixes)))
+        for d, mix in enumerate(mixes):
+            assert np.array_equal(got[d * levels.size:(d + 1) * levels.size],
+                                  mix.quantile(levels))
+
+    def test_stacked_mixtures_share_a_kernel_and_a_count_of_beta_parts(self):
+        beta = MixtureDensity.from_beta(BetaDensity(2, 5))
+        for other in (MixtureDensity(((0.5, BetaDensity(2, 5)), (0.5, BetaDensity(5, 2)))),
+                      MixtureDensity(((0.5, BetaDensity(2, 5)),), [0.5], [0.5],
+                                     NoiseKernel("uniform", 0.02))):
+            with pytest.raises(ValueError, match="one noise kernel and one count of beta parts"):
+                MixtureStack([beta, other])
 
 
 class TestKernelWork:

@@ -3,15 +3,22 @@ solving and certification, the social-stability margin check, the
 certificates' reuse of a solve's designs, and the report of best responses
 stopped at the Lloyd-Max iteration cap."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quantgame import (
     BetaDensity,
+    EmptyCellError,
+    GameState,
     CommMatrix,
     MixtureDensity,
     NoiseKernel,
     QuantizationGame,
+    RegularQuantizer,
     best_response,
     bootstrap,
     centroid_residual,
@@ -29,7 +36,9 @@ from quantgame import quantizers
 from quantgame.game import observed_mixture
 from quantgame.networks import AgentSpec
 
-from conftest import ROOT, TRIANGULAR_NOISE_FIXTURE, lloyd_max_to, triangular_noise_game
+from conftest import ROOT, TRIANGULAR_NOISE_FIXTURE, lloyd_max_to, outcome, triangular_noise_game
+from oracles import sequential_bootstrap, sequential_responses, sequential_solve, sequential_sweep
+from strategies import forests, games
 
 # the benchmark's committed reference equilibrium, read here and never written
 REFERENCE_FIXTURE = ROOT / "perfbench" / "fixtures" / "reference_state.json"
@@ -60,6 +69,14 @@ class TestGameConstruction:
         with pytest.raises(ValueError):
             QuantizationGame(agents, CommMatrix(np.eye(2)))
 
+    def test_compares_and_hashes_by_identity(self):
+        game = _coupled_game()
+        same = QuantizationGame(game.agents, game.comm, game.noise)
+        assert game == game and not game != game
+        assert not game == same and game != same
+        assert hash(game) == hash(game)
+        assert {game: 1, same: 2}[game] == 1
+
 
 class TestBootstrap:
     def test_matches_physical_optima(self):
@@ -81,7 +98,7 @@ class TestBestResponseAndSweep:
     def test_best_response_optimizes_observed(self):
         game = _coupled_game()
         state = bootstrap(game, n_starts=8)
-        res, priced = best_response(0, state, game, n_starts=8)
+        [(res, priced)] = best_response([0], state, game, n_starts=8)
         obs = observed_mixture(0, game, state.quantizers, state.usage)
         assert res.converged
         assert centroid_residual(res.quantizer, obs) < 1e-9
@@ -261,14 +278,14 @@ class TestSocialStability:
 @pytest.fixture
 def designs(monkeypatch):
     """Counts the Lloyd-Max designs run: each multi-start design, and so
-    each best response and each physical-only optimum, is one call of
-    `quantizers._run_starts`."""
+    each best response and each physical-only optimum, is one of the
+    mixtures passed to `quantizers._run_starts`, which runs a batch of them."""
     calls = []
     run_starts = quantizers._run_starts
 
-    def counting(*args):
-        calls.append(args)
-        return run_starts(*args)
+    def counting(mixes, *args):
+        calls.extend(mixes)
+        return run_starts(mixes, *args)
 
     monkeypatch.setattr(quantizers, "_run_starts", counting)
     return calls
@@ -353,3 +370,88 @@ class TestIterationCap:
     def test_uncapped_solve_has_no_unsettled_agent(self, stable_pair):
         _game, state, report = stable_pair
         assert report.converged and state.unsettled == ()
+
+
+def _assert_same(got, want):
+    """Equal states (words, boundaries, usage, iteration, move, unsettled),
+    quantizers and numbers, bit for bit, in any nesting of lists and tuples."""
+    if isinstance(want, GameState):
+        assert isinstance(got, GameState)
+        assert (got.iteration, got.last_max_move, got.unsettled) == \
+            (want.iteration, want.last_max_move, want.unsettled)
+        _assert_same(got.quantizers, want.quantizers)
+        _assert_same(got.usage, want.usage)
+    elif isinstance(want, RegularQuantizer):
+        _assert_same([got.words, got.boundaries], [want.words, want.boundaries])
+    elif isinstance(want, np.ndarray):
+        assert np.array_equal(got, want)
+    elif isinstance(want, (list, tuple)):
+        assert isinstance(got, (list, tuple)) and len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same(g, w)
+    else:
+        assert got == want
+
+
+def _assert_same_outcome(got, want):
+    """Equal `outcome`s: the same results, or the same raised error."""
+    assert got[0] == want[0]
+    if want[0] == "raised":
+        assert got == want
+    else:
+        _assert_same(got[1], want[1])
+
+
+class TestStackedResponses:
+    """Agents that hear none of each other answer in one batch: the
+    bootstrap, each sweep's runs of such agents and the closing responses.
+    Each must return what the one-agent-at-a-time loops of `oracles`
+    return, bit for bit, and raise what they raise. The inner Lloyd-Max runs
+    stop at 300 iterations, so that capped responses (`unsettled`) occur
+    and the tests stay quick; examples come from the hypothesis profile."""
+
+    @given(games(), st.integers(1, 3), st.data())
+    def test_sweeps_equal_one_agent_at_a_time(self, case, n_starts, data):
+        game, state = case[:2]
+        schedule = data.draw(st.permutations(range(game.n_agents)), label="schedule")
+        with mock.patch.object(quantizers, "_MULTI_MAX_ITERS", 300):
+            _assert_same_outcome(outcome(lambda: bootstrap(game, n_starts)),
+                                 outcome(lambda: sequential_bootstrap(game, n_starts)))
+            for starts in (n_starts, 1):  # a cold sweep from the drawn state, then a warm one
+                want = outcome(lambda: sequential_sweep(state, game, schedule, starts))
+                _assert_same_outcome(outcome(lambda: sweep(state, game, schedule, starts)), want)
+                if want[0] == "raised":
+                    break
+                state = want[1][0]
+            _assert_same_outcome(
+                outcome(lambda: [res.quantizer for res, _obs in
+                                 best_response(range(game.n_agents), state, game, n_starts)]),
+                outcome(lambda: sequential_responses(state, game, n_starts)))
+
+    def test_first_agent_of_a_run_to_fail_raises(self):
+        # one run of four agents: agent 0 hears one word with all its weight,
+        # too few for its two, so its design starves; agent 1 hears agent 2,
+        # whose usage is no probability vector, so its environment cannot be
+        # built. One by one, agent 0's error comes first, so it must here.
+        P = np.array([[0, 0, 0, 1], [0, 0.5, 0.5, 0], [0, 0, 1, 0], [0, 0, 0, 1]], float)
+        game = QuantizationGame(tuple(AgentSpec(k, BetaDensity(2, 3), levels)
+                                      for k, levels in enumerate((2, 2, 1, 1))), CommMatrix(P))
+        quantizers = [quantizer_from_words(w) for w in ([0.3, 0.7], [0.3, 0.7], [0.4], [0.6])]
+        state = GameState(quantizers, [np.array([0.5, 0.5])] * 2 + [np.array([0.5]),
+                                                                    np.array([1.0])])
+        got = outcome(lambda: sweep(state, game, [0, 1, 2, 3], 2))
+        assert got == outcome(lambda: sequential_sweep(state, game, [0, 1, 2, 3], 2))
+        assert got[1] is EmptyCellError
+        assert outcome(lambda: best_response(range(4), state, game, 2)) == \
+            outcome(lambda: sequential_responses(state, game, 2))
+
+    @given(forests(), st.integers(1, 3))
+    def test_forest_solves_equal_one_agent_at_a_time(self, game, n_starts):
+        schedule = game_module.detect_acyclic(game.comm)[1]
+        with mock.patch.object(quantizers, "_MULTI_MAX_ITERS", 300):
+            got = outcome(lambda: solve_equilibrium(game, "topological_if_acyclic", 1e-9, 4,
+                                                    n_starts))
+            want = outcome(lambda: sequential_solve(game, schedule, 1e-9, 4, n_starts))
+        if got[0] == "returned":  # history, then the closing responses saved on the state
+            got = got[0], (got[1][1].history, got[1][0].solved[1][1])
+        _assert_same_outcome(got, want)

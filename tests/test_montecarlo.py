@@ -49,7 +49,12 @@ from quantgame.montecarlo import (
 from quantgame.networks import AgentSpec
 
 from conftest import REFERENCE_CONFIG, ROOT, TRIANGULAR_NOISE_FIXTURE, triangular_noise_game
-from oracles import looped_chain_translate, masked_sample_paths, sampled_chain_translations
+from oracles import (
+    looped_chain_translate,
+    looped_walk_counts,
+    masked_sample_paths,
+    sampled_chain_translations,
+)
 from strategies import PROPERTY_SETTINGS, games
 
 # _estimator_record of the reference equilibrium and of the committed
@@ -730,3 +735,16 @@ class TestPathDependenceProbe:
         assert rep.spread > 0.0
         assert rep.n_chains > 1
         assert 0.0 < rep.worst_input < 1.0
+
+    @PROPERTY_SETTINGS
+    @given(games())
+    def test_chain_counts_by_doubling_equal_the_loop(self, case):
+        # every length bound below 10 and the CLI's largest, on link graphs
+        # with zero weights anywhere
+        game, state = case[:2]
+        S = game.comm.links.T.astype(int).astype(object)
+        for max_len in (*range(1, 10), 1000):
+            want = looped_walk_counts(S, max_len - 1)
+            got = path_dependence_probes(state.quantizers, game.comm, max_len, n_inputs=1)
+            assert {pair: rep.n_chains for pair, rep in got.items()} == \
+                {(i, j): count for (i, j), count in np.ndenumerate(want) if count and i != j}

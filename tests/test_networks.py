@@ -84,6 +84,14 @@ class TestCommMatrix:
             with pytest.raises(ValueError, match="read-only"):
                 array[1, 0] = 0.5
 
+    def test_compares_and_hashes_by_identity(self):
+        # an ndarray field makes a field-wise == raise, so a matrix is itself only
+        P, Q = CommMatrix(np.eye(2)), CommMatrix(np.eye(2))
+        assert P == P and not P != P
+        assert not P == Q and P != Q
+        assert hash(P) == hash(P)
+        assert {P: "P", Q: "Q"}[Q] == "Q"
+
 
 class TestAcyclicity:
     def test_identity_is_acyclic(self):

@@ -4,9 +4,9 @@ optima, a golden-section boundary oracle, an exact dynamic-programming
 oracle on a discretized source, monotone descent of the per-start
 reference loop on random mixtures, the batched multi-start loop against
 the per-start loop it replaced, and one-line rejection of bad design
-arguments."""
+arguments, and several designs in one batch against one design at a time."""
 
-from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,30 +24,31 @@ from quantgame import (
     quantization_loss,
     quantizer_from_words,
 )
-
+from quantgame import quantizers
 from quantgame.quantizers import (
     _MAX_ITERS,
     _MULTI_MAX_ITERS,
     _MULTI_TOL,
     _SEP,
     _TOL,
+    _midpoints,
     _multi_start_inits,
-    _quantile_init,
     _run_starts,
     _separate,
 )
 
-from conftest import AGENT5_TARGET_WORDS, lloyd_max_to
+from conftest import AGENT5_TARGET_WORDS, lloyd_max_to, outcome
 from oracles import (
     beta_pdf,
     dp_optimal_quantizer,
     forward_separate,
+    quantile_start,
     riemann_quantizer_loss,
     searchsorted_cell_index,
     sequential_lloyd_max,
     sequential_multi_start,
 )
-from strategies import PROPERTY_SETTINGS, mixtures
+from strategies import PROPERTY_SETTINGS, kernels, mixtures
 
 # frozen golden-section oracle for the symmetric two-level design:
 # boundary 1/2, words 5/16 and 11/16, loss 19/1280
@@ -203,7 +204,7 @@ class TestLloydMax:
     def test_loss_history_non_increasing(self):
         mix = MixtureDensity.from_beta(BetaDensity(5, 2))
         res = lloyd_max_to(mix, 5, 1e-12)
-        _ref, hist = sequential_lloyd_max(mix, _quantile_init(mix, 5), _MAX_ITERS, 1e-12)
+        _ref, hist = sequential_lloyd_max(mix, quantile_start(mix, 5), _MAX_ITERS, 1e-12)
         assert np.all(np.diff(hist) <= 1e-14)
         assert res.loss == hist[-1]
 
@@ -216,7 +217,7 @@ class TestLloydMax:
     def test_starved_cells_recovered(self):
         # all words packed into the vanishing right tail of a left-heavy
         # source, so the initial cells carry essentially no mass
-        res = _run_starts(MixtureDensity.from_beta(BetaDensity(2, 9)),
+        res = _run_starts([MixtureDensity.from_beta(BetaDensity(2, 9))],
                           np.array([[0.9990, 0.9992, 0.9994, 0.9996]]), _MAX_ITERS, 1e-11)[0]
         assert res.converged
         assert res.empty_cell_events > 0
@@ -239,7 +240,7 @@ class TestLloydMax:
         ref = lloyd_max_to(mix, 6, 1e-11).quantizer.words
         inits = np.sort(rng.uniform(0.02, 0.98, (5, 6)), axis=1)
         inits += np.arange(6) * 1e-4  # enforce strict increase
-        for got in _run_starts(mix, inits, _MAX_ITERS, 1e-11):
+        for got in _run_starts([mix], inits, _MAX_ITERS, 1e-11):
             assert got.quantizer.words == pytest.approx(ref, abs=1e-7)
 
 
@@ -287,7 +288,7 @@ class TestExtremeSources:
     @example(0.0, -3.0, 4)  # Beta(1, 0.001): every quantile start word is 1
     def test_design_returns_or_reports_starved_cell(self, log_a, log_b, levels):
         d = MixtureDensity.from_beta(BetaDensity(10.0 ** log_a, 10.0 ** log_b))
-        for design in (lloyd_max, partial(multi_start_lloyd_max, n_starts=8)):
+        for design in (lloyd_max, lambda d, k: multi_start_lloyd_max([d], [k], 8)[0]):
             try:
                 res = design(d, levels)
             except EmptyCellError:
@@ -300,12 +301,12 @@ class TestMultiStart:
     def test_matches_single_start_on_log_concave(self):
         d = MixtureDensity.from_beta(BetaDensity(3, 4))
         a = lloyd_max_to(d, 5, 1e-11)
-        b = multi_start_lloyd_max(d, levels=5, n_starts=6)
+        [b] = multi_start_lloyd_max([d], [5], n_starts=6)
         assert b.quantizer.words == pytest.approx(a.quantizer.words, abs=1e-8)
 
     def test_bimodal_two_level_grid_oracle(self):
         mix = MixtureDensity(((0.5, BetaDensity(2, 8)), (0.5, BetaDensity(8, 2))))
-        res = multi_start_lloyd_max(mix, levels=2, n_starts=8)
+        [res] = multi_start_lloyd_max([mix], [2], n_starts=8)
         b, w, dp_loss = dp_optimal_quantizer(
             lambda x: 0.5 * beta_pdf(x, 2, 8) + 0.5 * beta_pdf(x, 8, 2), 2)
         assert res.quantizer.words == pytest.approx(w, abs=2e-3)
@@ -314,12 +315,12 @@ class TestMultiStart:
     def test_warm_start_and_validation(self):
         d = MixtureDensity.from_beta(BetaDensity(2, 2))
         warm = lloyd_max_to(d, 3, 1e-11).quantizer
-        res = multi_start_lloyd_max(d, levels=3, n_starts=2, warm_start=warm)
+        [res] = multi_start_lloyd_max([d], [3], n_starts=2, warm_starts=[warm])
         assert res.quantizer.words == pytest.approx(warm.words, abs=1e-9)
         with pytest.raises(ValueError):
-            multi_start_lloyd_max(d, levels=4, n_starts=8, warm_start=warm)
+            multi_start_lloyd_max([d], [4], n_starts=8, warm_starts=[warm])
         with pytest.raises(ValueError):
-            multi_start_lloyd_max(d, levels=3, n_starts=0)
+            multi_start_lloyd_max([d], [3], n_starts=0)
 
 
 class TestArgumentValidation:
@@ -327,8 +328,8 @@ class TestArgumentValidation:
 
     @pytest.mark.parametrize("call", [
         lambda d: lloyd_max(d, levels=0),
-        lambda d: multi_start_lloyd_max(d, 0, 8),
-        lambda d: multi_start_lloyd_max(d, -2, 8),
+        lambda d: multi_start_lloyd_max([d], [0], 8),
+        lambda d: multi_start_lloyd_max([d], [-2], 8),
     ], ids=["lloyd_max-levels-0", "multi_start-0", "multi_start-minus-2"])
     def test_levels_must_be_positive(self, call):
         with pytest.raises(ValueError, match="^levels must be at least 1$"):
@@ -365,20 +366,21 @@ class TestBatchedStarts:
             words = data.draw(st.lists(st.floats(0.02, 0.98), min_size=levels,
                                        max_size=levels, unique=True), label="warm words")
             warm = quantizer_from_words(np.sort(words))
-        inits = _multi_start_inits(mix, levels, n_starts, warm)
+        inits = _multi_start_inits([mix], levels, n_starts, [warm])[0]
         try:
             want, best = sequential_multi_start(mix, levels, n_starts, warm, max_iters,
                                                 _MULTI_TOL)
         except EmptyCellError:
             with pytest.raises(EmptyCellError):
-                _run_starts(mix, inits, max_iters, _MULTI_TOL)
+                _run_starts([mix], inits, max_iters, _MULTI_TOL)
             return
-        got = _run_starts(mix, inits, max_iters, _MULTI_TOL)
+        got = _run_starts([mix], inits, max_iters, _MULTI_TOL)
         assert len(got) == len(want) == n_starts + (warm is not None)
         for g, w in zip(got, want):
             _assert_same_run(g, w)
         if max_iters == _MULTI_MAX_ITERS:  # the cap multi_start_lloyd_max runs to
-            _assert_same_run(multi_start_lloyd_max(mix, levels, n_starts, warm), want[best])
+            _assert_same_run(multi_start_lloyd_max([mix], [levels], n_starts, [warm])[0],
+                             want[best])
 
     def test_relocating_row_beside_settled_rows(self):
         # the first row relocates a word and needs one more iteration than
@@ -386,11 +388,66 @@ class TestBatchedStarts:
         mix = MixtureDensity((), [w for w, _c in RELOCATION_ATOMS],
                              [c for _w, c in RELOCATION_ATOMS])
         rows = np.array([RELOCATION_INIT, [0.2, 0.4, 0.8], [0.3, 0.6, 0.9]])
-        got = _run_starts(mix, rows.copy(), 10_000, 1e-11)
+        got = _run_starts([mix], rows.copy(), 10_000, 1e-11)
         for g, row in zip(got, rows):
             _assert_same_run(g, sequential_lloyd_max(mix, row, 10_000, 1e-11)[0])
         assert [g.empty_cell_events for g in got] == [1, 0, 0]
         assert [g.iterations for g in got] == [3, 2, 2]
+
+
+class TestStackedDesigns:
+    """Several designs in one `multi_start_lloyd_max` call, each run of
+    consecutive designs with one level count, kernel and number of beta
+    parts as one batch, against one call per design: the same results bit
+    for bit, and the error that designing them one after another raises."""
+
+    @PROPERTY_SETTINGS
+    @given(kernels(), st.integers(1, 2), st.integers(1, 4), st.data())
+    def test_designs_equal_one_at_a_time(self, kernel, n_betas, n_starts, data):
+        # shared kernels and few level counts, so that designs batch; beta
+        # part counts, kernels and warm start sizes that differ split them
+        designs = data.draw(st.lists(st.tuples(
+            st.one_of(mixtures(max_atoms=8, kernel=kernel, n_betas=n_betas),
+                      mixtures(max_atoms=8)),
+            st.integers(1, 3), st.sampled_from([None, 0, 0, 1])), min_size=1, max_size=5))
+        mixes, levels = [d[0] for d in designs], [d[1] for d in designs]
+        warms = [None if extra is None else
+                 quantizer_from_words((np.arange(k + extra) + 0.5) / (k + extra))
+                 for _mix, k, extra in designs]
+        with mock.patch.object(quantizers, "_MULTI_MAX_ITERS", 300):
+            got = outcome(lambda: multi_start_lloyd_max(mixes, levels, n_starts, warms))
+            want = outcome(lambda: [multi_start_lloyd_max([mix], [k], n_starts, [warm])[0]
+                                    for mix, k, warm in zip(mixes, levels, warms)])
+        assert got[0] == want[0]
+        if want[0] == "raised":
+            assert got == want
+            return
+        assert len(got[1]) == len(want[1])
+        for g, w in zip(got[1], want[1]):
+            _assert_same_run(g, w)
+
+    def test_first_design_to_fail_is_raised(self, monkeypatch):
+        # design 1 fails at its first relocation, design 0 only at its third:
+        # one after another, design 0's error comes first, and so must it here
+        calls = {}
+
+        def failing(words, mix):
+            calls[mix] = calls.get(mix, 0) + 1
+            if calls[mix] == fail_at[mix]:
+                raise EmptyCellError(f"design {mixes.index(mix)} starved")
+            b = _midpoints(words)
+            return words, b, mix.partial_moments(b), 0
+
+        monkeypatch.setattr(quantizers, "EMPTY_CELL_MASS", 2.0)  # every cell starves
+        monkeypatch.setattr(quantizers, "_resolve_empty_cells", failing)
+        mixes = [MixtureDensity.from_beta(BetaDensity(2, 5)),
+                 MixtureDensity.from_beta(BetaDensity(5, 2))]
+        fail_at = {mixes[0]: 3, mixes[1]: 1}
+        for designs, relocations in ((mixes, [3, 1]), (mixes[:1], [3])):
+            calls.clear()
+            with pytest.raises(EmptyCellError, match="^design 0 starved$"):
+                multi_start_lloyd_max(designs, [4] * len(designs), 1)
+            assert [calls[mix] for mix in designs] == relocations
 
 
 class TestLoopWork:
@@ -415,13 +472,13 @@ class TestLoopWork:
     MIX = MixtureDensity(((0.7, BetaDensity(2, 5)),), [0.2, 0.1], [0.3, 0.6])
 
     def test_one_kernel_call_per_iteration(self, kernel_calls):
-        res = _run_starts(self.MIX, np.array([[0.1, 0.4, 0.6, 0.9]]), _MAX_ITERS, 1e-10)[0]
+        res = _run_starts([self.MIX], np.array([[0.1, 0.4, 0.6, 0.9]]), _MAX_ITERS, 1e-10)[0]
         assert res.converged and res.empty_cell_events == 0
         assert len(kernel_calls) == res.iterations + 1
 
     def test_batched_starts_share_each_call(self, kernel_calls):
         rows = np.array([[0.1, 0.4, 0.6, 0.9], [0.2, 0.3, 0.5, 0.8], [0.05, 0.5, 0.7, 0.95]])
-        got = _run_starts(self.MIX, rows, 10_000, 1e-10)
+        got = _run_starts([self.MIX], rows, 10_000, 1e-10)
         assert all(r.converged and r.empty_cell_events == 0 for r in got)
         assert len(kernel_calls) == max(r.iterations for r in got) + 1
 
@@ -436,7 +493,7 @@ class TestLossHistory:
     @given(mixtures(max_atoms=8), st.integers(1, 6))
     def test_history_complete_and_non_increasing(self, mix, levels):
         res = lloyd_max(mix, levels=levels)
-        _ref, hist = sequential_lloyd_max(mix, _quantile_init(mix, levels), _MAX_ITERS, _TOL)
+        _ref, hist = sequential_lloyd_max(mix, quantile_start(mix, levels), _MAX_ITERS, _TOL)
         assert np.all(np.diff(hist) <= 1e-14)
         assert len(hist) == res.iterations
         assert res.loss == hist[-1] == quantization_loss(res.quantizer, mix)
@@ -447,11 +504,11 @@ class TestLossHistory:
         # relocates its word; the loss must still not rise across it.
         mix = MixtureDensity((), [w for w, _c in RELOCATION_ATOMS],
                              [c for _w, c in RELOCATION_ATOMS])
-        res = _run_starts(mix, np.array([RELOCATION_INIT]), _MAX_ITERS, 1e-11)[0]
+        res = _run_starts([mix], np.array([RELOCATION_INIT]), _MAX_ITERS, 1e-11)[0]
         assert res.converged
         losses, events = [], []
         for n in range(1, res.iterations + 1):
-            part = _run_starts(mix, np.array([RELOCATION_INIT]), n, 1e-11)[0]
+            part = _run_starts([mix], np.array([RELOCATION_INIT]), n, 1e-11)[0]
             assert part.loss == quantization_loss(part.quantizer, mix)
             losses.append(part.loss)
             events.append(part.empty_cell_events)
@@ -462,6 +519,6 @@ class TestLossHistory:
     def test_max_iters_validation(self):
         # a cap of one iteration stops there and prices that iterate
         mix = MixtureDensity.from_beta(BetaDensity(2, 2))
-        res = _run_starts(mix, _multi_start_inits(mix, 3, 1, None), 1, 1e-10)[0]
+        res = _run_starts([mix], _multi_start_inits([mix], 3, 1, [None])[0], 1, 1e-10)[0]
         assert res.iterations == 1 and not res.converged
         assert res.loss == quantization_loss(res.quantizer, mix)
