@@ -236,7 +236,8 @@ def _quick_report(state: GameState, game: QuantizationGame, converged: bool,
             obs_res[i] = centroid_residual(q, observed_mixture(i, game, state.quantizers,
                                                                state.usage))
         except Exception:
-            saved or best_response(range(i), state, game, n_starts)  # an earlier failure first
+            if not saved:
+                best_response(range(i), state, game, n_starts)  # an earlier failure first
             raise
     brs = saved[1] if saved else [res.quantizer for res, _obs in
                                   best_response(range(n), state, game, n_starts)]

@@ -6,9 +6,10 @@ boundary rule (midpoints of adjacent words, squared-error case) with
 the centroid rule against a MixtureDensity source.
 
 The design loop advances a (starts, levels) array of words: every start
-of a multi-start design takes its iteration in the same call of the
-moment kernel's core, past the input check that its boundaries pass by
-construction; a start leaves the batch once it settles. Each start's
+of every design in a batch, each row under its own source, takes its
+iteration in the same call of the moment kernel's core, past the input
+check that its boundaries pass by construction; a start leaves the batch
+once it settles. Each start's
 arithmetic is elementwise along its own row, so a start run in a batch
 gives bit for bit the result it gives alone.
 """
