@@ -247,9 +247,6 @@ class MixtureDensity:
 
     def quantile(self, p):
         """Smallest x with mass (0, x] >= p, for an array of levels at once."""
-        p = np.asarray(p, dtype=float)
-        if not np.all((0.0 <= p) & (p <= 1.0)):
-            raise ValueError("quantile level must be in [0, 1]")
         return self._parts.quantile(p)
 
 
@@ -298,12 +295,15 @@ class MixtureStack:
         return np.empty((orders, len(self.betas) + self.centers.shape[0], rows, cells))
 
     def quantile(self, p):
-        """Row r's smallest x with mass (0, x] >= p[r], p in [0, 1] unchecked,
-        by bisection to a bracket of 2^-44 < 1e-13, every row at once. One
-        kernel call prices the 15 inner points of each bracket's 1/16 grid,
-        which hold the midpoints of the next four steps, and the steps are
-        replayed from those prices. The points are exact dyadics, so each
-        step branches as a one-point bisection would."""
+        """Row r's smallest x with mass (0, x] >= p[r], by bisection to a
+        bracket of 2^-44 < 1e-13, every row at once. One kernel call prices
+        the 15 inner points of each bracket's 1/16 grid, which hold the
+        midpoints of the next four steps, and the steps are replayed from
+        those prices. The points are exact dyadics, so each step branches
+        as a one-point bisection would."""
+        p = np.asarray(p, dtype=float)
+        if not np.all((0.0 <= p) & (p <= 1.0)):
+            raise ValueError("quantile level must be in [0, 1]")
         rows = np.arange(p.size)
         lo, hi = np.zeros(p.size), np.ones(p.size)
         terms, level = self.buffer(1, p.size, 15), p.reshape(-1, 1)

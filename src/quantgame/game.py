@@ -104,12 +104,17 @@ def refresh_state(game: QuantizationGame, quantizers: Sequence[RegularQuantizer]
     Usage vectors are iterated to their mutual fixed point: each agent's
     usage depends on peers' usage through the observed mixture.
     """
+    n = game.n_agents
     usage = _physical_usage(game, quantizers)
     for _ in range(200):
-        new = [word_usage(observed_mixture(i, game, quantizers, usage), q)
-               for i, q in enumerate(quantizers)]
-        delta = max(float(np.max(np.abs(u - v))) for u, v in zip(new, usage))
-        usage = new
+        new_usage = []
+        delta = 0.0
+        for i in range(n):
+            obs = observed_mixture(i, game, quantizers, usage)
+            u = word_usage(obs, quantizers[i])
+            delta = max(delta, float(np.max(np.abs(u - usage[i]))))
+            new_usage.append(u)
+        usage = new_usage
         if delta < 1e-14:
             break
     return GameState(list(quantizers), usage)
@@ -308,11 +313,19 @@ def check_social_stability(state: GameState, game: QuantizationGame,
     """
     saved = _saved(state, game, n_starts)
     baseline = saved[0] if saved else bootstrap(game, n_starts).quantizers
-    pairs = zip(*np.nonzero(game.comm.entries > 0.0))  # i hears j, or i == j
-    margin = min((float(np.min(np.abs(baseline[i].words[:, None] - baseline[j].boundaries[1:])))
-                  for i, j in pairs), default=float("inf"))
-    drift = max(float(np.max(np.abs(b.words - q.words)))
-                for b, q in zip(baseline, state.quantizers))
+    n = game.n_agents
+    margin = float("inf")
+    for i in range(n):
+        for j in range(n):
+            if game.comm.entries[i, j] <= 0.0:
+                continue
+            words = baseline[i].words[:, None]
+            bounds = baseline[j].boundaries[None, 1:]
+            margin = min(margin, float(np.min(np.abs(words - bounds))))
+    drift = max(
+        float(np.max(np.abs(baseline[i].words - state.quantizers[i].words)))
+        for i in range(n)
+    )
     hw = game.noise.halfwidth
     satisfied = margin > 2.0 * drift and margin > 2.0 * hw and margin > 0.0
     return StabilityReport(margin, drift, hw, satisfied)
