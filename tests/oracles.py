@@ -3,7 +3,8 @@
 Everything here avoids the library's own moment formulas: probabilities and
 moments come from midpoint Riemann sums on dense grids, optimal quantizers
 from exhaustive dynamic programming over a discretized source, and the
-beta-pair overlap from adaptive quadrature.
+beta-pair overlap from adaptive quadrature. The loops that array and batched
+code replaced are kept here too, as references that the new code must match.
 """
 
 import math

@@ -1,7 +1,8 @@
 """Strategic layer: bootstrap, best responses, sweep dynamics, equilibrium
 solving and certification, the social-stability margin check, the
-certificates' reuse of a solve's designs, and the report of best responses
-stopped at the Lloyd-Max iteration cap."""
+certificates' reuse of a solve's designs, the report of best responses
+stopped at the Lloyd-Max iteration cap, and the batched responses against
+the one-agent-at-a-time loops they replaced."""
 
 from unittest import mock
 
@@ -12,9 +13,9 @@ from hypothesis import strategies as st
 
 from quantgame import (
     BetaDensity,
+    CommMatrix,
     EmptyCellError,
     GameState,
-    CommMatrix,
     MixtureDensity,
     NoiseKernel,
     QuantizationGame,
