@@ -258,29 +258,32 @@ def multi_start_lloyd_max(
     """For each design d, the best of several Lloyd-Max runs against
     `mixes[d]` with `levels[d]` words: the optional `warm_starts[d]`, the
     quantile start, and jittered quantile starts, `n_starts` cold starts in
-    all, each run to `_MULTI_TOL` or `_MULTI_MAX_ITERS` iterations. Each run
-    of consecutive designs with one level count, kernel and number of beta
-    parts is one batch, every start exactly as it would run alone. Returns
-    each design's minimum-loss result; on a tie the first start in that
-    order wins, so a warm start keeps its place unless a cold start is
-    strictly better. A batch that raises raises as its designs one after
-    another would."""
+    all, each run to `_MULTI_TOL` or `_MULTI_MAX_ITERS` iterations. The
+    designs with one level count, kernel and number of beta parts run as
+    one batch, every start exactly as it would run alone. Returns each
+    design's minimum-loss result; on a tie the first start in that order
+    wins, so a warm start keeps its place unless a cold start is strictly
+    better. An error is the one that designing one after another raises."""
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
-    designs = zip(mixes, levels, warm_starts or [None] * len(mixes))
-    out: List[LloydMaxResult] = []
-    for (k, *_), batch in itertools.groupby(
-            designs, lambda d: (d[1], len(d[0].continuous_parts), d[0].noise)):
-        group, _levels, warm = zip(*batch)
-        try:
+    warm_starts = list(warm_starts or [None] * len(mixes))
+    batches = {}  # the designs of each level count, kernel and number of beta parts
+    for d, (mix, k) in enumerate(zip(mixes, levels)):
+        batches.setdefault((k, len(mix.continuous_parts), mix.noise), []).append(d)
+    out: List[LloydMaxResult] = [None] * len(mixes)
+    try:
+        for (k, *_), batch in batches.items():
+            group, warm = [mixes[d] for d in batch], [warm_starts[d] for d in batch]
             inits, owner = _multi_start_inits(group, k, n_starts, warm)
             runs = iter(_run_starts(group, inits, _MULTI_MAX_ITERS, _MULTI_TOL, owner))
-        except Exception:
-            for mix, w in zip(group[:-1], warm):  # one design at a time: the first to fail raises
+            for d, w in zip(batch, warm):
+                out[d] = min(itertools.islice(runs, n_starts + (w is not None)),
+                             key=lambda r: r.loss)
+    except Exception:
+        if len(mixes) > 1:  # one design at a time: the first to fail raises
+            for mix, k, w in zip(mixes, levels, warm_starts):
                 multi_start_lloyd_max([mix], [k], n_starts, [w])
-            raise
-        out += [min(itertools.islice(runs, n_starts + (w is not None)), key=lambda r: r.loss)
-                for w in warm]
+        raise
     return out
 
 

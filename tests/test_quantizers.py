@@ -396,16 +396,17 @@ class TestBatchedStarts:
 
 
 class TestStackedDesigns:
-    """Several designs in one `multi_start_lloyd_max` call, each run of
-    consecutive designs with one level count, kernel and number of beta
-    parts as one batch, against one call per design: the same results bit
-    for bit, and the error that designing them one after another raises."""
+    """Several designs in one `multi_start_lloyd_max` call, the designs of
+    each level count, kernel and number of beta parts as one batch, against
+    one call per design: the same results bit for bit, and the error that
+    designing them one after another raises."""
 
     @PROPERTY_SETTINGS
     @given(kernels(), st.integers(1, 2), st.integers(1, 4), st.data())
     def test_designs_equal_one_at_a_time(self, kernel, n_betas, n_starts, data):
         # shared kernels and few level counts, so that designs batch; beta
-        # part counts, kernels and warm start sizes that differ split them
+        # part counts and kernels that differ split them, and a warm start
+        # of the wrong size makes its batch raise
         designs = data.draw(st.lists(st.tuples(
             st.one_of(mixtures(max_atoms=8, kernel=kernel, n_betas=n_betas),
                       mixtures(max_atoms=8)),
