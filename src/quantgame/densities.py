@@ -14,6 +14,9 @@ an input check before `MixtureDensity._core`, which Lloyd-Max and
 row under its own mixture of a `MixtureStack`. Each beta part prices all
 orders at every boundary in one `betainc` call; all word atoms, which
 share one noise kernel, form one atoms x rows x cells array.
+
+SciPy's special functions load where a beta part is first priced, not at
+import: a process that only samples paths or translates chains skips them.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from enum import Enum
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import special
+
+special = None  # scipy.special, bound by the first MixtureStack with beta parts
 
 # below this mass a cell is considered empty
 EMPTY_CELL_MASS = 1e-12
@@ -259,6 +263,7 @@ class MixtureStack:
     its row's sum, and x + -0.0 is x bit for bit for every x."""
 
     def __init__(self, mixtures: Sequence[MixtureDensity]):
+        global special
         first = mixtures[0]
         if len({(m.noise, len(m.continuous_parts)) for m in mixtures}) > 1:
             raise ValueError("stacked mixtures need one noise kernel and one count of beta parts")
@@ -275,6 +280,8 @@ class MixtureStack:
                               for t in zip(*(d._moment_terms for _w, d in parts)))
             self.betas.append((np.array([[w] for w, _d in parts]), shapes, scales,
                                np.array([[d.beta_param] for _w, d in parts], dtype=float)))
+        if self.betas and special is None:  # the first beta part priced loads it
+            from scipy import special
         self.centers, self.weights, self.noise = c, w, first.noise
 
     @staticmethod
@@ -325,9 +332,10 @@ def hellinger_beta(p: BetaDensity, q: BetaDensity) -> float:
     Hellinger distance under the textbook convention; we keep this form
     because it is the quantity the downstream similarity analysis plots.
     """
+    from scipy.special import betaln  # loaded on first use, as in MixtureStack
     a1, b1 = p.alpha, p.beta_param
     a2, b2 = q.alpha, q.beta_param
-    log_bc = special.betaln((a1 + a2) / 2.0, (b1 + b2) / 2.0) - 0.5 * (
-        special.betaln(a1, b1) + special.betaln(a2, b2)
+    log_bc = betaln((a1 + a2) / 2.0, (b1 + b2) / 2.0) - 0.5 * (
+        betaln(a1, b1) + betaln(a2, b2)
     )
     return float(1.0 - math.exp(log_bc))

@@ -49,7 +49,8 @@ def sample_paths(i: int, state: GameState, game: QuantizationGame, n: int,
 
     The forward walk follows only the samples in flight, by ascending
     index, and keeps per hop the (indices, agents) of those that moved;
-    back-propagation replays these hops in reverse. The generator is read
+    back-propagation replays these hops in reverse. Past hop 0, the walk
+    covers only the samples that left agent i. The generator is read
     in a fixed order: per hop, one uniform for each sample in flight,
     beta draws per terminal agent in agent order, then noise per hop from
     the last, each over samples in index order. Hops never follow a
@@ -74,56 +75,70 @@ def sample_paths(i: int, state: GameState, game: QuantizationGame, n: int,
         bounds[:q.levels - 1, a] = q.boundaries[1:-1]
         words[a, :q.levels] = q.words
 
-    idx = np.arange(n)  # samples in flight, ascending
-    cur = i  # their current agents
-    terminal_agent = np.full(n, i)  # latest agent of every sample
+    # hop 0: a sample stays at i iff t[i] <= u < t[i + 1], t being i's thresholds after
+    # a -inf, +inf from i's last positive edge on (past it, all move); route the movers
+    t = np.concatenate(([-np.inf], thr[:, i], np.full(n_agents - len(thr), np.inf)))
+    u = rng.random(n)
+    movers = np.flatnonzero((u < t[i]) | (u >= t[i + 1]))  # ascending
+    u = u[movers]
+    cur = np.zeros(movers.size, np.intp)  # the agents of the samples in flight
+    for t in thr[:last_edge[i], i]:
+        cur += u >= t
     lengths = np.ones(n, dtype=np.int64)
-    hops = []  # per hop: (indices, new agents) of the samples that moved
-    for hop in range(DEPTH_CAP):
-        if idx.size == 0:
+    lengths[movers] += 1
+    # later hops follow positions in `movers`, as does each mover's latest agent
+    pos, terminal = np.arange(movers.size), cur.copy()
+    hops = [(movers, cur)]  # per hop: (indices, new agents) of the samples that moved
+    for _hop in range(1, DEPTH_CAP):
+        if pos.size == 0:
             break
-        u = rng.random(idx.size)
-        nxt = np.zeros(idx.size, np.intp)
-        # hop 0 compares against agent i's thresholds as scalars
-        for t in (thr[:last_edge[i], i] if hop == 0 else thr.take(cur, axis=1)):
-            nxt += u >= t
+        u = rng.random(pos.size)
+        nxt = np.zeros(pos.size, np.intp)
+        for t in thr:
+            nxt += u >= t.take(cur)
         moved = np.flatnonzero(nxt != cur)
-        idx, cur = idx[moved], nxt[moved]
-        terminal_agent[idx] = cur
+        pos, cur = pos[moved], nxt[moved]
+        terminal[pos] = cur
+        idx = movers[pos]
         lengths[idx] += 1
         hops.append((idx, cur))
-    n_truncated = idx.size
-    terminal_agent[idx] = -1  # still in flight after DEPTH_CAP hops
+    n_truncated = pos.size
+    terminal[pos] = -1  # still in flight after DEPTH_CAP hops
 
     # physical draw at each sample's terminal agent
+    home = np.ones(n, bool)  # agent i's: all but the movers that end elsewhere
+    home[movers[terminal != i]] = False
     x = np.full(n, np.nan)
     for a in range(n_agents):
-        m = terminal_agent == a
-        if m.any():
+        m = home if a == i else movers[terminal == a]
+        size = int(np.count_nonzero(m)) if a == i else m.size
+        if size:
             d = game.agents[a].physical
-            x[m] = rng.beta(d.alpha, d.beta_param, int(m.sum()))
+            x[m] = rng.beta(d.alpha, d.beta_param, size)
 
-    # back to the receiver: quantize at each transmitter, then add noise
-    value = x.copy()
+    # back to the receiver: quantize at each transmitter, then add noise;
+    # a truncated sample keeps its NaN
+    xhat = x.copy()
     n_clamped = 0
-    for moved, transmitter in reversed(hops):
+    while hops:  # from the last; a hop's arrays go once it is replayed
+        moved, transmitter = hops.pop()
+        v = xhat[moved]
         if n_truncated:
-            keep = terminal_agent[moved] >= 0
-            moved, transmitter = moved[keep], transmitter[keep]
+            keep = ~np.isnan(v)
+            moved, transmitter, v = moved[keep], transmitter[keep], v[keep]
         if moved.size == 0:
             continue
-        v = value[moved]
         k = transmitter * width  # flat index of the transmitter's first word
-        for b in bounds.take(transmitter, axis=1):
-            k += v > b
+        for b in bounds:
+            k += v > b.take(transmitter)
         v = words.take(k)
         if game.noise.shape is not KernelShape.POINT:
             noised = v + game.noise.sample(rng, moved.size)
             v = np.clip(noised, _CLAMP, 1.0 - _CLAMP)
             n_clamped += int(np.sum(noised != v))
-        value[moved] = v
+        xhat[moved] = v
 
-    return x, value, lengths, n_truncated, n_clamped
+    return x, xhat, lengths, n_truncated, n_clamped
 
 
 @dataclass
@@ -146,20 +161,23 @@ class LossReport:
 
 def _observed(i: int, state: GameState, game: QuantizationGame, n: int, seed: int):
     """n signals sampled at agent i in blocks of at most BLOCK, read one
-    block after another from one generator. Yields per block, less its
-    truncated samples: (x_true, x_obs, agent i's cell of each x_obs,
-    n_truncated, n_clamped)."""
+    block after another from one generator: an iterator over the blocks,
+    each less its truncated samples, as (x_true, x_obs, agent i's cell of
+    each x_obs, n_truncated, n_clamped). n is checked at the call. The
+    iterator holds no block while it samples the next; nor may callers."""
     if n < 1:
         raise ValueError("sample count must be positive")
     rng = np.random.default_rng(seed)
-    q = state.quantizers[i]
-    for start in range(0, n, BLOCK):
-        x, xhat, _lengths, n_trunc, n_clamp = sample_paths(
-            i, state, game, min(BLOCK, n - start), rng)
-        if n_trunc:
-            ok = ~np.isnan(x)
-            x, xhat = x[ok], xhat[ok]
-        yield x, xhat, q.closed_cell_index(xhat), n_trunc, n_clamp
+    return (_block(i, state, game, min(BLOCK, n - start), rng) for start in range(0, n, BLOCK))
+
+
+def _block(i: int, state: GameState, game: QuantizationGame, n: int, rng):
+    """One block of `_observed`."""
+    x, xhat, _lengths, n_trunc, n_clamp = sample_paths(i, state, game, n, rng)
+    if n_trunc:
+        ok = ~np.isnan(x)
+        x, xhat = x[ok], xhat[ok]
+    return x, xhat, state.quantizers[i].closed_cell_index(xhat), n_trunc, n_clamp
 
 
 def _running(size: int):
@@ -192,10 +210,11 @@ def _group_moments(values, groups, n_groups: int):
 def estimate_losses(i: int, state: GameState, game: QuantizationGame,
                     n: int, seed: int) -> LossReport:
     words = state.quantizers[i].words
+    blocks = _observed(i, state, game, n, seed)  # checks n before buf is allocated
     acc = _running(4)  # total, quantization, communication, cross
     buf = np.empty(4 * min(n, BLOCK))  # one block's terms, row by row
     n_trunc = n_clamp = 0
-    for x, xhat, idx, t, c in _observed(i, state, game, n, seed):
+    for x, xhat, idx, t, c in blocks:
         n_trunc += t
         n_clamp += c
         if x.size == 0:
@@ -210,6 +229,7 @@ def estimate_losses(i: int, state: GameState, game: QuantizationGame,
         mean = terms.mean(axis=1)
         np.square(np.subtract(terms, mean[:, None], out=terms), out=terms)
         _merge(acc, np.full(4, x.size), mean, terms.sum(axis=1))
+        del x, xhat, idx, word  # before the next block is sampled
     m = int(acc[0][0])
     # NaN, with no warning, when every sample was truncated
     mean = acc[1] if m else np.full(4, np.nan)
@@ -234,6 +254,7 @@ def true_env_residuals(i: int, state: GameState, game: QuantizationGame,
     acc = _running(q.levels)
     for x, _xhat, idx, _t, _c in _observed(i, state, game, n_samples, seed):
         _merge(acc, *_group_moments(x, idx, q.levels))
+        del x, _xhat, idx  # before the next block is sampled
     counts, mean, m2 = acc
     resid = np.full(q.levels, np.nan)
     se = np.full(q.levels, np.nan)

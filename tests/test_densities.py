@@ -24,7 +24,6 @@ from quantgame import (
     POINT_KERNEL,
     hellinger_beta,
 )
-from quantgame import densities
 from quantgame.densities import MixtureStack, centroid_from_moments
 
 from oracles import (
@@ -434,7 +433,7 @@ class TestKernelWork:
             sizes.append(np.broadcast(a, b, x).size)
             return betainc(a, b, x)
 
-        monkeypatch.setattr(densities.special, "betainc", counting)
+        monkeypatch.setattr(special, "betainc", counting)
         mix = MixtureDensity(((0.4, BetaDensity(2, 5)), (0.2, BetaDensity(3, 1.5))),
                              [0.3, 0.1], [0.25, 0.5])
         batch = np.array([[0.0, 0.2, 0.5, 0.7, 1.0],

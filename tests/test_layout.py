@@ -22,6 +22,11 @@
   package and its command line loads none of them: the package needs
   none of them, and they cost every process about a quarter of its
   memory.
+- Importing the package and its command line loads no `scipy.special`,
+  and neither do loading a state, the Monte Carlo estimators, the
+  path-dependence probes and chain translation: it loads where a beta
+  part is first priced, at about a third of a Monte Carlo process's
+  memory.
 """
 
 import ast
@@ -213,14 +218,52 @@ def test_no_module_imports_a_heavy_scipy_module():
     assert {name: f for name, f in found.items() if f} == {}
 
 
+def _fresh(script: str) -> str:
+    """Standard output of `script` in a fresh interpreter: this one has
+    loaded every module through other tests."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    return subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
 def test_import_loads_no_heavy_scipy_module():
-    # a fresh interpreter: this one has loaded them through other tests
     script = ("import sys, quantgame, quantgame.cli\n"
               f"print(sorted(m for m in {HEAVY_MODULES!r} if m in sys.modules))\n")
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert _fresh(script).strip() == "[]"
+
+
+def test_only_pricing_a_beta_part_loads_scipy_special():
+    root = PACKAGE.parents[1]
+    script = f"""
+import sys
+import numpy as np
+import quantgame, quantgame.cli
+from quantgame import (BetaDensity, MixtureDensity, NoiseKernel, chain_translate,
+                       estimate_losses, load_config, load_state, path_dependence_probes,
+                       true_env_residuals)
+loaded = ["scipy.special" in sys.modules]
+game = load_config({str(root / "configs" / "reference.cfg")!r}).game()
+state = load_state({str(root / "perfbench" / "fixtures" / "reference_state.json")!r}, game)
+estimate_losses(3, state, game, 5000, 1)
+true_env_residuals(3, state, game, 5000, 1)
+path_dependence_probes(state.quantizers, game.comm, 4, 11)
+chain_translate(state.quantizers, [0, 1, 2], np.linspace(0.1, 0.9, 9),
+                NoiseKernel("triangular", 0.02))
+loaded.append("scipy.special" in sys.modules)
+m = MixtureDensity.from_beta(BetaDensity(2, 5)).partial_moments([0, 0.5, 1])
+loaded.append("scipy.special" in sys.modules)
+print(loaded, m.tolist())
+"""
+    want = quantgame.MixtureDensity.from_beta(quantgame.BetaDensity(2, 5)).partial_moments(
+        [0, 0.5, 1])
+    assert _fresh(script).strip() == f"{[False, False, True]} {want.tolist()}"
+
+
+def test_hellinger_beta_loads_scipy_special():
+    script = ("from quantgame import BetaDensity, hellinger_beta\n"
+              "print(repr(hellinger_beta(BetaDensity(2, 5), BetaDensity(3, 1.5))))\n")
+    want = quantgame.hellinger_beta(quantgame.BetaDensity(2, 5), quantgame.BetaDensity(3, 1.5))
+    assert _fresh(script).strip() == repr(want)
 
 
 def test_benchmark_binding_sites_exist():

@@ -304,9 +304,12 @@ class TestLossDecomposition:
         assert a == b
 
     def test_sample_count_validation(self, ref_game, ref_solved):
+        # checked before anything is allocated, e.g. an array of a negative size
         state, _ = ref_solved
-        with pytest.raises(ValueError):
-            estimate_losses(0, state, ref_game, 0, seed=0)
+        for estimator in (estimate_losses, true_env_residuals):
+            for n in (0, -5):
+                with pytest.raises(ValueError, match="^sample count must be positive$"):
+                    estimator(0, state, ref_game, n, 0)
 
 
 def _estimator_record(game, state, n=200_000):
@@ -448,6 +451,22 @@ class TestBlocks:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
+
+    @pytest.mark.parametrize("estimator, arrays", [(estimate_losses, 12), (true_env_residuals, 10)],
+                             ids=["estimate_losses", "true_env_residuals"])
+    def test_workspace_is_a_few_blocks(self, ref_game, estimator, arrays):
+        # the tracemalloc peak in BLOCK-sized float64 arrays, at agent id 4
+        # of the reference fixture (40% of its samples leave it at hop 0):
+        # the sampler's walk covers only those, and no block outlives its turn
+        state = load_state(ROOT / "perfbench" / "fixtures" / "reference_state.json", ref_game)
+        estimator(3, state, ref_game, BLOCK, 74)  # any first-call caches
+        tracemalloc.start()
+        try:
+            estimator(3, state, ref_game, 4 * BLOCK, 74)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= arrays * BLOCK * 8
 
     def test_reference_draws_only_uniforms_in_flight(self, monkeypatch, ref_game,
                                                      ref_solved):
