@@ -105,7 +105,8 @@ def refresh_state(game: QuantizationGame, quantizers: Sequence[RegularQuantizer]
     usage depends on peers' usage through the observed mixture.
     """
     n = game.n_agents
-    usage = _physical_usage(game, quantizers)
+    usage = [word_usage(MixtureDensity.from_beta(a.physical), q)
+             for a, q in zip(game.agents, quantizers)]
     for _ in range(200):
         new_usage = []
         delta = 0.0
@@ -120,28 +121,21 @@ def refresh_state(game: QuantizationGame, quantizers: Sequence[RegularQuantizer]
     return GameState(list(quantizers), usage)
 
 
-def _physical_usage(game: QuantizationGame, quantizers) -> List[np.ndarray]:
-    """Each agent's word usage under its physical source alone."""
-    return [word_usage(MixtureDensity.from_beta(a.physical), q)
-            for a, q in zip(game.agents, quantizers)]
-
-
 def bootstrap(game: QuantizationGame, n_starts: int) -> GameState:
     """Initial state: per-agent Lloyd-Max optimum on the physical source
-    alone, with usage derived from the physical densities."""
-    quantizers = [res.quantizer for res in multi_start_lloyd_max(
-        [MixtureDensity.from_beta(a.physical) for a in game.agents],
-        [a.levels for a in game.agents], n_starts=n_starts)]
-    return GameState(quantizers, _physical_usage(game, quantizers))
+    alone, with the usage each design priced."""
+    designs = multi_start_lloyd_max([MixtureDensity.from_beta(a.physical) for a in game.agents],
+                                    [a.levels for a in game.agents], n_starts=n_starts)
+    return GameState([res.quantizer for res in designs], [res.usage for res in designs])
 
 
 def best_response(agents: Sequence[int], state: GameState, game: QuantizationGame,
-                  n_starts: int) -> List[Tuple[LloydMaxResult, MixtureDensity]]:
+                  n_starts: int) -> List[LloydMaxResult]:
     """For each of `agents`, designed in one batch, the winning Lloyd-Max run
     against its current observed environment, warm-started from its present
-    strategy, and that environment, which reads only the agent's peers and
-    so outlasts its move. An error is the one that answering one agent
-    after another raises first."""
+    strategy. That environment reads only the agent's peers, so the run's
+    usage is the agent's usage after its move. An error is the one that
+    answering one agent after another raises first."""
     agents, mixes = list(agents), []
     try:
         for i in agents:
@@ -149,8 +143,8 @@ def best_response(agents: Sequence[int], state: GameState, game: QuantizationGam
     except Exception:
         best_response(agents[:len(mixes)], state, game, n_starts)  # an earlier failure first
         raise
-    return list(zip(multi_start_lloyd_max(mixes, [game.agents[i].levels for i in agents],
-                                          n_starts, [state.quantizers[i] for i in agents]), mixes))
+    return multi_start_lloyd_max(mixes, [game.agents[i].levels for i in agents],
+                                 n_starts, [state.quantizers[i] for i in agents])
 
 
 def sweep(state: GameState, game: QuantizationGame,
@@ -170,7 +164,7 @@ def sweep(state: GameState, game: QuantizationGame,
     st = state.copy()
     move = 0.0
     for run in runs:
-        for i, (res, obs) in zip(run, best_response(run, st, game, n_starts=n_starts)):
+        for i, res in zip(run, best_response(run, st, game, n_starts=n_starts)):
             old = st.quantizers[i]
             new, st.unsettled = res.quantizer, st.unsettled + (i,) * (not res.converged)
             move = max(
@@ -179,7 +173,7 @@ def sweep(state: GameState, game: QuantizationGame,
                 float(np.max(np.abs(new.boundaries - old.boundaries))),
             )
             st.quantizers[i] = new
-            st.usage[i] = word_usage(obs, new)
+            st.usage[i] = res.usage
     st.iteration += 1
     st.last_max_move = move
     return st, move
@@ -221,8 +215,7 @@ def solve_equilibrium(
         if move < tol:
             converged = not state.unsettled
             break
-    responses = [res.quantizer for res, _obs in best_response(range(game.n_agents), state,
-                                                               game, n_starts)]
+    responses = [r.quantizer for r in best_response(range(game.n_agents), state, game, n_starts)]
     state.solved = (game, n_starts, _words_and_usage(state)), (history[0].quantizers, responses)
     report = _quick_report(state, game, converged, sweeps, n_starts)
     report.history = history
@@ -244,7 +237,7 @@ def _quick_report(state: GameState, game: QuantizationGame, converged: bool,
             if not saved:
                 best_response(range(i), state, game, n_starts)  # an earlier failure first
             raise
-    brs = saved[1] if saved else [res.quantizer for res, _obs in
+    brs = saved[1] if saved else [res.quantizer for res in
                                   best_response(range(n), state, game, n_starts)]
     br_dist = np.array([float(np.max(np.abs(br.words - q.words)))
                         for br, q in zip(brs, state.quantizers)])
@@ -313,19 +306,11 @@ def check_social_stability(state: GameState, game: QuantizationGame,
     """
     saved = _saved(state, game, n_starts)
     baseline = saved[0] if saved else bootstrap(game, n_starts).quantizers
-    n = game.n_agents
-    margin = float("inf")
-    for i in range(n):
-        for j in range(n):
-            if game.comm.entries[i, j] <= 0.0:
-                continue
-            words = baseline[i].words[:, None]
-            bounds = baseline[j].boundaries[None, 1:]
-            margin = min(margin, float(np.min(np.abs(words - bounds))))
-    drift = max(
-        float(np.max(np.abs(baseline[i].words - state.quantizers[i].words)))
-        for i in range(n)
-    )
+    # every listener i against every source j it hears, its own source included
+    margin = min(float(np.min(np.abs(baseline[i].words[:, None] - baseline[j].boundaries[1:])))
+                 for i, j in np.argwhere(game.comm.entries > 0.0))
+    drift = max(float(np.max(np.abs(b.words - q.words)))
+                for b, q in zip(baseline, state.quantizers))
     hw = game.noise.halfwidth
     satisfied = margin > 2.0 * drift and margin > 2.0 * hw and margin > 0.0
     return StabilityReport(margin, drift, hw, satisfied)

@@ -123,14 +123,16 @@ def centroid_residual(q: RegularQuantizer, mix: MixtureDensity) -> float:
 
 @dataclass
 class LloydMaxResult:
-    """One Lloyd-Max run: its final quantizer and that quantizer's loss
-    against the design source, plus how the run ended."""
+    """One Lloyd-Max run: its final quantizer, that quantizer's loss and
+    word usage (its cells' masses, normalized) under the design source,
+    plus how the run ended."""
 
     quantizer: RegularQuantizer
     converged: bool
     iterations: int
     final_move: float
     loss: float
+    usage: np.ndarray
     empty_cell_events: int = 0
 
 
@@ -204,7 +206,8 @@ def _run_starts(mixes: Sequence[MixtureDensity], words: np.ndarray, max_iters: i
     (m0, m1) over their cells, relocation (pricing m2 too) only in rows
     with a starved cell, then the centroid step on the whole array. A
     row leaves once its move is below `tol`, or stops unconverged after
-    `max_iters`. One last core call prices every row's final iterate.
+    `max_iters`. One last core call prices every row's final iterate: its
+    loss and its usage, as `networks.word_usage` gives them bit for bit.
     Rows must be strictly increasing inside (0, 1), as `_separate` leaves
     them, `max_iters` at least 1 and `tol` positive and finite; `words` is
     overwritten with the final iterates.
@@ -241,10 +244,11 @@ def _run_starts(mixes: Sequence[MixtureDensity], words: np.ndarray, max_iters: i
         _midpoints(w, out=b)
     words[rows], moves[rows] = new, move  # the rows stopped by max_iters
 
-    final = _loss(words, core(stack, _midpoints(words), 3, terms, False)).tolist()
+    m = core(stack, _midpoints(words), 3, terms, False)
+    final, usage = _loss(words, m).tolist(), [m0 / m0.sum() for m0 in m[0]]
     return [
         LloydMaxResult(quantizer_from_words(words[r]), bool(moves[r] < tol),
-                       int(iterations[r]), float(moves[r]), final[r], events[r])
+                       int(iterations[r]), float(moves[r]), final[r], usage[r], events[r])
         for r in range(n)
     ]
 

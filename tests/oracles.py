@@ -416,10 +416,11 @@ def _row_loss(words, moments):
 
 def sequential_lloyd_max(mix, init, max_iters, tol):
     """One start of `sequential_multi_start`: one kernel call per
-    iteration on this start's cells alone. Returns the LloydMaxResult and
-    the loss of every iterate: entry n - 1 is the loss after iteration n,
-    taken from the moments of iteration n + 1 before any relocation, and
-    the last entry is the result's `loss`."""
+    iteration on this start's cells alone, and the final usage priced apart
+    by `word_usage`. Returns the LloydMaxResult and the loss of every
+    iterate: entry n - 1 is the loss after iteration n, taken from the
+    moments of iteration n + 1 before any relocation, and the last entry is
+    the result's `loss`."""
     words = _separate(np.asarray(init, dtype=float))
     events_total = 0
     loss_history = []
@@ -442,7 +443,8 @@ def sequential_lloyd_max(mix, init, max_iters, tol):
             break
     q = quantizer_from_words(words)
     loss_history.append(_row_loss(q.words, mix.partial_moments(q.boundaries)))
-    res = LloydMaxResult(q, converged, it, move, loss_history[-1], events_total)
+    res = LloydMaxResult(q, converged, it, move, loss_history[-1], word_usage(mix, q),
+                         events_total)
     return res, loss_history
 
 

@@ -35,7 +35,7 @@ from quantgame import (
 from quantgame import game as game_module
 from quantgame import quantizers
 from quantgame.game import observed_mixture
-from quantgame.networks import AgentSpec
+from quantgame.networks import AgentSpec, word_usage
 
 from conftest import ROOT, TRIANGULAR_NOISE_FIXTURE, lloyd_max_to, outcome, triangular_noise_game
 from oracles import sequential_bootstrap, sequential_responses, sequential_solve, sequential_sweep
@@ -99,17 +99,16 @@ class TestBestResponseAndSweep:
     def test_best_response_optimizes_observed(self):
         game = _coupled_game()
         state = bootstrap(game, n_starts=8)
-        [(res, priced)] = best_response([0], state, game, n_starts=8)
+        [res] = best_response([0], state, game, n_starts=8)
         obs = observed_mixture(0, game, state.quantizers, state.usage)
         assert res.converged
         assert centroid_residual(res.quantizer, obs) < 1e-9
-        # the response returns the environment it priced
-        cells = np.linspace(0.0, 1.0, 9)
-        assert priced.partial_moments(cells).tolist() == obs.partial_moments(cells).tolist()
+        # the design's usage is the one its environment gives, bit for bit
+        assert res.usage.tolist() == word_usage(obs, res.quantizer).tolist()
 
-    def test_sweep_builds_each_mixture_once(self, monkeypatch):
+    def test_sweep_builds_each_mixture_once(self, monkeypatch, ref_game):
         # a responder's mixture reads only its peers, so the one its response
-        # priced also refreshes its usage after the move
+        # priced also gives its usage after the move
         game = _coupled_game()
         state = bootstrap(game, n_starts=8)
         built = []
@@ -122,6 +121,16 @@ class TestBestResponseAndSweep:
         last = observed_mixture(0, game, new_state.quantizers, new_state.usage)
         want = last.partial_moments(new_state.quantizers[0].boundaries, orders=1)[0]
         assert new_state.usage[0].tolist() == (want / want.sum()).tolist()
+        # so neither a warm sweep nor the bootstrap prices any usage again
+        fixture = load_state(REFERENCE_FIXTURE, ref_game)
+        priced = []
+        pricing = MixtureDensity.partial_moments
+        monkeypatch.setattr(MixtureDensity, "partial_moments",
+                            lambda *args, **kw: priced.append(1) or pricing(*args, **kw))
+        sweep(fixture, ref_game, range(ref_game.n_agents), n_starts=1)
+        assert priced == []
+        bootstrap(ref_game, 8)
+        assert priced == []
 
     def test_isolated_agents_do_not_move(self):
         game = _isolated_game()
@@ -425,7 +434,7 @@ class TestStackedResponses:
                     break
                 state = want[1][0]
             _assert_same_outcome(
-                outcome(lambda: [res.quantizer for res, _obs in
+                outcome(lambda: [res.quantizer for res in
                                  best_response(range(game.n_agents), state, game, n_starts)]),
                 outcome(lambda: sequential_responses(state, game, n_starts)))
 

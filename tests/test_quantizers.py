@@ -342,6 +342,7 @@ def _assert_same_run(got, want):
     assert got.converged == want.converged
     assert got.final_move == want.final_move
     assert got.loss == want.loss
+    assert np.array_equal(got.usage, want.usage)
     assert got.empty_cell_events == want.empty_cell_events
 
 
